@@ -29,6 +29,7 @@ from .exact_algebra import (
     ZeroDenominatorError,
     format_rational,
     format_rational_function,
+    parse_rational_function,
 )
 from .gamma_ratio import (
     BallValue,
@@ -106,8 +107,6 @@ def ser_weight(w: WeightExpr) -> Any:
 
 def weight_from_jsonable(data: Any) -> WeightExpr:
     """Inverse of :func:`ser_weight`, used for round-trip checks."""
-    from .exact_algebra import parse_rational_function
-
     if isinstance(data, str):
         return WeightExpr.from_rational(parse_rational_function(data))
     terms = []
@@ -333,9 +332,7 @@ def _cmd_verify_theorem(args) -> tuple[dict, int]:
 
 def _cmd_oracle_quadrature(args) -> tuple[dict, int]:
     phi = parse_symbol(args.symbol)
-    old = mp.prec
-    try:
-        mp.dps = args.digits + 15
+    with mp.workdps(args.digits + 15):
         try:
             result = bergman_quadrature_oracle(args.p, phi, args.k, args.digits)
         except QuadratureError as exc:
@@ -359,8 +356,6 @@ def _cmd_oracle_quadrature(args) -> tuple[dict, int]:
             "tolerance": mpmath.nstr(tol, 5),
             "ok": bool(abs_err <= tol),
         }
-    finally:
-        mp.prec = old
     return payload, EXIT_OK if payload["ok"] else EXIT_NEGATIVE
 
 

@@ -11,15 +11,19 @@ reduction, which turns rationality into a decidable syntactic check and
 powers the exact zero-testing of shift weights.
 
 A weight expression is a finite sum of (rational function) x (Gamma ratio)
-terms in the global variable z = 2k + 2.  Certified numeric evaluation
-returns balls (midpoint, radius) backed by mpmath interval arithmetic.
+terms in the global variable z = 2k + 2.  All certified numerics of the
+package live here and return balls (midpoint, radius) backed by mpmath
+interval arithmetic: :func:`working_precision` is the one precision scope,
+:func:`eval_ball` encloses one value, and :func:`ball_ratio` is the one
+certified check that two sides are proportional at sample points.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
@@ -276,10 +280,8 @@ class WeightExpr:
         for c, g in self.terms:
             if c.den.eval(z0) == 0:
                 return True
-            for td, off in g.num:
-                arg = (z0 + off) / td
-                if arg <= 0 and arg.denominator == 1:
-                    return True
+            if any(_is_gamma_pole((z0 + off) / td) for td, off in g.num):
+                return True
         return False
 
     def __str__(self) -> str:
@@ -314,6 +316,21 @@ def power_weight(m: int, p: int, n: int) -> WeightExpr:
 
 # ---------------------------------------------------------------------------
 # certified evaluation
+
+
+@contextmanager
+def working_precision(bits: int) -> Iterator[None]:
+    """Set the mpmath real and interval precisions (the one piece of
+    shared state in the package) to ``bits`` for the block, restoring both
+    on every exit path; mpmath's ``workprec`` covers only the real one."""
+    if bits <= 0:
+        raise ValueError("precision_bits must be positive")
+    saved = mp.prec, iv.prec
+    try:
+        mp.prec = iv.prec = bits
+        yield
+    finally:
+        mp.prec, iv.prec = saved
 
 
 @dataclass(frozen=True)
@@ -380,19 +397,89 @@ def eval_ball(w: WeightExpr, z0: RationalLike, precision_bits: int = 200) -> Bal
     """Certified enclosure of w(z0) at the requested working precision.
 
     Radius shrinks as precision grows; raises :class:`PoleError` when z0
-    hits a pole of any normalized term.  Precision is set on the
-    process-wide mpmath contexts for the duration of the call (and
-    restored), which is the one piece of shared state in the package.
+    hits a pole of any normalized term.
     """
-    if precision_bits <= 0:
-        raise ValueError("precision_bits must be positive")
     z0 = as_rational(z0)
-    if w.poles_at(z0):
-        raise PoleError(z0)
-    old_iv, old_mp = iv.prec, mp.prec
-    try:
-        iv.prec = precision_bits
-        mp.prec = precision_bits
+    with working_precision(precision_bits):
+        if w.poles_at(z0):
+            raise PoleError(z0)
         return _ball_from_interval(_iv_weight(w, z0))
-    finally:
-        iv.prec, mp.prec = old_iv, old_mp
+
+
+@dataclass(frozen=True)
+class SampleRow:
+    z: Fraction
+    left: Union[Fraction, BallValue]
+    right: Union[Fraction, BallValue]
+    ratio: Union[Fraction, BallValue, None]
+
+
+@dataclass(frozen=True)
+class RatioCheck:
+    """Outcome of :func:`ball_ratio`.  A ``not_proportional`` verdict is
+    certified by its witness pair; ``proportional`` is consistency with one
+    constant at the evaluated samples, not a proof of the identity."""
+
+    verdict: str  # proportional | not_proportional | inconclusive
+    constant: Optional[BallValue]
+    rows: tuple[SampleRow, ...]
+    witnesses: tuple[tuple[Fraction, Fraction], ...]
+    skipped_poles: tuple[Fraction, ...]
+    precision_bits: int
+
+
+def ball_ratio(
+    left: Union[WeightExpr, Sequence[Fraction]],
+    right: WeightExpr,
+    zs: Sequence[Fraction],
+    precision_bits: int = 200,
+) -> RatioCheck:
+    """Certified check of left(z) = c * right(z) at the sample points ``zs``.
+
+    ``left`` is a weight expression or its exact values at ``zs``.  Samples
+    at a pole of either side are skipped.  Two samples with disjoint ratio
+    enclosures refute proportionality.  A sample is unresolved when its
+    ratio enclosure is loose, or when the right enclosure contains zero and
+    the two sides are not both exactly zero.  With no sample unresolved the
+    verdict is ``proportional`` and the constant is the first ratio;
+    otherwise the precision is doubled, up to four times, before the
+    verdict is ``inconclusive``.
+    """
+    bits = precision_bits
+    for _ in range(5):  # initial try plus four doublings
+        with working_precision(bits):
+            rows: list[SampleRow] = []
+            skipped: list[Fraction] = []
+            ratio_ivs: list[tuple[Fraction, object]] = []
+            unresolved = False
+            quality = mp.mpf(2) ** (-max(16, bits // 4))
+            for i, z in enumerate(zs):
+                if right.poles_at(z) or (isinstance(left, WeightExpr) and left.poles_at(z)):
+                    skipped.append(z)
+                    continue
+                liv = _iv_weight(left, z) if isinstance(left, WeightExpr) else _iv_rational(left[i])
+                riv = _iv_weight(right, z)
+                lball = _ball_from_interval(liv)
+                rball = _ball_from_interval(riv)
+                if 0 in riv:
+                    rows.append(SampleRow(z, lball, rball, None))
+                    if not all(x.a == 0 and x.b == 0 for x in (liv, riv)):
+                        unresolved = True
+                    continue
+                q = liv / riv
+                qball = _ball_from_interval(q)
+                rows.append(SampleRow(z, lball, rball, qball))
+                if qball.rad > quality * max(abs(qball.mid), mp.mpf(1)):
+                    unresolved = True
+                ratio_ivs.append((z, q))
+            witness = next(((za, zb) for j, (za, qa) in enumerate(ratio_ivs)
+                            for zb, qb in ratio_ivs[j + 1:] if 0 not in qa - qb), None)
+            if witness is not None:
+                return RatioCheck("not_proportional", None, tuple(rows), (witness,),
+                                  tuple(skipped), bits)
+            if not unresolved:
+                # with no ratio at all, every sample had both sides exactly zero
+                const = _ball_from_interval(ratio_ivs[0][1]) if ratio_ivs else None
+                return RatioCheck("proportional", const, tuple(rows), (), tuple(skipped), bits)
+        bits *= 2
+    return RatioCheck("inconclusive", None, tuple(rows), (), tuple(skipped), bits // 2)

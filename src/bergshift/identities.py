@@ -15,8 +15,11 @@ then decided:
   with alpha = s - p, valid under the degree balance l + p = m + s.
 
 Verdicts are exact whenever both sides reduce to rational functions;
-otherwise certified ball evaluation decides, with the working precision
-doubled up to four times before giving up as inconclusive.
+otherwise the certified ratio check :func:`gamma_ratio.ball_ratio` decides,
+with the working precision doubled up to four times before giving up as
+inconclusive.  A ball-path ``not_proportional`` is certified by its
+witnesses; a ball-path ``proportional`` means the sides agree up to one
+constant at the listed samples, which is not a proof of the identity.
 """
 
 from __future__ import annotations
@@ -31,19 +34,18 @@ from .exact_algebra import (
     as_rational,
     rf_normalize,
 )
-from .gamma_ratio import BallValue, GammaRatioExpr, WeightExpr, power_weight
+from .gamma_ratio import (
+    BallValue,
+    GammaRatioExpr,
+    SampleRow,
+    WeightExpr,
+    ball_ratio,
+    power_weight,
+)
 from .mellin import RadialSymbol
 from .shift_algebra import ShiftSum, commutator, quasihomogeneous_operator
 
 SCENARIOS = ("commutator", "factored", "functional")
-
-
-@dataclass(frozen=True)
-class SampleRow:
-    z: Fraction
-    left: Union[Fraction, BallValue]
-    right: Union[Fraction, BallValue]
-    ratio: Union[Fraction, BallValue, None]
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,6 @@ def _lin(*roots: int) -> Polynomial:
     return out
 
 
-def _rf(num: Polynomial, den: Polynomial) -> RationalFunction:
-    return rf_normalize(num, den)
-
-
 def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -> tuple[WeightExpr, WeightExpr]:
     """Left and right weight expressions for one scenario instance."""
     if scenario not in SCENARIOS:
@@ -95,13 +93,13 @@ def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -
         # regime; outside it the factored presentation does not apply.
         if s != 2 * p:
             raise ValueError("factored form is derived for s = 2p only")
-        r1 = _rf(_lin(2 * m + 2 * p, p + n, 3 * p + n),
-                 _lin(s + d, 2 * p, 2 * m + p + n, 2 * m + 3 * p + n)) - _rf(
+        r1 = rf_normalize(_lin(2 * m + 2 * p, p + n, 3 * p + n),
+                          _lin(s + d, 2 * p, 2 * m + p + n, 2 * m + 3 * p + n)) - rf_normalize(
             Polynomial.one(), _lin(2 * m + s + d))
         gq_left = GammaRatioExpr.of(2 * p, [2 * m, p + n], [0, 2 * m + p + n])
-        r2 = _rf(_lin(2 * l), _lin(2 * m, 2 * l + p + n))
+        r2 = rf_normalize(_lin(2 * l), _lin(2 * m, 2 * l + p + n))
         gq_r1 = GammaRatioExpr.of(2 * s, [2 * l, s + d], [0, 2 * l + s + d])
-        r3 = _rf(_lin(0), _lin(p + n, 2 * m + s + d))
+        r3 = rf_normalize(_lin(0), _lin(p + n, 2 * m + s + d))
         gq_r2 = GammaRatioExpr.of(2 * s, [2 * m, 2 * p + s + d], [2 * p, 2 * m + s + d])
         left = WeightExpr.build([(r1, gq_left)])
         right = WeightExpr.build([(r2, gq_r1), (r3.scale(-1), gq_r2)])
@@ -114,13 +112,13 @@ def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -
     if alpha <= 0:
         raise ValueError("functional form needs p < s")
     f_expr = WeightExpr.build([
-        (_rf(_lin(2 * m), _lin(0)),
+        (rf_normalize(_lin(2 * m), _lin(0)),
          GammaRatioExpr.of(2 * p, [2 * m, p + n], [0, 2 * m + p + n])),
-        (_rf(_lin(2 * m), _lin(p + n)).scale(-1),
+        (rf_normalize(_lin(2 * m), _lin(p + n)).scale(-1),
          GammaRatioExpr.of(2 * s, [2 * m, 2 * p + s + d], [2 * p, 2 * m + s + d])),
     ])
     h_expr = WeightExpr.from_rational(
-        _rf(_lin(2 * alpha + p + n, 2 * m + s + d), _lin(2 * l + p + n, s + d)))
+        rf_normalize(_lin(2 * alpha + p + n, 2 * m + s + d), _lin(2 * l + p + n, s + d)))
     left = h_expr * f_expr.shift(2 * alpha)
     right = f_expr
     return left, right
@@ -176,69 +174,6 @@ def _exact_proportionality(
             "exact quotient of the two sides is not constant")
 
 
-def _ball_proportionality(
-    left: WeightExpr,
-    right: WeightExpr,
-    sample_zs: Sequence[Fraction],
-    precision_bits: int,
-) -> tuple[str, Optional[BallValue], list[SampleRow], list[tuple[Fraction, Fraction]], list[Fraction], int]:
-    from mpmath import iv, mp
-
-    bits = precision_bits
-    for _attempt in range(5):  # initial try plus four doublings
-        old_iv, old_mp = iv.prec, mp.prec
-        try:
-            iv.prec = bits
-            mp.prec = bits
-            rows: list[SampleRow] = []
-            skipped: list[Fraction] = []
-            ratio_ivs: list[tuple[Fraction, object]] = []
-            unresolved = False
-            witness: Optional[tuple[Fraction, Fraction]] = None
-            from .gamma_ratio import _ball_from_interval, _iv_weight
-
-            quality = mp.mpf(2) ** (-max(16, bits // 4))
-            for z in sample_zs:
-                if left.poles_at(z) or right.poles_at(z):
-                    skipped.append(z)
-                    continue
-                liv = _iv_weight(left, z)
-                riv = _iv_weight(right, z)
-                lball = _ball_from_interval(liv)
-                rball = _ball_from_interval(riv)
-                if 0 in riv:
-                    # cannot divide; consistent only if the left is tiny too
-                    rows.append(SampleRow(z, lball, rball, None))
-                    if lball.excludes_zero():
-                        unresolved = True
-                    continue
-                q = liv / riv
-                qball = _ball_from_interval(q)
-                rows.append(SampleRow(z, lball, rball, qball))
-                if qball.rad > quality * max(abs(qball.mid), mp.mpf(1)):
-                    unresolved = True
-                ratio_ivs.append((z, q))
-            for i in range(len(ratio_ivs)):
-                for j in range(i + 1, len(ratio_ivs)):
-                    if 0 not in (ratio_ivs[i][1] - ratio_ivs[j][1]):
-                        witness = (ratio_ivs[i][0], ratio_ivs[j][0])
-                        break
-                if witness:
-                    break
-            if witness is not None:
-                return "not_proportional", None, rows, [witness], skipped, bits
-            if not unresolved:
-                if ratio_ivs:
-                    const = _ball_from_interval(ratio_ivs[0][1])
-                    return "proportional", const, rows, [], skipped, bits
-                # every sample had both sides indistinguishable from zero
-                return "proportional", None, rows, [], skipped, bits
-        finally:
-            iv.prec, mp.prec = old_iv, old_mp
-        bits *= 2
-    return "inconclusive", None, rows, [], skipped, bits // 2
-
-
 def verify_identity(
     scenario: str,
     p: int,
@@ -265,15 +200,15 @@ def verify_identity(
             witnesses=tuple(witnesses), skipped_poles=(),
             precision_bits=precision_bits, note=note)
 
-    verdict, const, rows, witnesses, skipped, bits = _ball_proportionality(
-        left, right, samples, precision_bits)
+    check = ball_ratio(left, right, samples, precision_bits)
     note = ""
-    if verdict == "proportional" and const is None:
+    if check.verdict == "proportional" and check.constant is None:
         note = "both sides indistinguishable from zero at every sample"
-    elif verdict == "inconclusive":
+    elif check.verdict == "inconclusive":
         note = "ball radii too large after four precision doublings"
     return IdentityReport(
-        scenario=scenario, params=params, verdict=verdict, constant=const,
-        exact=False, both_sides_zero=False, samples=tuple(rows),
-        witnesses=tuple(witnesses), skipped_poles=tuple(skipped),
-        precision_bits=bits, note=note)
+        scenario=scenario, params=params, verdict=check.verdict,
+        constant=check.constant, exact=False, both_sides_zero=False,
+        samples=check.rows, witnesses=check.witnesses,
+        skipped_poles=check.skipped_poles, precision_bits=check.precision_bits,
+        note=note)

@@ -238,9 +238,7 @@ def bergman_quadrature_oracle(
         raise ValueError("p and k must be nonnegative")
     if digits <= 0:
         raise ValueError("digits must be positive")
-    old = mp.prec
-    try:
-        mp.dps = digits + 15
+    with mp.workdps(digits + 15):
         exps = [(mp.mpf(c.numerator) / c.denominator, 2 * k + p + 1 + mp.mpf(e.numerator) / e.denominator)
                 for c, e in phi.terms]
 
@@ -253,5 +251,3 @@ def bergman_quadrature_oracle(
         factor = 2 * (k + p + 1)
         value, err = integrate_adaptive(integrand, 0, 1, mp.mpf(10) ** (-digits))
         return QuadratureResult(factor * value, factor * err)
-    finally:
-        mp.prec = old

@@ -36,9 +36,7 @@ def gauss_legendre_rule(order: int, prec: int) -> tuple[list, list]:
     key = (order, prec)
     if key in _RULE_CACHE:
         return _RULE_CACHE[key]
-    old = mp.prec
-    try:
-        mp.prec = prec + 32
+    with mp.workprec(prec + 32):
         nodes, weights = [], []
         for i in range(1, order + 1):
             # Chebyshev initializer, then Newton on the Legendre recurrence.
@@ -58,8 +56,6 @@ def gauss_legendre_rule(order: int, prec: int) -> tuple[list, list]:
             dp = order * (x * p1 - p0) / (x * x - 1)
             nodes.append(+x)
             weights.append(2 / ((1 - x * x) * dp * dp))
-    finally:
-        mp.prec = old
     _RULE_CACHE[key] = (nodes, weights)
     return _RULE_CACHE[key]
 

@@ -39,7 +39,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exact_algebra import Polynomial, RationalFunction, rf_eval, rf_normalize
-from .gamma_ratio import power_weight
+from .gamma_ratio import ball_ratio, power_weight
 from .mellin import RadialSymbol
 from .shift_algebra import commutator, quasihomogeneous_operator
 
@@ -98,13 +98,6 @@ class ExactLinearSystem:
     rows: tuple[LinearEquation, ...]
     num_unknowns: int
     problem: Optional[CommutantProblem] = None
-
-    def f_index(self, k: int) -> int:
-        return k
-
-    def g_index(self, k: int) -> int:
-        assert self.problem is not None
-        return self.problem.K + 1 + k
 
 
 def build_system(prob: CommutantProblem) -> ExactLinearSystem:
@@ -177,7 +170,7 @@ def _ff_echelon(rows: list[dict[int, int]], col_order: Sequence[int]):
     Deterministic first-nonzero pivoting: for each column in order, the
     first remaining row with a nonzero entry there becomes the pivot.
     Every update divides exactly by the previous pivot; the divisions are
-    asserted, and nullspace vectors are re-verified against the original
+    checked, and nullspace vectors are re-verified against the original
     rational rows afterwards.
     """
     remaining = [dict(r) for r in rows if r]
@@ -201,7 +194,8 @@ def _ff_echelon(rows: list[dict[int, int]], col_order: Sequence[int]):
                 val = piv * r.get(j, 0) - ric * prow.get(j, 0)
                 if val:
                     q, rem = divmod(val, prev)
-                    assert rem == 0, "fraction-free step lost integrality"
+                    if rem:
+                        raise ArithmeticError("fraction-free step lost integrality")
                     nr[j] = q
             if nr:
                 updated.append(nr)
@@ -238,7 +232,7 @@ def _nullspace_basis(sys: ExactLinearSystem) -> list[tuple[Fraction, ...]]:
         basis.append(vec)
     for vec in basis:
         if not vector_in_nullspace(sys, vec):
-            raise AssertionError("computed vector fails exact re-multiplication")
+            raise ArithmeticError("computed vector fails exact re-multiplication")
     return basis
 
 
@@ -312,8 +306,10 @@ def match_root_power(
 ):
     """Constant c with v_k = c * power_weight(m, p, n)(2k+2) for all k.
 
-    Exact when the power weight reduces to a rational function; certified
-    ball comparison otherwise.  Returns None when no single constant works.
+    Exact when the power weight reduces to a rational function; otherwise
+    the certified ratio check :func:`gamma_ratio.ball_ratio` decides and
+    the constant is a ball.  Returns None when no single constant works or
+    the check is inconclusive.
     """
     pw = power_weight(m, p, n)
     zs = [Fraction(2 * k + 2) for k in range(len(v))]
@@ -331,30 +327,8 @@ def match_root_power(
             elif vk != c * wk:
                 return None
         return Fraction(0) if c is None else c
-    from mpmath import iv, mp
-
-    old_iv, old_mp = iv.prec, mp.prec
-    try:
-        iv.prec = precision_bits
-        mp.prec = precision_bits
-        from .gamma_ratio import _ball_from_interval, _iv_rational, _iv_weight
-
-        c_iv = None
-        for z, vk in zip(zs, v):
-            if pw.poles_at(z):
-                continue
-            w_iv = _iv_weight(pw, z)
-            v_iv = _iv_rational(vk)
-            if c_iv is None:
-                if 0 in w_iv:
-                    continue
-                c_iv = v_iv / w_iv
-                continue
-            if 0 not in (v_iv - c_iv * w_iv):
-                return None
-        return None if c_iv is None else _ball_from_interval(c_iv)
-    finally:
-        iv.prec, mp.prec = old_iv, old_mp
+    check = ball_ratio(v, pw, zs, precision_bits)
+    return check.constant if check.verdict == "proportional" else None
 
 
 @dataclass(frozen=True)

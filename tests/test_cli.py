@@ -142,6 +142,12 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert dispatch(["weight", "--p", "1", "--symbol", "r", "--bogus"]) == EXIT_USAGE
 
+    def test_nonpositive_precision_on_ball_path(self, capsys):
+        argv = ["identity-check", "--id", "functional", "--p", "1", "--s", "2", "--n", "2",
+                "--d", "3", "--m", "2", "--l", "3", "--samples", "5"]
+        assert dispatch(argv + ["--precision-bits", "0"]) == EXIT_USAGE
+        assert dispatch(argv + ["--precision-bits", "1"]) == EXIT_NEGATIVE
+
 
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_reruns(self, capsys):

@@ -15,6 +15,7 @@ from bergshift.exact_algebra import (
 from bergshift.gamma_ratio import (
     GammaRatioExpr,
     WeightExpr,
+    ball_ratio,
     canonicalize,
     eval_ball,
     is_rational_divisibility,
@@ -175,6 +176,37 @@ class TestEvalBall:
         assert gamma_pole.poles_at(Fraction(-2))
         with pytest.raises(PoleError):
             eval_ball(gamma_pole, Fraction(-2), 100)
+
+
+class TestBallRatio:
+    ZS = [Fraction(2 * k + 2) for k in range(8)]
+
+    def test_scaled_gamma_weight_is_proportional(self):
+        w = power_weight(1, 2, 3)
+        check = ball_ratio(w.scale(3), w, self.ZS)
+        assert check.verdict == "proportional"
+        assert check.constant.lower <= 3 <= check.constant.upper
+        assert check.precision_bits == 200
+        assert not check.witnesses and not check.skipped_poles
+
+    def test_both_sides_exactly_zero(self):
+        check = ball_ratio(WeightExpr.zero(), WeightExpr.zero(), self.ZS)
+        assert check.verdict == "proportional"
+        assert check.constant is None
+        assert all(row.ratio is None for row in check.rows)
+
+    def test_zero_right_side_is_never_consistent(self):
+        # the right enclosure is exactly zero but the left is not: doubling
+        # cannot help, and the check gives up after four doublings
+        check = ball_ratio(power_weight(1, 2, 3), WeightExpr.zero(), self.ZS, 20)
+        assert check.verdict == "inconclusive"
+        assert check.precision_bits == 20 * 2**4
+
+    def test_poles_are_skipped(self):
+        w = WeightExpr.from_rational(rf((1,), (-4, 1))) * power_weight(1, 2, 3)
+        check = ball_ratio(w.scale(2), w, self.ZS)
+        assert check.skipped_poles == (Fraction(4),)
+        assert check.verdict == "proportional"
 
 
 def test_mixed_scale_products_stay_closed():

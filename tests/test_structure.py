@@ -1,0 +1,97 @@
+"""Source-structure rules for the package, checked on its syntax trees.
+
+* no module imports an underscore name from another bergshift module;
+* no function body imports a bergshift module;
+* only :func:`gamma_ratio.working_precision` assigns mpmath ``.prec`` or
+  ``.dps`` (everything else uses that scope or mpmath's ``workprec``);
+* only ``gamma_ratio`` uses the interval context ``iv``;
+* no ``assert`` statement carries control flow.
+"""
+
+import ast
+from pathlib import Path
+
+import bergshift
+
+PACKAGE = Path(bergshift.__file__).parent
+SCOPE = ("gamma_ratio", "working_precision")
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_package_import(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "bergshift"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "bergshift" for a in node.names)
+    return False
+
+
+def _functions(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _assigned_attributes(node):
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    stack = list(targets)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            stack.extend(t.elts)
+        elif isinstance(t, ast.Attribute):
+            yield t.attr
+
+
+def test_no_private_imports_across_modules():
+    bad = [f"{mod}:{node.lineno} imports {alias.name}"
+           for mod, tree in _modules()
+           for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and _is_package_import(node)
+           for alias in node.names if alias.name.startswith("_")]
+    assert bad == []
+
+
+def test_no_function_local_package_imports():
+    bad = [f"{mod}.{fn.name}:{node.lineno}"
+           for mod, tree in _modules()
+           for fn in _functions(tree)
+           for node in ast.walk(fn) if _is_package_import(node)]
+    assert bad == []
+
+
+def test_precision_is_set_only_by_the_scope():
+    bad = []
+    for mod, tree in _modules():
+        allowed = set()
+        for fn in _functions(tree):
+            if (mod, fn.name) == SCOPE:
+                allowed |= {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if any(attr in ("prec", "dps") for attr in _assigned_attributes(node)):
+                bad.append(f"{mod}:{node.lineno}")
+    assert bad == []
+
+
+def test_interval_context_only_in_gamma_ratio():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules() if mod != "gamma_ratio"
+           for node in ast.walk(tree)
+           if (isinstance(node, ast.Name) and node.id == "iv")
+           or (isinstance(node, ast.Attribute) and node.attr == "iv")
+           or (isinstance(node, ast.alias) and node.name == "iv")]
+    assert bad == []
+
+
+def test_no_assert_statements():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules()
+           for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert bad == []
