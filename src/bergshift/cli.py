@@ -7,6 +7,8 @@ for human-readable tables).  Exit codes triage results for CI:
 * 1  - verified negative (mismatch, FAIL, counterexample)
 * 2  - inconclusive (unknown, unstabilized, non-convergent)
 * 64 - usage or input error (the grammar is printed)
+* 141 - stdout was closed before the report was written, the status a
+  shell gives a process ended by SIGPIPE
 
 All configuration is via flags; no environment variables are read, so
 identical invocations produce byte-identical output.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -60,6 +63,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -462,7 +466,15 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head -1`).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,10 +12,17 @@ weight sequences F and G satisfy, at every basis index k,
 
 with Phi(z) = (z+2p)/(z+p+n), Psi(z) = (z+2s)/(z+s+d) and z_k = 2k + 2.
 Truncating at index K gives an exact linear system over the rationals in
-the unknowns F_0..F_K, G_0..G_K.  The nullspace is computed by
-fraction-free (Bareiss-style) elimination with deterministic first-nonzero
-pivoting, and its dimension is re-computed at K + 10 as a stabilization
-check.  Dimensions are reported as found; nothing is suppressed.
+the unknowns F_0..F_K, G_0..G_K.
+
+Rows (1) and (2) are first-order recurrences with leading coefficients
+Phi(z_k), Psi(z_k) > 0: they pin each F[k >= p] to an exact multiple of
+F[k mod p] and each G[k >= s] to one of G[k mod s].  Substituted into (3),
+they leave K - s + 1 rows in the p + s parameters F[0..p-1], G[0..s-1],
+solved by one exact Gauss-Jordan elimination.  Lifting back is a bijection
+onto the solutions of (1) and (2), so the dimension is exact; each lifted
+vector is re-verified against every row.  The multiples do not depend on
+K and a larger K only appends rows, so dim(K) cannot increase in K.  It is
+re-computed at K + 10 as a stabilization check and reported as found.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -36,7 +43,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact_algebra import Polynomial, RationalFunction, rf_eval, rf_normalize
 from .gamma_ratio import ball_ratio, power_weight
@@ -105,134 +112,123 @@ def build_system(prob: CommutantProblem) -> ExactLinearSystem:
     p, s, n, d, m, l, K = prob.p, prob.s, prob.n, prob.d, prob.m, prob.l, prob.K
     phi = monomial_weight(p, n)
     psi = monomial_weight(s, d)
-
-    def fi(k: int) -> int:
-        return k
-
-    def gi(k: int) -> int:
-        return K + 1 + k
+    # Phi(z_k + 2j) = Phi(z_{k+j}), so each weight is evaluated once per
+    # sample point; no row reads an index beyond K - p + m = K - s + l.
+    phi_at = [rf_eval(phi, Fraction(2 * k + 2)) for k in range(K - p + m + 1)]
+    psi_at = [rf_eval(psi, Fraction(2 * k + 2)) for k in range(K - p + m + 1)]
+    G = K + 1  # column of G_0; F_k is column k
 
     rows: list[LinearEquation] = []
     for k in range(K - p + 1):
-        z = Fraction(2 * k + 2)
         rows.append(LinearEquation(
-            ((fi(k + p), rf_eval(phi, z)), (fi(k), -rf_eval(phi, z + 2 * m))),
+            ((k + p, phi_at[k]), (k, -phi_at[k + m])),
             f"first[k={k}]"))
     for k in range(K - s + 1):
-        z = Fraction(2 * k + 2)
         rows.append(LinearEquation(
-            ((gi(k + s), rf_eval(psi, z)), (gi(k), -rf_eval(psi, z + 2 * l))),
+            ((G + k + s, psi_at[k]), (G + k, -psi_at[k + l])),
             f"second[k={k}]"))
     for k in range(K - s + 1):
-        z = Fraction(2 * k + 2)
         rows.append(LinearEquation(
-            ((fi(k + s), rf_eval(psi, z)),
-             (gi(k + p), rf_eval(phi, z)),
-             (fi(k), -rf_eval(psi, z + 2 * m)),
-             (gi(k), -rf_eval(phi, z + 2 * l))),
+            ((k + s, psi_at[k]),
+             (G + k + p, phi_at[k]),
+             (k, -psi_at[k + m]),
+             (G + k, -phi_at[k + l])),
             f"mixed[k={k}]"))
     return ExactLinearSystem(tuple(rows), 2 * (K + 1), prob)
 
 
-def _interleaved_columns(sys: ExactLinearSystem) -> list[int]:
-    """Column elimination order.  Interleaving F_k and G_k keeps the band of
-    the system narrow, which bounds fill-in during elimination; the choice
-    is internal and deterministic, basis vectors come back in F,G order."""
-    if sys.problem is None:
-        return list(range(sys.num_unknowns))
-    K = sys.problem.K
-    order = []
-    for k in range(K + 1):
-        order.append(k)
-        order.append(K + 1 + k)
-    return order
+def _subtract(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
+    """target -= c * row, in place, dropping entries that become zero."""
+    for j, v in row.items():
+        x = target.get(j, 0) - c * v
+        if x:
+            target[j] = x
+        else:
+            target.pop(j, None)
 
 
-def _integer_rows(sys: ExactLinearSystem) -> list[dict[int, int]]:
-    out = []
-    for row in sys.rows:
-        lcm = 1
-        for _, c in row.coeffs:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        ints = {j: int(c * lcm) for j, c in row.coeffs if c != 0}
-        if not ints:
-            continue
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-        out.append({j: v // g for j, v in ints.items()})
-    return out
+def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> list[list[Fraction]]:
+    """Nullspace basis of sparse rational rows by exact Gauss-Jordan elimination.
 
-
-def _ff_echelon(rows: list[dict[int, int]], col_order: Sequence[int]):
-    """Fraction-free forward elimination (one-step Bareiss).
-
-    Deterministic first-nonzero pivoting: for each column in order, the
-    first remaining row with a nonzero entry there becomes the pivot.
-    Every update divides exactly by the previous pivot; the divisions are
-    checked, and nullspace vectors are re-verified against the original
-    rational rows afterwards.
+    The pivot rows stay in reduced echelon form, so whatever the row order
+    the basis is canonical: 1 at its free column, 0 at the other free
+    columns.  Rows after full rank are not read.
     """
-    remaining = [dict(r) for r in rows if r]
-    pivot_rows: list[dict[int, int]] = []
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in col_order:
-        idx = next((i for i, r in enumerate(remaining) if r.get(col)), None)
-        if idx is None:
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        r: dict[int, Fraction] = {}
+        for j, c in row:
+            r[j] = r[j] + c if j in r else c
+        r = {j: c for j, c in r.items() if c}
+        for col, prow in pivots.items():
+            if col in r:
+                _subtract(r, r[col], prow)
+        if not r:
             continue
-        prow = remaining.pop(idx)
-        piv = prow[col]
-        updated: list[dict[int, int]] = []
-        for r in remaining:
-            ric = r.get(col, 0)
-            cols = set(r) | (set(prow) if ric else set())
-            nr: dict[int, int] = {}
-            for j in cols:
-                if j == col:
+        col = min(r)
+        lead = r[col]
+        r = {j: v / lead for j, v in r.items()}
+        for prow in pivots.values():
+            if col in prow:
+                _subtract(prow, prow[col], r)
+        pivots[col] = r
+    return [[-pivots[j].get(f, 0) if j in pivots else Fraction(int(j == f))
+             for j in range(ncols)]
+            for f in range(ncols) if f not in pivots]
+
+
+def _parametrize(sys: ExactLinearSystem):
+    """Write every unknown as a scale times one parameter: F[0..p-1] and
+    G[0..s-1] when the system's two-term rows (1) and (2) pin every other
+    unknown, else the unknown itself.  Returns the lift, one (parameter,
+    scale) pair per unknown, the parameter count and the unused rows.
+    """
+    identity = [(j, Fraction(1)) for j in range(sys.num_unknowns)], sys.num_unknowns, sys.rows
+    prob = sys.problem
+    if prob is None:
+        return identity
+    K = prob.K
+    pins: dict[int, Fraction] = {}
+    rest = []
+    for row in sys.rows:
+        if len(row.coeffs) == 2:
+            (lo, c_lo), (hi, c_hi) = sorted(row.coeffs)
+            step = prob.p if hi <= K else prob.s
+            if hi - lo == step and (lo <= K) == (hi <= K):
+                if c_hi == 0:
+                    raise ArithmeticError(
+                        f"recurrence row for unknown {hi} has a zero leading coefficient")
+                if hi not in pins:
+                    pins[hi] = -c_lo / c_hi
                     continue
-                val = piv * r.get(j, 0) - ric * prow.get(j, 0)
-                if val:
-                    q, rem = divmod(val, prev)
-                    if rem:
-                        raise ArithmeticError("fraction-free step lost integrality")
-                    nr[j] = q
-            if nr:
-                updated.append(nr)
-        remaining = updated
-        pivot_rows.append(prow)
-        pivot_cols.append(col)
-        prev = piv
-    return pivot_rows, pivot_cols
+        rest.append(row)
+    lift: list[tuple[int, Fraction]] = []
+    for offset, step, first_param in ((0, prob.p, 0), (K + 1, prob.s, prob.p)):
+        for k in range(K + 1):
+            if k < step:
+                lift.append((first_param + k, Fraction(1)))
+            elif offset + k in pins:
+                param, scale = lift[offset + k - step]
+                lift.append((param, scale * pins[offset + k]))
+            else:
+                return identity
+    return lift, prob.p + prob.s, rest
 
 
 def _nullspace_basis(sys: ExactLinearSystem) -> list[tuple[Fraction, ...]]:
-    rows = _integer_rows(sys)
-    col_order = _interleaved_columns(sys)
-    pivot_rows, pivot_cols = _ff_echelon(rows, col_order)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(sys.num_unknowns) if c not in pivot_set]
-    later = {col: i for i, col in enumerate(pivot_cols)}
+    lift, width, rows = _parametrize(sys)
+    # Lazy: the elimination stops reading rows once it has full rank.
+    reduced = (((lift[j][0], c * lift[j][1]) for j, c in row.coeffs) for row in rows)
     basis: list[tuple[Fraction, ...]] = []
-    for f in free_cols:
-        x: dict[int, Fraction] = {f: Fraction(1)}
-        for prow, pcol in zip(reversed(pivot_rows), reversed(pivot_cols)):
-            acc = Fraction(0)
-            for j, v in prow.items():
-                if j != pcol:
-                    xj = x.get(j)
-                    if xj:
-                        acc += v * xj
-            if acc:
-                x[pcol] = -acc / prow[pcol]
-        vec = tuple(x.get(j, Fraction(0)) for j in range(sys.num_unknowns))
-        lead = next((v for v in vec if v != 0), None)
-        if lead is not None and lead != 1:
-            vec = tuple(v / lead for v in vec)
-        basis.append(vec)
-    for vec in basis:
+    for theta in _eliminate(reduced, width):
+        vec = [scale * theta[param] for param, scale in lift]
+        lead = next(v for v in vec if v != 0)
+        vec = tuple(v / lead for v in vec)
         if not vector_in_nullspace(sys, vec):
             raise ArithmeticError("computed vector fails exact re-multiplication")
+        basis.append(vec)
     return basis
 
 
@@ -262,9 +258,12 @@ class NullspaceReport:
         return self.dimension_at_increment == self.dimension
 
 
-#: Window by which K is extended for the stabilization re-count.  It
-#: exceeds every shift period used in the acceptance runs, so a tail left
-#: unconstrained by the recurrences would change the count.
+#: Largest truncation K that `scan` and `verify_theorem` accept.
+MAX_TRUNCATION = 1000
+
+
+#: Window by which K is extended for the stabilization re-count; a drop
+#: in dimension over it shows that the count at K has not settled.
 STABILIZATION_INCREMENT = 10
 
 
@@ -361,10 +360,15 @@ def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
 
     A pair other than (p, s) with a stable nontrivial nullspace is flagged
     as a counterexample report.  A commuting reference pair is surfaced and
-    the whole scan marked as outside the commutant hypotheses.
+    the whole scan marked as outside the commutant hypotheses.  Raises
+    ValueError before any elimination if bound > K or K > MAX_TRUNCATION.
     """
     if not 1 <= p < s:
         raise ValueError("need 1 <= p < s")
+    if K > MAX_TRUNCATION:
+        raise ValueError(f"truncation K = {K} exceeds the limit {MAX_TRUNCATION}")
+    if bound > K:
+        raise ValueError(f"bound {bound} exceeds the truncation K = {K}")
     nondeg = not commuting_pair(p, n, s, d)
     alpha = s - p
     cells: list[ScanCell] = []
@@ -401,17 +405,10 @@ def class_sample_vectors(prob: CommutantProblem) -> list[tuple[Fraction, ...]]:
     mod g and zeros elsewhere; their sum is the full reference pair.
     """
     g = gcd(prob.p, prob.s)
-    K = prob.K
-    phi = monomial_weight(prob.p, prob.n)
-    psi = monomial_weight(prob.s, prob.d)
-    vectors = []
-    for j in range(g):
-        f_part = [rf_eval(phi, Fraction(2 * k + 2)) if k % g == j else Fraction(0)
-                  for k in range(K + 1)]
-        g_part = [rf_eval(psi, Fraction(2 * k + 2)) if k % g == j else Fraction(0)
-                  for k in range(K + 1)]
-        vectors.append(tuple(f_part + g_part))
-    return vectors
+    weights = (monomial_weight(prob.p, prob.n), monomial_weight(prob.s, prob.d))
+    samples = [[rf_eval(w, Fraction(2 * k + 2)) for k in range(prob.K + 1)] for w in weights]
+    return [tuple(v if k % g == j else Fraction(0) for part in samples for k, v in enumerate(part))
+            for j in range(g)]
 
 
 @dataclass(frozen=True)

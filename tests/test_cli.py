@@ -1,9 +1,17 @@
 """CLI dispatch, serialization round-trips, exit-code triage."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from bergshift import solver
 from bergshift.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -147,6 +155,53 @@ class TestUsageErrors:
                 "--d", "3", "--m", "2", "--l", "3", "--samples", "5"]
         assert dispatch(argv + ["--precision-bits", "0"]) == EXIT_USAGE
         assert dispatch(argv + ["--precision-bits", "1"]) == EXIT_NEGATIVE
+
+
+class TestSolverBounds:
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nullspace computed for a rejected input")
+        monkeypatch.setattr(solver, "nullspace", refuse)
+
+    @pytest.mark.parametrize("command", ["scan", "verify-theorem"])
+    def test_bound_above_truncation_fails_fast(self, command, capsys, no_elimination):
+        code = dispatch([command, "--p", "1", "--s", "2", "--n", "2", "--d", "3",
+                         "--bound", "40", "--K", "30"])
+        assert code == EXIT_USAGE
+        assert "bound 40 exceeds the truncation K = 30" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "verify-theorem"])
+    def test_truncation_above_limit_names_the_limit(self, command, capsys, no_elimination):
+        K = solver.MAX_TRUNCATION + 1
+        code = dispatch([command, "--p", "1", "--s", "2", "--n", "2", "--d", "3",
+                         "--K", str(K)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"exceeds the limit {solver.MAX_TRUNCATION}" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # Buffered, the report is still pending when dispatch returns and fails
+    # on the final flush; unbuffered, print itself fails inside dispatch.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bergshift.cli", "weight", "--p", "1", "--symbol", "r^2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # no reader left: every write to stdout fails with EPIPE
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == EXIT_BROKEN_PIPE
 
 
 class TestDeterminismAndRoundTrip:
