@@ -1,7 +1,10 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
 Everything in this module is computed over arbitrary-precision rationals
-(`fractions.Fraction`); no floating point enters anywhere.  Rational
+(`fractions.Fraction`); no floating point enters anywhere.  Point values
+(`Polynomial.eval`, `rf_eval`) are computed on Python ints over one
+common denominator and reduced to a single `Fraction` at the end, which
+is still exact and, `Fraction` being canonical, the same value.  Rational
 functions are kept in a canonical form (gcd-reduced, monic denominator),
 so equality of canonical forms is equality as functions.  That syntactic
 equality is what the rest of the package relies on for exact zero and
@@ -140,11 +143,8 @@ class Polynomial:
         return Polynomial.from_coeffs(q), Polynomial.from_coeffs(rem)
 
     def eval(self, point: RationalLike) -> Fraction:
-        point = as_rational(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        num, den = _eval_ints(self, as_rational(point))
+        return Fraction(num, den)
 
     def shift(self, h: RationalLike) -> "Polynomial":
         """Return p(z + h)."""
@@ -162,6 +162,26 @@ class Polynomial:
         if self.is_zero:
             return self
         return self.scale(1 / self.leading)
+
+
+def _eval_ints(p: Polynomial, point: Fraction) -> tuple[int, int]:
+    """p(point) as an integer pair (num, den) with den > 0, not reduced.
+
+    With L the lcm of the coefficient denominators and point = u/v, the
+    value is sum(L*c_i * u^i * v^(deg-i)) / (L * v^deg): one Horner pass
+    on ints.
+    """
+    if p.is_zero:
+        return 0, 1
+    lcm = 1
+    for c in p.coeffs:
+        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
+    u, v = point.numerator, point.denominator
+    acc, vpow = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * u + c.numerator * (lcm // c.denominator) * vpow
+        vpow *= v
+    return acc, lcm * (vpow // v)
 
 
 def _int_content(cs: Sequence[int]) -> int:
@@ -329,10 +349,11 @@ def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunct
 def rf_eval(a: RationalFunction, point: RationalLike) -> Fraction:
     """Exact value a(point); raises :class:`PoleError` at a pole."""
     point = as_rational(point)
-    d = a.den.eval(point)
-    if d == 0:
+    d_num, d_den = _eval_ints(a.den, point)
+    if d_num == 0:
         raise PoleError(point)
-    return a.num.eval(point) / d
+    n_num, n_den = _eval_ints(a.num, point)
+    return Fraction(n_num * d_den, n_den * d_num)
 
 
 def rf_shift(a: RationalFunction, h: RationalLike) -> RationalFunction:

@@ -21,8 +21,10 @@ they leave K - s + 1 rows in the p + s parameters F[0..p-1], G[0..s-1],
 solved by one exact Gauss-Jordan elimination.  Lifting back is a bijection
 onto the solutions of (1) and (2), so the dimension is exact; each lifted
 vector is re-verified against every row.  The multiples do not depend on
-K and a larger K only appends rows, so dim(K) cannot increase in K.  It is
-re-computed at K + 10 as a stabilization check and reported as found.
+K and a larger K only appends rows, so dim(K) cannot increase in K.  As a
+stabilization check the dimension is re-counted at K + 10 and reported as
+found, but only where the count at K is positive: dim 0 at K already
+proves dim 0 at K + 10, so that recount is not run.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -233,12 +235,19 @@ def _nullspace_basis(sys: ExactLinearSystem) -> list[tuple[Fraction, ...]]:
 
 
 def vector_in_nullspace(sys: ExactLinearSystem, vec: Sequence[Fraction]) -> bool:
-    """Exact re-multiplication check A.v = 0."""
+    """Exact re-multiplication check A.v = 0.
+
+    Each row sum is accumulated on ints as an unreduced num/den with
+    den > 0, so the row vanishes exactly when num is 0.
+    """
     for row in sys.rows:
-        total = Fraction(0)
+        num, den = 0, 1
         for j, c in row.coeffs:
-            total += c * vec[j]
-        if total != 0:
+            x = vec[j]
+            q = c.denominator * x.denominator
+            num = num * q + c.numerator * x.numerator * den
+            den *= q
+        if num:
             return False
     return True
 
@@ -261,6 +270,9 @@ class NullspaceReport:
 #: Largest truncation K that `scan` and `verify_theorem` accept.
 MAX_TRUNCATION = 1000
 
+#: Largest monomial exponent n or d that `scan` and `verify_theorem` accept.
+MAX_EXPONENT = 1000
+
 
 #: Window by which K is extended for the stabilization re-count; a drop
 #: in dimension over it shows that the count at K has not settled.
@@ -268,13 +280,22 @@ STABILIZATION_INCREMENT = 10
 
 
 def nullspace(sys: ExactLinearSystem, increment: int = STABILIZATION_INCREMENT) -> NullspaceReport:
-    """Exact nullspace with stabilization re-count at K + increment."""
+    """Exact nullspace with stabilization re-count at K + increment.
+
+    The re-count rebuilds the system from ``sys.problem``, so a system with
+    a problem must be the one ``build_system(sys.problem)`` returns.  For
+    that system dim(K) does not increase in K (module docstring), so a
+    dimension of 0 at K is reported at K + increment without a re-count.
+    """
     basis = _nullspace_basis(sys)
     dim = len(basis)
     dim_plus: Optional[int] = None
     if sys.problem is not None and increment > 0:
-        bigger = dataclasses.replace(sys.problem, K=sys.problem.K + increment)
-        dim_plus = len(_nullspace_basis(build_system(bigger)))
+        if dim == 0:
+            dim_plus = 0
+        else:
+            bigger = dataclasses.replace(sys.problem, K=sys.problem.K + increment)
+            dim_plus = len(_nullspace_basis(build_system(bigger)))
     f_const = g_const = shared = None
     if dim == 1 and sys.problem is not None:
         prob = sys.problem
@@ -355,28 +376,52 @@ class ScanReport:
     counterexamples: tuple[tuple[int, int], ...]
 
 
+def _check_input(p: int, s: int, n: int, d: int, bound: int, K: int) -> None:
+    """Raise ValueError, naming the limit, for an input outside the bounds."""
+    if not 1 <= p < s:
+        raise ValueError("need 1 <= p < s")
+    for name, value in (("n", n), ("d", d)):
+        if value > MAX_EXPONENT:
+            raise ValueError(f"exponent {name} = {value} exceeds the limit {MAX_EXPONENT}")
+    if K > MAX_TRUNCATION:
+        raise ValueError(f"truncation K = {K} exceeds the limit {MAX_TRUNCATION}")
+    if bound > K:
+        raise ValueError(f"bound {bound} exceeds the truncation K = {K}")
+
+
 def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
     """Sweep every admissible (m, l) pair up to `bound` at truncation K.
 
     A pair other than (p, s) with a stable nontrivial nullspace is flagged
     as a counterexample report.  A commuting reference pair is surfaced and
     the whole scan marked as outside the commutant hypotheses.  Raises
-    ValueError before any elimination if bound > K or K > MAX_TRUNCATION.
+    ValueError before any elimination if bound > K, K > MAX_TRUNCATION,
+    n or d > MAX_EXPONENT, or bound < s - p + 1, which admits no pair.
     """
-    if not 1 <= p < s:
-        raise ValueError("need 1 <= p < s")
-    if K > MAX_TRUNCATION:
-        raise ValueError(f"truncation K = {K} exceeds the limit {MAX_TRUNCATION}")
-    if bound > K:
-        raise ValueError(f"bound {bound} exceeds the truncation K = {K}")
+    _check_input(p, s, n, d, bound, K)
+    if bound < s - p + 1:
+        raise ValueError(
+            f"bound {bound} admits no pair (m, m + s - p) with m >= 1: "
+            f"it must be at least s - p + 1 = {s - p + 1}")
+    return _sweep(p, s, n, d, bound, K)[0]
+
+
+def _sweep(p: int, s: int, n: int, d: int, bound: int,
+           K: int) -> tuple[ScanReport, Optional[ExactLinearSystem]]:
+    """The scan on checked input, and the system it built at (m, l) = (p, s)
+    (None when the bound does not reach that pair)."""
     nondeg = not commuting_pair(p, n, s, d)
     alpha = s - p
     cells: list[ScanCell] = []
     counterexamples: list[tuple[int, int]] = []
+    sys_match: Optional[ExactLinearSystem] = None
     for m in range(1, bound - alpha + 1):
         l = m + alpha
         prob = CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K)
-        report = nullspace(build_system(prob))
+        sys_ = build_system(prob)
+        if (m, l) == (p, s):
+            sys_match = sys_
+        report = nullspace(sys_)
         bad = report.dimension > 0 and (m, l) != (p, s) and report.stable
         cells.append(ScanCell(
             m=m,
@@ -395,7 +440,7 @@ def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
         outside_hypotheses=not nondeg,
         cells=tuple(cells),
         counterexamples=tuple(counterexamples),
-    )
+    ), sys_match
 
 
 def class_sample_vectors(prob: CommutantProblem) -> list[tuple[Fraction, ...]]:
@@ -441,9 +486,11 @@ def verify_theorem(p: int, s: int, n: int, d: int, bound: int, K: int) -> Theore
     the single line with all class constants equal, because each class
     subsequence already pins the transform; its normalized constant is the
     reported c.  The raw sequence dimension is reported alongside, never
-    suppressed.
+    suppressed.  Raises ValueError on the input bounds of :func:`scan`,
+    except that a bound below s - p + 1 is a FAIL: (p, s) is not covered.
     """
-    report = scan(p, s, n, d, bound, K)
+    _check_input(p, s, n, d, bound, K)
+    report, sys_match = _sweep(p, s, n, d, bound, K)
     g = gcd(p, s)
     messages: list[str] = []
     if report.outside_hypotheses:
@@ -472,9 +519,7 @@ def verify_theorem(p: int, s: int, n: int, d: int, bound: int, K: int) -> Theore
                 f"{matching.dimension}, expected gcd(p, s) = {g}")
             failed = True
         else:
-            prob = CommutantProblem(p=p, s=s, n=n, d=d, m=p, l=s, K=K)
-            sys_match = build_system(prob)
-            class_vectors = class_sample_vectors(prob)
+            class_vectors = class_sample_vectors(sys_match.problem)
             bad = [j for j, v in enumerate(class_vectors)
                    if not vector_in_nullspace(sys_match, v)]
             if bad:

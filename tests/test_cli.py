@@ -180,6 +180,34 @@ class TestSolverBounds:
         err = capsys.readouterr().err
         assert f"exceeds the limit {solver.MAX_TRUNCATION}" in err
 
+    def test_scan_without_admissible_pair_fails_fast(self, capsys, no_elimination, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference pair examined for a rejected input")
+        monkeypatch.setattr(solver, "commuting_pair", refuse)
+        code = dispatch(["scan", "--p", "1", "--s", "100", "--n", "2", "--d", "3",
+                         "--bound", "8", "--K", "40"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bound 8" in captured.err and "s - p" in captured.err
+
+    def test_verify_theorem_without_admissible_pair_still_fails(self, capsys, no_elimination):
+        code, payload = run(capsys, "verify-theorem", "--p", "1", "--s", "100", "--n", "2",
+                            "--d", "3", "--bound", "8", "--K", "40")
+        assert code == EXIT_NEGATIVE
+        assert payload["status"] == "fail"
+        assert payload["scan"]["cells"] == []
+
+    @pytest.mark.parametrize("command", ["scan", "verify-theorem"])
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    def test_exponent_above_limit_names_the_limit(self, command, flag, capsys, no_elimination):
+        argv = {"--p": "1", "--s": "2", "--n": "2", "--d": "3"}
+        argv[flag] = "100000"
+        code = dispatch([command] + [x for kv in argv.items() for x in kv])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} = 100000 exceeds the limit {solver.MAX_EXPONENT}" in err
+
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_quietly(unbuffered):

@@ -201,3 +201,52 @@ def test_parse_error_position():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_rational_function("(z+2)/(z+!)")
     assert exc.value.position == 9
+
+
+def horner_reference(coeffs, point):
+    """Plain Fraction Horner: the evaluation the integer kernel replaces."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+COEFF_LISTS = st.lists(st.one_of(st.just(Fraction(0)), RATIONALS), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFF_LISTS, RATIONALS)
+def test_eval_matches_fraction_horner(coeffs, point):
+    p = Polynomial.from_coeffs(coeffs)  # empty or all-zero lists give the zero polynomial
+    got = p.eval(point)
+    assert type(got) is Fraction
+    assert got == horner_reference(p.coeffs, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFF_LISTS, COEFF_LISTS, RATIONALS, st.booleans())
+def test_rf_eval_matches_fraction_horner(num, den, point, pole):
+    den_poly = Polynomial.from_coeffs(den)
+    if den_poly.is_zero:
+        den_poly = Polynomial.one()
+    if pole:
+        den_poly = den_poly * Polynomial.z_plus(-point)
+    a = rf_normalize(Polynomial.from_coeffs(num), den_poly)
+    d = horner_reference(a.den.coeffs, point)
+    if d == 0:
+        with pytest.raises(PoleError) as exc:
+            rf_eval(a, point)
+        assert type(exc.value.point) is Fraction
+        assert exc.value.point == point
+    else:
+        got = rf_eval(a, point)
+        assert type(got) is Fraction
+        assert got == horner_reference(a.num.coeffs, point) / d
+
+
+def test_rf_eval_pole_at_negative_non_integer_point():
+    point = Fraction(-7, 3)
+    with pytest.raises(PoleError) as exc:
+        rf_eval(rf((1,), (7, 3)), point)
+    assert exc.value.point == point

@@ -1,15 +1,18 @@
 """Truncated commutant systems: construction, nullspaces, scans, verdicts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from bergshift import solver
 from bergshift.exact_algebra import rf_eval
 from bergshift.mellin import RadialSymbol
 from bergshift.shift_algebra import commutator, linear_combine, quasihomogeneous_operator
 from bergshift.solver import (
     CommutantProblem,
     ExactLinearSystem,
+    LinearEquation,
     build_system,
     class_sample_vectors,
     commuting_pair,
@@ -267,3 +270,96 @@ def test_elimination_against_reference():
         assert rep.dimension == ncols - reference_rank(rows, ncols)
         for v in rep.basis:
             assert vector_in_nullspace(sys_, v)
+
+
+def fraction_sum_in_nullspace(sys_, vec):
+    """A.v = 0 by plain Fraction row sums: the check the integer test replaces."""
+    return all(sum((c * vec[j] for j, c in row.coeffs), Fraction(0)) == 0
+               for row in sys_.rows)
+
+
+class TestVectorInNullspace:
+    PROBLEMS = (
+        CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=40),
+        CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=40),
+        CommutantProblem(p=2, s=3, n=5, d=1, m=2, l=3, K=40),
+        CommutantProblem(p=1, s=2, n=1, d=2, m=3, l=4, K=40),  # commuting pair
+    )
+
+    @pytest.mark.parametrize("prob", PROBLEMS)
+    def test_agrees_with_fraction_sums(self, prob):
+        rng = random.Random(prob.p * 100 + prob.n)
+        sys_ = build_system(prob)
+        vectors = list(nullspace(sys_, increment=0).basis)
+        if (prob.m, prob.l) == (prob.p, prob.s):
+            vectors += class_sample_vectors(prob)
+        assert vectors
+        for vec in vectors:
+            assert vector_in_nullspace(sys_, vec)
+            assert fraction_sum_in_nullspace(sys_, vec)
+            for _ in range(20):
+                bad = list(vec)
+                bad[rng.randrange(len(bad))] += rng.choice((1, -1)) * Fraction(1, rng.randint(1, 10**6))
+                assert not fraction_sum_in_nullspace(sys_, bad)
+                assert not vector_in_nullspace(sys_, bad)
+
+    def test_agrees_on_random_systems(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            ncols = rng.randint(1, 8)
+            rows = tuple(
+                LinearEquation(tuple((j, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                                     for j in rng.sample(range(ncols), rng.randint(1, ncols))), "r")
+                for _ in range(rng.randint(0, 6)))
+            sys_ = ExactLinearSystem(rows, ncols)
+            candidates = [list(v) for v in nullspace(sys_).basis]
+            candidates.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)])
+            for vec in candidates:
+                assert vector_in_nullspace(sys_, vec) == fraction_sum_in_nullspace(sys_, vec)
+
+
+@pytest.fixture
+def built_truncations(monkeypatch):
+    """The truncation K of every `build_system` call made through the solver."""
+    built = []
+    build = solver.build_system
+
+    def spy(prob):
+        built.append(prob.K)
+        return build(prob)
+
+    monkeypatch.setattr(solver, "build_system", spy)
+    return built
+
+
+class TestRecount:
+    def test_dimension_zero_cell_is_not_recounted(self, built_truncations):
+        sys_ = build_system(CommutantProblem(p=1, s=2, n=2, d=3, m=2, l=3, K=30))
+        rep = nullspace(sys_)
+        assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (0, 0, True)
+        assert built_truncations == []
+
+    def test_positive_dimension_cell_is_recounted(self, built_truncations):
+        sys_ = build_system(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=30))
+        rep = nullspace(sys_)
+        assert (rep.dimension, rep.dimension_at_increment) == (1, 1)
+        assert built_truncations == [30 + solver.STABILIZATION_INCREMENT]
+
+    def test_verify_theorem_builds_each_system_once(self, built_truncations):
+        # Seven cells at K = 60, one recount at the dim-1 cell (1, 2); the
+        # class vectors are checked against the scan's (1, 2) system.
+        rep = verify_theorem(1, 2, 2, 3, bound=8, K=60)
+        assert rep.status == "pass"
+        assert sorted(built_truncations) == [60] * 7 + [70]
+
+
+class TestInputBounds:
+    def test_scan_without_admissible_pair_raises(self):
+        with pytest.raises(ValueError, match=r"bound 8 .*s - p \+ 1 = 100"):
+            scan(1, 100, 2, 3, bound=8, K=40)
+
+    @pytest.mark.parametrize("check", [scan, verify_theorem])
+    @pytest.mark.parametrize("n, d", [(solver.MAX_EXPONENT + 1, 3), (2, 10**9)])
+    def test_exponent_above_limit_raises(self, check, n, d):
+        with pytest.raises(ValueError, match=f"exceeds the limit {solver.MAX_EXPONENT}"):
+            check(1, 2, n, d, bound=8, K=40)
