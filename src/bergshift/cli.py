@@ -41,7 +41,7 @@ from .gamma_ratio import (
     is_rational_divisibility,
     rationality_oracle,
 )
-from .identities import SCENARIOS, IdentityReport, verify_identity
+from .identities import SCENARIOS, IdentityReport, default_samples, verify_identity
 from .mellin import (
     bergman_quadrature_oracle,
     format_symbol,
@@ -116,8 +116,8 @@ def weight_from_jsonable(data: Any) -> WeightExpr:
     terms = []
     for t in data["terms"]:
         gamma = GammaRatioExpr(
-            tuple((a["two_delta"], a["offset"]) for a in t["gamma"]["num"]),
-            tuple((a["two_delta"], a["offset"]) for a in t["gamma"]["den"]),
+            tuple([(a["two_delta"], a["offset"]) for a in t["gamma"]["num"]]),
+            tuple([(a["two_delta"], a["offset"]) for a in t["gamma"]["den"]]),
         )
         terms.append((parse_rational_function(t["coeff"]), gamma))
     return WeightExpr.build(terms)
@@ -308,7 +308,7 @@ def _cmd_root_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_identity_check(args) -> tuple[dict, int]:
-    samples = [Fraction(2 * k + 2) for k in range(args.samples)]
+    samples = default_samples(args.samples)
     rep = verify_identity(
         args.id, args.p, args.s, args.n, args.d, args.m, args.l,
         sample_zs=samples, precision_bits=args.precision_bits)

@@ -1,14 +1,23 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
 Everything in this module is computed over arbitrary-precision rationals
-(`fractions.Fraction`); no floating point enters anywhere.  Point values
-(`Polynomial.eval`, `rf_eval`) are computed on Python ints over one
-common denominator and reduced to a single `Fraction` at the end, which
-is still exact and, `Fraction` being canonical, the same value.  Rational
-functions are kept in a canonical form (gcd-reduced, monic denominator),
-so equality of canonical forms is equality as functions.  That syntactic
-equality is what the rest of the package relies on for exact zero and
-identity testing of shift weights.
+(`fractions.Fraction`); no floating point enters anywhere.  Coefficients
+are stored as `Fraction`s, but the inner loops run on Python ints over one
+common denominator (the lcm of the coefficient denominators): products,
+shifts, the gcd's input and point values (`Polynomial.eval`, `rf_eval`).
+Each result coefficient becomes a single `Fraction` at the end, which is
+still exact and, `Fraction` being canonical, the same value.
+
+Rational functions are kept in a canonical form (gcd-reduced, monic
+denominator), so equality of canonical forms is equality as functions.
+That syntactic equality is what the rest of the package relies on for
+exact zero and identity testing of shift weights.  Since the operands of
+`rf_arith` are already canonical, it takes no redundant gcd (Henrici's
+algorithms, Knuth, TAOCP Vol. 2, 4.5.1): a sum takes gcd(den, den) and,
+only when that is not 1, a second gcd with the numerator; a product
+cancels gcd(num_a, den_b) and gcd(num_b, den_a) crosswise and needs no
+final gcd; no gcd is taken when a factor is constant, nor by `scale` or
+`rf_shift`, which keep coprimality and a monic denominator.
 """
 
 from __future__ import annotations
@@ -79,6 +88,17 @@ class Polynomial:
         """The monic linear polynomial z + c."""
         return Polynomial.from_coeffs([c, 1])
 
+    @staticmethod
+    def linear_product(cs: Iterable[RationalLike]) -> "Polynomial":
+        """The product of the monic linear factors (z + c), c in ``cs``."""
+        out = [1]
+        for c in cs:
+            out.append(0)
+            for i in range(len(out) - 1, 0, -1):
+                out[i] = out[i - 1] + c * out[i]
+            out[0] *= c
+        return Polynomial.from_coeffs(out)
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -104,7 +124,7 @@ class Polynomial:
         return Polynomial.from_coeffs(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -112,19 +132,23 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
+        a, la = _scaled_ints(self)
+        b, lb = _scaled_ints(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        # the leading product is nonzero, so there is nothing to strip
+        return _from_scaled_ints(out, la * lb)
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = as_rational(c)
         if c == 0:
             return Polynomial.zero()
-        return Polynomial(tuple(a * c for a in self.coeffs))
+        if c == 1:
+            return self
+        return Polynomial(tuple([a * c for a in self.coeffs]))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact field division with remainder; ``other`` must be nonzero."""
@@ -151,17 +175,34 @@ class Polynomial:
         h = as_rational(h)
         if h == 0 or self.is_zero:
             return self
-        # Horner over the polynomial ring: p(z+h) built from highest coeff down.
-        acc = Polynomial.zero()
-        zh = Polynomial.z_plus(h)
-        for c in reversed(self.coeffs):
-            acc = acc * zh + Polynomial.constant(c)
-        return acc
+        # Taylor shift by repeated synthetic division, on ints when h is one.
+        a, lcm = _scaled_ints(self)
+        step = h.numerator if h.denominator == 1 else h
+        n = len(a)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                a[j] += step * a[j + 1]
+        return _from_scaled_ints(a, lcm)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
         return self.scale(1 / self.leading)
+
+
+def _scaled_ints(p: Polynomial) -> tuple[list[int], int]:
+    """(ints, L): L the lcm of the coefficient denominators, ints[i] = L*c_i."""
+    lcm = 1
+    for c in p.coeffs:
+        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
+    return [c.numerator * (lcm // c.denominator) for c in p.coeffs], lcm
+
+
+def _from_scaled_ints(ints: Sequence, lcm: int) -> Polynomial:
+    """The polynomial with coefficients ints[i] / lcm; the top one is nonzero."""
+    if lcm == 1:
+        return Polynomial(tuple([Fraction(c) for c in ints]))
+    return Polynomial(tuple([Fraction(c, lcm) for c in ints]))
 
 
 def _eval_ints(p: Polynomial, point: Fraction) -> tuple[int, int]:
@@ -173,13 +214,11 @@ def _eval_ints(p: Polynomial, point: Fraction) -> tuple[int, int]:
     """
     if p.is_zero:
         return 0, 1
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
+    ints, lcm = _scaled_ints(p)
     u, v = point.numerator, point.denominator
     acc, vpow = 0, 1
-    for c in reversed(p.coeffs):
-        acc = acc * u + c.numerator * (lcm // c.denominator) * vpow
+    for c in reversed(ints):
+        acc = acc * u + c * vpow
         vpow *= v
     return acc, lcm * (vpow // v)
 
@@ -197,10 +236,7 @@ def _to_int_primitive(p: Polynomial) -> list[int]:
     """Integer coefficient list of the primitive part (content stripped)."""
     if p.is_zero:
         return []
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
+    ints, _ = _scaled_ints(p)
     g = _int_content(ints)
     return [c // g for c in ints]
 
@@ -242,7 +278,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             g = _int_content(r)
             r = [c // g for c in r]
         u, v = v, r
-    return Polynomial.from_coeffs(u).monic()
+    return _from_scaled_ints(u, u[-1])  # monic; Fraction moves the sign up
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +344,8 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def scale(self, c: RationalLike) -> "RationalFunction":
-        return rf_normalize(self.num.scale(c), self.den)
+        # a nonzero scalar keeps num and den coprime and den monic
+        return _canonical(self.num.scale(c), self.den)
 
     def __str__(self) -> str:
         return format_rational_function(self)
@@ -320,10 +357,7 @@ def rf_normalize(num: Polynomial, den: Polynomial) -> "RationalFunction":
         raise ZeroDenominatorError("zero denominator")
     if num.is_zero:
         return RationalFunction.zero()
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, _ = num.divmod(g)
-        den, _ = den.divmod(g)
+    num, den = _cancel(num, den)
     lc = den.leading
     if lc != 1:
         num = num.scale(1 / lc)
@@ -331,18 +365,65 @@ def rf_normalize(num: Polynomial, den: Polynomial) -> "RationalFunction":
     return RationalFunction(num, den)
 
 
+def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(a/g, b/g) with g = gcd(a, b); no gcd is taken when either is constant."""
+    if a.degree <= 0 or b.degree <= 0:
+        return a, b
+    g = poly_gcd(a, b)
+    if g.degree == 0:
+        return a, b
+    return a.divmod(g)[0], b.divmod(g)[0]
+
+
+def _canonical(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """Wrap a coprime pair with monic den, mapping a zero num to the zero."""
+    return RationalFunction.zero() if num.is_zero else RationalFunction(num, den)
+
+
+def _add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    """Henrici's sum of canonical operands."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
+    if d1.degree == 0:  # monic and constant: d1 = 1
+        return _canonical(n1 * d2 + n2, d2)
+    if d2.degree == 0:
+        return _canonical(n1 + n2 * d1, d1)
+    if d1 == d2:
+        return _canonical(*_cancel(n1 + n2, d1))
+    g = poly_gcd(d1, d2)
+    if g.degree == 0:
+        return _canonical(n1 * d2 + n2 * d1, d1 * d2)
+    d1g, d2g = d1.divmod(g)[0], d2.divmod(g)[0]
+    # with t the sum's numerator over d1g * d2, gcd(t, d1g * d2) = gcd(t, g)
+    t, g_left = _cancel(n1 * d2g + n2 * d1g, g)
+    return _canonical(t, d1g * d2g * g_left)
+
+
+def _mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    """Product of canonical operands by cross-cancellation."""
+    if a.is_zero or b.is_zero:
+        return RationalFunction.zero()
+    n1, d2 = _cancel(a.num, b.den)
+    n2, d1 = _cancel(b.num, a.den)
+    return RationalFunction(n1 * n2, d1 * d2)
+
+
 def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
     """Exact field arithmetic on canonical rational functions."""
     if op == "add":
-        return rf_normalize(a.num * b.den + b.num * a.den, a.den * b.den)
+        return _add(a, b)
     if op == "sub":
-        return rf_normalize(a.num * b.den - b.num * a.den, a.den * b.den)
+        return _add(a, -b)
     if op == "mul":
-        return rf_normalize(a.num * b.num, a.den * b.den)
+        return _mul(a, b)
     if op == "div":
         if b.is_zero:
             raise ZeroDenominatorError("division by the zero rational function")
-        return rf_normalize(a.num * b.den, a.den * b.num)
+        lc = 1 / b.num.leading
+        return _mul(a, RationalFunction(b.den.scale(lc), b.num.scale(lc)))
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -361,7 +442,8 @@ def rf_shift(a: RationalFunction, h: RationalLike) -> RationalFunction:
     h = as_rational(h)
     if h == 0:
         return a
-    return rf_normalize(a.num.shift(h), a.den.shift(h))
+    # a shift keeps num and den coprime and den monic
+    return RationalFunction(a.num.shift(h), a.den.shift(h))
 
 
 # ---------------------------------------------------------------------------
@@ -434,76 +516,83 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def parse_rational_function(text: str) -> RationalFunction:
-    """Parse the textual form emitted by :func:`format_rational_function`.
+class _ExprParser:
+    """Recursive-descent parser over one token list.  Methods, unlike
+    nested closures, build no reference cycle per parse."""
 
-    Accepts general +,-,*,/,^ expressions in z with integer literals, so any
-    serialized weight or scalar parses back to an equal value.
-    """
-    tokens = _tokenize_expr(text)
-    pos = 0
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize_expr(text)
+        self.pos = 0
 
-    def peek() -> str | None:
-        return tokens[pos][0] if pos < len(tokens) else None
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def take() -> tuple[str, object, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    def take(self) -> tuple[str, object, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
-    def parse_sum() -> RationalFunction:
-        left = parse_product()
-        while peek() in ("+", "-"):
-            op, _, _ = take()
-            right = parse_product()
+    def parse_sum(self) -> RationalFunction:
+        left = self.parse_product()
+        while self.peek() in ("+", "-"):
+            op, _, _ = self.take()
+            right = self.parse_product()
             left = left + right if op == "+" else left - right
         return left
 
-    def parse_product() -> RationalFunction:
-        left = parse_power()
-        while peek() in ("*", "/"):
-            op, _, _ = take()
-            right = parse_power()
+    def parse_product(self) -> RationalFunction:
+        left = self.parse_power()
+        while self.peek() in ("*", "/"):
+            op, _, _ = self.take()
+            right = self.parse_power()
             left = left * right if op == "*" else left / right
         return left
 
-    def parse_power() -> RationalFunction:
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            kind, val, at = take()
+    def parse_power(self) -> RationalFunction:
+        base = self.parse_atom()
+        if self.peek() == "^":
+            self.take()
+            kind, val, at = self.take()
             if kind != "int":
-                raise ExprSyntaxError(text, at, "exponent must be an integer")
+                raise ExprSyntaxError(self.text, at, "exponent must be an integer")
             out = RationalFunction.one()
             for _ in range(int(val)):  # small exponents only
                 out = out * base
             return out
         return base
 
-    def parse_atom() -> RationalFunction:
-        kind, val, at = take() if pos < len(tokens) else ("eof", None, len(text))
+    def parse_atom(self) -> RationalFunction:
+        kind, val, at = self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
         if kind == "int":
             return RationalFunction.constant(int(val))
         if kind == "z":
             return RationalFunction.z_plus(0)
         if kind == "-":
-            return -parse_power()  # binds below ^: -z^4 is -(z^4)
+            return -self.parse_power()  # binds below ^: -z^4 is -(z^4)
         if kind == "+":
-            return parse_power()
+            return self.parse_power()
         if kind == "(":
-            inner = parse_sum()
-            if peek() != ")":
-                raise ExprSyntaxError(text, at, "unbalanced parenthesis")
-            take()
+            inner = self.parse_sum()
+            if self.peek() != ")":
+                raise ExprSyntaxError(self.text, at, "unbalanced parenthesis")
+            self.take()
             return inner
-        raise ExprSyntaxError(text, at, "expected a term")
+        raise ExprSyntaxError(self.text, at, "expected a term")
 
-    if not tokens:
+
+def parse_rational_function(text: str) -> RationalFunction:
+    """Parse the textual form emitted by :func:`format_rational_function`.
+
+    Accepts general +,-,*,/,^ expressions in z with integer literals, so any
+    serialized weight or scalar parses back to an equal value.
+    """
+    parser = _ExprParser(text)
+    if not parser.tokens:
         raise ExprSyntaxError(text, 0, "empty expression")
-    out = parse_sum()
-    if pos != len(tokens):
-        raise ExprSyntaxError(text, tokens[pos][2], "trailing input")
+    out = parser.parse_sum()
+    if parser.pos != len(parser.tokens):
+        raise ExprSyntaxError(text, parser.tokens[parser.pos][2], "trailing input")
     return out
 
 

@@ -10,6 +10,15 @@ expression is a rational function exactly when nothing survives that
 reduction, which turns rationality into a decidable syntactic check and
 powers the exact zero-testing of shift weights.
 
+The rational cofactor of the reduction is kept as two multisets of
+cofactor roots: the constants c of its linear factors (z + c), one
+multiset from the numerator atoms and one from the denominator atoms.
+Cancelling the multisets against each other is the whole gcd, since
+distinct factors z + c are coprime, so only the surviving roots are ever
+multiplied out; :func:`power_weight` costs O(m/p) factors whatever n is.
+:func:`rationality_oracle` needs no cofactor at all and only compares the
+reduced atoms.
+
 A weight expression is a finite sum of (rational function) x (Gamma ratio)
 terms in the global variable z = 2k + 2.  All certified numerics of the
 package live here and return balls (midpoint, radius) backed by mpmath
@@ -20,6 +29,7 @@ certified check that two sides are proportional at sample points.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,23 +129,25 @@ class GammaRatioExpr:
         return f"{fmt(self.num)}/({fmt(self.den)})"
 
 
-def _reduce_atoms(atoms: Iterable[GammaAtom]) -> tuple[list[GammaAtom], Polynomial, Fraction]:
-    """Lower every offset into [0, two_delta); return (atoms, factor poly, scalar).
+def _reduce_atoms(atoms: Iterable[GammaAtom]) -> tuple[list[GammaAtom], Counter, int]:
+    """Lower every offset into [0, two_delta); return (atoms, roots, scale).
 
     Each single application of the functional equation on an atom with
-    offset a >= two_delta contributes the linear factor (z + a - two_delta)
-    and the scalar 1/two_delta.
+    offset a >= two_delta contributes the linear factor (z + c), with root
+    c = a - two_delta counted in ``roots``, and the scalar 1/two_delta,
+    multiplied into ``scale``: the atoms equal prod (z + c) / scale times
+    the reduced atoms.
     """
     reduced: list[GammaAtom] = []
-    factor = Polynomial.one()
-    scalar = Fraction(1)
+    roots: Counter = Counter()
+    scale = 1
     for td, off in atoms:
         q, r = divmod(off, td)
-        for t in range(q):
-            factor = factor * Polynomial.z_plus(r + td * t)
-            scalar /= td
+        if q > 0:
+            roots.update(range(r, off, td))
+            scale *= td ** q
         reduced.append((td, r))
-    return reduced, factor, scalar
+    return reduced, roots, scale
 
 
 def canonicalize(g: GammaRatioExpr) -> tuple[RationalFunction, GammaRatioExpr]:
@@ -144,19 +156,24 @@ def canonicalize(g: GammaRatioExpr) -> tuple[RationalFunction, GammaRatioExpr]:
     Value preserving: cofactor * reduced equals g as a function.  In the
     reduced part every offset lies in [0, two_delta) and no atom appears in
     both numerator and denominator, so no further functional-equation or
-    cancellation step applies.
+    cancellation step applies.  The cofactor is canonical as built: the
+    root multisets are cancelled first, and the surviving factors are
+    distinct, hence coprime, and monic.
     """
-    num, nf, ns = _reduce_atoms(g.num)
-    den, df, ds = _reduce_atoms(g.den)
-    cofactor = rf_normalize(nf.scale(ns), df.scale(ds))
+    num, num_roots, num_scale = _reduce_atoms(g.num)
+    den, den_roots, den_scale = _reduce_atoms(g.den)
+    top = Polynomial.linear_product((num_roots - den_roots).elements())
+    bottom = Polynomial.linear_product((den_roots - num_roots).elements())
+    cofactor = RationalFunction(top.scale(Fraction(den_scale, num_scale)), bottom)
     n, d = _cancel_common(num, den)
     return cofactor, GammaRatioExpr(n, d)
 
 
 def rationality_oracle(g: GammaRatioExpr) -> bool:
-    """Brute-force rationality check: reduce, then ask if any atom survives."""
-    _, reduced = canonicalize(g)
-    return reduced.is_one
+    """Brute-force rationality check: lower every offset mod two_delta and
+    ask whether the reduced atoms cancel; no cofactor is built."""
+    return sorted([(td, off % td) for td, off in g.num]) == sorted(
+        [(td, off % td) for td, off in g.den])
 
 
 def is_rational_divisibility(a: int, b: int, c: int, d: int, delta: int) -> bool:
@@ -236,7 +253,7 @@ class WeightExpr:
         return WeightExpr.build(list(self.terms) + list(other.terms))
 
     def __neg__(self) -> "WeightExpr":
-        return WeightExpr(tuple((-c, g) for c, g in self.terms))
+        return WeightExpr(tuple([(-c, g) for c, g in self.terms]))
 
     def __sub__(self, other: "WeightExpr") -> "WeightExpr":
         return self + (-other)
@@ -252,7 +269,7 @@ class WeightExpr:
         c = as_rational(c)
         if c == 0:
             return WeightExpr.zero()
-        return WeightExpr(tuple((rf.scale(c), g) for rf, g in self.terms))
+        return WeightExpr(tuple([(rf.scale(c), g) for rf, g in self.terms]))
 
     def shift(self, h: int) -> "WeightExpr":
         """Substitute z -> z + h (h a nonnegative even integer in all uses)."""

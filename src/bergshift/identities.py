@@ -20,6 +20,10 @@ with the working precision doubled up to four times before giving up as
 inconclusive.  A ball-path ``not_proportional`` is certified by its
 witnesses; a ball-path ``proportional`` means the sides agree up to one
 constant at the listed samples, which is not a proof of the identity.
+Proportionality cannot be refuted at a single point, so a check needs at
+least two samples; the sample count and the working precision are bounded
+above by :data:`MAX_SAMPLES` and :data:`MAX_PRECISION_BITS`, and both are
+checked before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exact_algebra import (
+    PoleError,
     Polynomial,
     RationalFunction,
     as_rational,
+    rf_eval,
     rf_normalize,
 )
 from .gamma_ratio import (
@@ -46,6 +52,13 @@ from .mellin import RadialSymbol
 from .shift_algebra import ShiftSum, commutator, quasihomogeneous_operator
 
 SCENARIOS = ("commutator", "factored", "functional")
+
+#: Most sample points one check evaluates.
+MAX_SAMPLES = 1000
+
+#: Highest requested working precision, in bits, of the certified ratio
+#: check; the check may double it up to four times.
+MAX_PRECISION_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -65,10 +78,7 @@ class IdentityReport:
 
 def _lin(*roots: int) -> Polynomial:
     """Product of the monic linear factors (z + r)."""
-    out = Polynomial.one()
-    for r in roots:
-        out = out * Polynomial.z_plus(r)
-    return out
+    return Polynomial.linear_product(roots)
 
 
 def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -> tuple[WeightExpr, WeightExpr]:
@@ -124,8 +134,24 @@ def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -
     return left, right
 
 
+def _check_sample_count(count: int) -> None:
+    if not 2 <= count <= MAX_SAMPLES:
+        raise ValueError(f"need between 2 and MAX_SAMPLES = {MAX_SAMPLES} sample points, "
+                         f"got {count}; proportionality cannot be refuted at one point")
+
+
 def default_samples(count: int = 50) -> list[Fraction]:
+    """The sample points z = 2k + 2, k < count; ``count`` is checked first."""
+    _check_sample_count(count)
     return [Fraction(2 * k + 2) for k in range(count)]
+
+
+def _value(rf: RationalFunction, z: Fraction) -> Optional[Fraction]:
+    """rf(z), or None at a pole."""
+    try:
+        return rf_eval(rf, z)
+    except PoleError:
+        return None
 
 
 def _exact_proportionality(
@@ -134,9 +160,6 @@ def _exact_proportionality(
     sample_zs: Sequence[Fraction],
 ) -> tuple[str, Optional[Fraction], bool, list[SampleRow], list[tuple[Fraction, Fraction]], str]:
     rows: list[SampleRow] = []
-
-    def value(rf: RationalFunction, z: Fraction) -> Optional[Fraction]:
-        return None if rf.den.eval(z) == 0 else rf.num.eval(z) / rf.den.eval(z)
 
     if left_rf.is_zero and right_rf.is_zero:
         for z in sample_zs:
@@ -150,7 +173,7 @@ def _exact_proportionality(
         note = ("left side vanishes identically" if left_rf.is_zero
                 else "right side vanishes identically while the left does not")
         for z in sample_zs:
-            lv, rv = value(left_rf, z), value(right_rf, z)
+            lv, rv = _value(left_rf, z), _value(right_rf, z)
             rows.append(SampleRow(z, lv, rv, None))
         return verdict, const, False, rows, [], note
 
@@ -158,7 +181,7 @@ def _exact_proportionality(
     witnesses: list[tuple[Fraction, Fraction]] = []
     ratios: list[tuple[Fraction, Fraction]] = []
     for z in sample_zs:
-        lv, rv = value(left_rf, z), value(right_rf, z)
+        lv, rv = _value(left_rf, z), _value(right_rf, z)
         ratio = None if (lv is None or rv is None or rv == 0) else lv / rv
         rows.append(SampleRow(z, lv, rv, ratio))
         if ratio is not None:
@@ -185,9 +208,18 @@ def verify_identity(
     sample_zs: Optional[Sequence[Fraction]] = None,
     precision_bits: int = 200,
 ) -> IdentityReport:
-    """Check left = constant * right pointwise for one scenario instance."""
-    left, right = build_sides(scenario, p, s, n, d, m, l)
+    """Check left = constant * right pointwise for one scenario instance.
+
+    Raises ValueError, before any evaluation, for fewer than 2 or more than
+    :data:`MAX_SAMPLES` samples and for ``precision_bits`` above
+    :data:`MAX_PRECISION_BITS`.
+    """
     samples = [as_rational(z) for z in (sample_zs if sample_zs is not None else default_samples())]
+    _check_sample_count(len(samples))
+    if precision_bits > MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits {precision_bits} exceeds "
+                         f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+    left, right = build_sides(scenario, p, s, n, d, m, l)
     params = {"p": p, "s": s, "n": n, "d": d, "m": m, "l": l}
 
     left_rf, right_rf = left.as_rational(), right.as_rational()

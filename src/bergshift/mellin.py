@@ -108,85 +108,95 @@ def _tokenize_symbol(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+class _SymbolParser:
+    """Recursive-descent parser over one token list.  Methods, unlike
+    nested closures, build no reference cycle per parse."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize_symbol(text)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self) -> tuple[str, object, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def take_or_eof(self) -> tuple[str, object, int]:
+        return self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
+
+    def parse_ratio(self, what: str, allow_sign: bool = False) -> Fraction:
+        sign = 1
+        if allow_sign and self.peek() in ("+", "-"):
+            op, _, _ = self.take()
+            sign = -1 if op == "-" else 1
+        kind, val, at = self.take_or_eof()
+        if kind == "(":
+            inner = self.parse_ratio(what, allow_sign=True)
+            if self.peek() != ")":
+                raise ExprSyntaxError(self.text, at, "unbalanced parenthesis")
+            self.take()
+            return sign * inner
+        if kind != "int":
+            raise ExprSyntaxError(self.text, at, f"expected {what}")
+        value = Fraction(int(val))
+        if self.peek() == "/":
+            self.take()
+            kind2, val2, at2 = self.take_or_eof()
+            if kind2 != "int":
+                raise ExprSyntaxError(self.text, at2, f"expected denominator of {what}")
+            if val2 == 0:
+                raise ExprSyntaxError(self.text, at2, "zero denominator")
+            value /= int(val2)
+        return sign * value
+
+    def parse_term(self, sign: int) -> tuple[Fraction, Fraction]:
+        if self.peek() == "r":
+            self.take()
+        else:
+            coeff = self.parse_ratio("a rational coefficient")
+            if self.peek() == "*":
+                self.take()
+                kind, _, at = self.take_or_eof()
+                if kind != "r":
+                    raise ExprSyntaxError(self.text, at, "expected r after *")
+            else:
+                return sign * coeff, Fraction(0)  # bare constant
+            return sign * coeff, self.parse_exponent()
+        return sign * Fraction(1), self.parse_exponent()
+
+    def parse_exponent(self) -> Fraction:
+        if self.peek() != "^":
+            return Fraction(1)
+        _, _, at = self.take()
+        exp = self.parse_ratio("a rational exponent", allow_sign=True)
+        if exp < 0:
+            raise ExprSyntaxError(self.text, at, "negative exponent rejected")
+        return exp
+
+
 def parse_symbol(text: str) -> RadialSymbol:
     """Parse the symbol grammar: term (("+"|"-") term)*, where a term is
     `[coeff "*"] "r" ["^" exponent]` or a bare rational constant, with
     rational coeff/exponent written as `int` or `int/int`.
     """
-    tokens = _tokenize_symbol(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take() -> tuple[str, object, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_ratio(what: str, allow_sign: bool = False) -> Fraction:
-        sign = 1
-        if allow_sign and peek() in ("+", "-"):
-            op, _, _ = take()
-            sign = -1 if op == "-" else 1
-        kind, val, at = take() if pos < len(tokens) else ("eof", None, len(text))
-        if kind == "(":
-            inner = parse_ratio(what, allow_sign=True)
-            if peek() != ")":
-                raise ExprSyntaxError(text, at, "unbalanced parenthesis")
-            take()
-            return sign * inner
-        if kind != "int":
-            raise ExprSyntaxError(text, at, f"expected {what}")
-        value = Fraction(int(val))
-        if peek() == "/":
-            take()
-            kind2, val2, at2 = take() if pos < len(tokens) else ("eof", None, len(text))
-            if kind2 != "int":
-                raise ExprSyntaxError(text, at2, f"expected denominator of {what}")
-            if val2 == 0:
-                raise ExprSyntaxError(text, at2, "zero denominator")
-            value /= int(val2)
-        return sign * value
-
-    def parse_term(sign: int) -> tuple[Fraction, Fraction]:
-        if peek() == "r":
-            _, _, at = take()
-        else:
-            coeff = parse_ratio("a rational coefficient")
-            if peek() == "*":
-                take()
-                kind, _, at = take() if pos < len(tokens) else ("eof", None, len(text))
-                if kind != "r":
-                    raise ExprSyntaxError(text, at, "expected r after *")
-            else:
-                return sign * coeff, Fraction(0)  # bare constant
-            return sign * coeff, parse_exponent()
-        return sign * Fraction(1), parse_exponent()
-
-    def parse_exponent() -> Fraction:
-        if peek() != "^":
-            return Fraction(1)
-        _, _, at = take()
-        exp = parse_ratio("a rational exponent", allow_sign=True)
-        if exp < 0:
-            raise ExprSyntaxError(text, at, "negative exponent rejected")
-        return exp
-
-    if not tokens:
+    parser = _SymbolParser(text)
+    if not parser.tokens:
         raise ExprSyntaxError(text, 0, "empty symbol")
     terms: list[tuple[Fraction, Fraction]] = []
     sign = 1
-    if peek() in ("+", "-"):
-        op, _, _ = take()
+    if parser.peek() in ("+", "-"):
+        op, _, _ = parser.take()
         sign = -1 if op == "-" else 1
-    terms.append(parse_term(sign))
-    while pos < len(tokens):
-        kind, _, at = take()
+    terms.append(parser.parse_term(sign))
+    while parser.pos < len(parser.tokens):
+        kind, _, at = parser.take()
         if kind not in ("+", "-"):
             raise ExprSyntaxError(text, at, "expected + or - between terms")
-        terms.append(parse_term(-1 if kind == "-" else 1))
+        terms.append(parser.parse_term(-1 if kind == "-" else 1))
     return RadialSymbol.build(terms)
 
 

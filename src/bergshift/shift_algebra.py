@@ -79,7 +79,7 @@ class ShiftSum:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.parts)
+        return tuple([d for d, _ in self.parts])
 
     def weight_at(self, degree: int) -> WeightExpr:
         for d, w in self.parts:
@@ -91,7 +91,7 @@ class ShiftSum:
         c = as_rational(c)
         if c == 0:
             return ShiftSum.zero()
-        return ShiftSum(tuple((d, w.scale(c)) for d, w in self.parts))
+        return ShiftSum(tuple([(d, w.scale(c)) for d, w in self.parts]))
 
 
 def quasihomogeneous_operator(p: int, phi: RadialSymbol) -> ShiftSum:

@@ -227,7 +227,7 @@ def _nullspace_basis(sys: ExactLinearSystem) -> list[tuple[Fraction, ...]]:
     for theta in _eliminate(reduced, width):
         vec = [scale * theta[param] for param, scale in lift]
         lead = next(v for v in vec if v != 0)
-        vec = tuple(v / lead for v in vec)
+        vec = tuple([v / lead for v in vec])
         if not vector_in_nullspace(sys, vec):
             raise ArithmeticError("computed vector fails exact re-multiplication")
         basis.append(vec)
@@ -309,7 +309,7 @@ def nullspace(sys: ExactLinearSystem, increment: int = STABILIZATION_INCREMENT) 
             # vector is exactly the reference sample pair and the shared
             # constant reads 1.
             shared = Fraction(1)
-            basis = [tuple(x / f_const for x in vec)]
+            basis = [tuple([x / f_const for x in vec])]
     return NullspaceReport(
         dimension=dim,
         basis=tuple(basis),
@@ -452,7 +452,7 @@ def class_sample_vectors(prob: CommutantProblem) -> list[tuple[Fraction, ...]]:
     g = gcd(prob.p, prob.s)
     weights = (monomial_weight(prob.p, prob.n), monomial_weight(prob.s, prob.d))
     samples = [[rf_eval(w, Fraction(2 * k + 2)) for k in range(prob.K + 1)] for w in weights]
-    return [tuple(v if k % g == j else Fraction(0) for part in samples for k, v in enumerate(part))
+    return [tuple([v if k % g == j else Fraction(0) for part in samples for k, v in enumerate(part)])
             for j in range(g)]
 
 

@@ -1,0 +1,187 @@
+"""The gcd-aware arithmetic and the root-multiset cofactors against the
+routines they replaced, kept here as oracles.
+
+* ``normalize_everything_arith`` forms the plain num/den of a sum, product
+  or quotient and hands it to ``rf_normalize``, which takes the full gcd.
+* ``expand_then_gcd_canonicalize`` multiplies out every functional-equation
+  factor of numerator and denominator and cancels them by one gcd.
+
+The canonical form is unique, so each fast route must give the oracle's
+result exactly, not just an equal function.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bergshift.exact_algebra import Polynomial, RationalFunction, rf_arith, rf_normalize, rf_shift
+from bergshift.gamma_ratio import (
+    GammaRatioExpr,
+    WeightExpr,
+    canonicalize,
+    power_weight,
+    rationality_oracle,
+)
+
+OPS = ("add", "sub", "mul", "div")
+
+
+def normalize_everything_arith(a, b, op):
+    if op == "add":
+        return rf_normalize(a.num * b.den + b.num * a.den, a.den * b.den)
+    if op == "sub":
+        return rf_normalize(a.num * b.den - b.num * a.den, a.den * b.den)
+    if op == "mul":
+        return rf_normalize(a.num * b.num, a.den * b.den)
+    return rf_normalize(a.num * b.den, a.den * b.num)
+
+
+def expand_then_gcd_canonicalize(g):
+    def reduce(atoms):
+        reduced, factor, scalar = [], Polynomial.one(), Fraction(1)
+        for td, off in atoms:
+            q, r = divmod(off, td)
+            for t in range(q):
+                factor = factor * Polynomial.z_plus(r + td * t)
+                scalar /= td
+            reduced.append((td, r))
+        return reduced, factor, scalar
+
+    num, nf, ns = reduce(g.num)
+    den, df, ds = reduce(g.den)
+    cofactor = rf_normalize(nf.scale(ns), df.scale(ds))
+    den_left, num_left = list(den), []
+    for atom in num:
+        if atom in den_left:
+            den_left.remove(atom)
+        else:
+            num_left.append(atom)
+    return cofactor, GammaRatioExpr(tuple(sorted(num_left)), tuple(sorted(den_left)))
+
+
+# ---------------------------------------------------------------------------
+# rational functions
+
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+#: Small integer roots make shared linear factors between operands common.
+ROOTS = st.lists(st.integers(-3, 3), max_size=3)
+
+
+@st.composite
+def polys(draw, nonzero=False):
+    """(lead) * prod (z + c) * extra, the extra factor mostly absent."""
+    lead = draw(COEFFS.filter(lambda c: c != 0))
+    p = Polynomial.linear_product(draw(ROOTS)).scale(lead)
+    extra = Polynomial.from_coeffs(draw(st.lists(COEFFS, max_size=3)))
+    if not extra.is_zero and draw(st.booleans()):
+        p = p * extra
+    if not nonzero and draw(st.integers(0, 9)) == 0:
+        return Polynomial.zero()
+    return p
+
+
+@st.composite
+def rfs(draw):
+    return rf_normalize(draw(polys()), draw(polys(nonzero=True)))
+
+
+@st.composite
+def pairs(draw):
+    """Operand pairs covering the special routes of the gcd-aware arithmetic."""
+    a = draw(rfs())
+    kind = draw(st.sampled_from(("general", "coprime", "shared", "equal", "constant", "same")))
+    if kind == "same":
+        return a, a
+    if kind == "equal":
+        return a, rf_normalize(draw(polys()), a.den)
+    if kind == "constant":
+        b = RationalFunction.constant(draw(COEFFS))
+        return (a, b) if draw(st.booleans()) else (b, a)
+    b = draw(rfs())
+    if kind == "coprime":  # roots of b's den lie outside the range of ROOTS
+        den = Polynomial.linear_product(draw(st.lists(st.integers(4, 6), min_size=1, max_size=2)))
+        b = rf_normalize(b.num, den)
+    if kind == "shared":
+        common = draw(polys(nonzero=True))
+        a = rf_normalize(a.num, a.den * common)
+        b = rf_normalize(b.num, b.den * common)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.sampled_from(OPS))
+def test_rf_arith_equals_normalize_everything(operands, op):
+    a, b = operands
+    if op == "div" and b.is_zero:
+        return
+    got = rf_arith(a, b, op)
+    assert got == normalize_everything_arith(a, b, op)
+    assert got.den.leading == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(rfs(), rfs(), polys(nonzero=True), st.booleans())
+def test_sums_that_cancel_against_the_denominators(a, c, extra, nested):
+    """a + (c - a) = c, whose den is smaller: the second gcd of a sum is
+    needed.  With ``nested`` the two dens are equal, otherwise they share
+    the factor a.den."""
+    a = rf_normalize(a.num, a.den * extra * (c.den if nested else Polynomial.one()))
+    b = normalize_everything_arith(c, a, "sub")
+    assert rf_arith(a, b, "add") == c
+    assert rf_arith(b, a, "add") == c
+    assert rf_arith(c, b, "sub") == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(rfs())
+def test_difference_with_itself_is_the_canonical_zero(a):
+    assert a - a == RationalFunction.zero()
+    if not a.is_zero:
+        assert a / a == RationalFunction.one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rfs(), COEFFS, st.integers(-6, 6))
+def test_scale_and_shift_take_no_gcd_and_agree(a, c, h):
+    assert a.scale(c) == rf_normalize(a.num.scale(c), a.den)
+    assert rf_shift(a, h) == rf_normalize(a.num.shift(h), a.den.shift(h))
+    assert rf_shift(a, Fraction(h, 3)) == rf_normalize(a.num.shift(Fraction(h, 3)),
+                                                       a.den.shift(Fraction(h, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Gamma cofactors
+
+ATOMS = st.lists(st.tuples(st.integers(1, 4).map(lambda d: 2 * d), st.integers(0, 24)),
+                 max_size=4)
+
+
+@st.composite
+def gamma_exprs(draw):
+    """Products of single-scale quotients, so two_delta is often mixed."""
+    g = GammaRatioExpr.one()
+    for _ in range(draw(st.integers(1, 2))):
+        atoms = draw(ATOMS)
+        for td in sorted({td for td, _ in atoms}):
+            num = [off for t, off in atoms if t == td]
+            den = draw(st.lists(st.integers(0, 24), max_size=3))
+            g = g * GammaRatioExpr.of(td, num, den)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_exprs())
+def test_canonicalize_equals_expand_then_gcd(g):
+    assert canonicalize(g) == expand_then_gcd_canonicalize(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_exprs())
+def test_rationality_oracle_equals_canonical_reduction(g):
+    assert rationality_oracle(g) == canonicalize(g)[1].is_one
+
+
+def test_large_exponent_power_weight_is_exact():
+    expected = rf_normalize(Polynomial.z_plus(2), Polynomial.z_plus(3001))
+    assert power_weight(1, 1, 3000) == WeightExpr.from_rational(expected)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bergshift import solver
+from bergshift import identities, solver
 from bergshift.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -155,6 +155,54 @@ class TestUsageErrors:
                 "--d", "3", "--m", "2", "--l", "3", "--samples", "5"]
         assert dispatch(argv + ["--precision-bits", "0"]) == EXIT_USAGE
         assert dispatch(argv + ["--precision-bits", "1"]) == EXIT_NEGATIVE
+
+
+class TestIdentityCheckBounds:
+    ARGV = ["identity-check", "--id", "commutator", "--p", "1", "--s", "2", "--n", "2",
+            "--d", "3", "--m", "2", "--l", "3"]
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sides built for a rejected input")
+        monkeypatch.setattr(identities, "build_sides", refuse)
+
+    @pytest.mark.parametrize("samples", ["-3", "0", "1"])
+    def test_fewer_than_two_samples_rejected(self, samples, capsys, no_evaluation):
+        # with no sample this instance used to print a false "proportional"
+        code = dispatch(self.ARGV + ["--samples", samples])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"MAX_SAMPLES = {identities.MAX_SAMPLES}" in captured.err
+
+    def test_two_samples_refute(self, capsys):
+        code, payload = run(capsys, *self.ARGV, "--samples", "5")
+        assert code == EXIT_NEGATIVE
+        assert payload["verdict"] == "not_proportional"
+
+    def test_samples_above_limit_names_the_limit(self, capsys, no_evaluation):
+        code = dispatch(self.ARGV + ["--samples", str(identities.MAX_SAMPLES + 1)])
+        assert code == EXIT_USAGE
+        assert f"MAX_SAMPLES = {identities.MAX_SAMPLES}" in capsys.readouterr().err
+
+    def test_huge_sample_count_fails_fast(self, capsys, no_evaluation):
+        assert dispatch(self.ARGV + ["--samples", str(10**12)]) == EXIT_USAGE
+
+    def test_precision_above_limit_names_the_limit(self, capsys, no_evaluation):
+        bits = identities.MAX_PRECISION_BITS + 1
+        code = dispatch(self.ARGV + ["--samples", "5", "--precision-bits", str(bits)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"precision_bits {bits} exceeds MAX_PRECISION_BITS = {identities.MAX_PRECISION_BITS}" in err
+
+    def test_limits_themselves_accepted(self, capsys):
+        code, payload = run(capsys, "identity-check", "--id", "functional", "--p", "1",
+                            "--s", "2", "--n", "2", "--d", "3", "--m", "1", "--l", "2",
+                            "--samples", "2",
+                            "--precision-bits", str(identities.MAX_PRECISION_BITS))
+        assert code == EXIT_OK
+        assert len(payload["samples"]) == 2
 
 
 class TestSolverBounds:

@@ -203,6 +203,20 @@ def test_parse_error_position():
     assert exc.value.position == 9
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("(z+2", 0, "unbalanced parenthesis"),
+    ("z+", 2, "expected a term"),
+    ("z^z", 2, "exponent must be an integer"),
+    ("z)", 1, "trailing input"),
+    ("", 0, "empty expression"),
+])
+def test_parse_error_messages_and_positions(text, position, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_rational_function(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} at position {position}: {text!r}"
+
+
 def horner_reference(coeffs, point):
     """Plain Fraction Horner: the evaluation the integer kernel replaces."""
     acc = Fraction(0)

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from bergshift.exact_algebra import Polynomial, rf_normalize
 from bergshift.gamma_ratio import BallValue
-from bergshift.identities import build_sides, default_samples, verify_identity
+from bergshift.identities import (
+    _exact_proportionality,
+    build_sides,
+    default_samples,
+    verify_identity,
+)
 
 
 class TestCommutatorScenario:
@@ -93,6 +99,26 @@ def test_precision_doubling_recovers_from_low_start():
                               sample_zs=default_samples(12), precision_bits=start)
         assert rep.verdict == "not_proportional", start
         assert rep.precision_bits >= start
+
+
+@pytest.mark.parametrize("zs", [[], [Fraction(2)]])
+def test_fewer_than_two_samples_rejected(zs):
+    with pytest.raises(ValueError, match="proportionality cannot be refuted at one point"):
+        verify_identity("commutator", 1, 2, 2, 3, m=2, l=3, sample_zs=zs)
+
+
+def test_exact_sample_rows_mark_poles():
+    # left (z+2)/(z+3) vs right 1/(z+4) at a pole of each side and off them
+    report = _exact_proportionality(
+        rf_normalize(Polynomial.z_plus(2), Polynomial.z_plus(3)),
+        rf_normalize(Polynomial.one(), Polynomial.z_plus(4)),
+        [Fraction(-3), Fraction(-4), Fraction(1, 2)])
+    rows = report[3]
+    assert [(r.left, r.right, r.ratio) for r in rows] == [
+        (None, Fraction(1), None),
+        (Fraction(2), None, None),
+        (Fraction(5, 7), Fraction(2, 9), Fraction(45, 14)),
+    ]
 
 
 def test_unknown_scenario_rejected():

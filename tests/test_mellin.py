@@ -1,12 +1,18 @@
 """Symbol parsing, Mellin transforms, shift weights, quadrature oracle."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from bergshift.exact_algebra import ExprSyntaxError, rf_normalize, Polynomial
+from bergshift.exact_algebra import (
+    ExprSyntaxError,
+    Polynomial,
+    parse_rational_function,
+    rf_normalize,
+)
 from bergshift.gamma_ratio import WeightExpr
 from bergshift.mellin import (
     RadialSymbol,
@@ -54,6 +60,22 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_symbol("r^2 + q")
         assert exc.value.position == 6
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("(1/2*r", 0, "unbalanced parenthesis"),
+        ("((1/0)*r", 4, "zero denominator"),
+        ("2*", 2, "expected r after *"),
+        ("r^(-1)", 1, "negative exponent rejected"),
+        ("r^", 2, "expected a rational exponent"),
+        ("3/", 2, "expected denominator of a rational coefficient"),
+        ("r r", 2, "expected + or - between terms"),
+        ("", 0, "empty symbol"),
+    ])
+    def test_error_messages_and_positions(self, text, position, message):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_symbol(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} at position {position}: {text!r}"
 
     def test_format_round_trip(self):
         for text in ("r^3", "2*r+3*r^4", "1", "-1/2*r+r^7/2", "5/3"):
@@ -142,3 +164,27 @@ class TestOracle:
         with mp.workdps(50):
             true_err = abs(res.value - mp.mpf(exact.numerator) / exact.denominator)
             assert true_err <= res.error_estimate + mp.mpf(10) ** -20
+
+
+@pytest.mark.parametrize("parse, texts", [
+    (parse_symbol, ["2*r^3/2 + (1/3)*r - 4", "-(2/5)*r^(7/2)", "r + q"]),
+    (parse_rational_function, ["(z^2+3*z-1)/(2*z+4)", "-z^4+(z+1)/(z-1)", "(z+2)/(z+!)"]),
+])
+def test_parsers_leave_no_cyclic_garbage(parse, texts):
+    parse(texts[0])  # first-call caches are not garbage
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(100):
+            for text in texts:
+                try:
+                    parse(text)
+                except ExprSyntaxError:
+                    pass
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0

@@ -5,7 +5,10 @@
 * only :func:`gamma_ratio.working_precision` assigns mpmath ``.prec`` or
   ``.dps`` (everything else uses that scope or mpmath's ``workprec``);
 * only ``gamma_ratio`` uses the interval context ``iv``;
-* no ``assert`` statement carries control flow.
+* no ``assert`` statement carries control flow;
+* no ``tuple(<generator expression>)``: on hot paths the generator frames
+  fragment the small-object allocator and raise peak memory, so tuples are
+  built from lists.
 """
 
 import ast
@@ -94,4 +97,14 @@ def test_no_assert_statements():
     bad = [f"{mod}:{node.lineno}"
            for mod, tree in _modules()
            for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert bad == []
+
+
+def test_no_tuple_of_generator():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules()
+           for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "tuple" and node.args
+           and isinstance(node.args[0], ast.GeneratorExp)]
     assert bad == []
