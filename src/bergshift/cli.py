@@ -257,7 +257,7 @@ def _cmd_weight(args) -> tuple[dict, int]:
 
 def _cmd_apply(args) -> tuple[dict, int]:
     op = _operator_from_terms(args.term)
-    vectors = apply_to_basis(op, args.k, args.precision_bits)
+    vectors = apply_to_basis(op, args.k)
     return {
         "k": args.k,
         "result": [
@@ -391,7 +391,6 @@ def build_parser() -> _Parser:
     c.add_argument("--term", action="append", required=True,
                    metavar="DEGREE:SYMBOL")
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--precision-bits", type=int, default=200)
 
     c = add("commutator", "commutator of two operator sums")
     c.add_argument("--a", action="append", required=True, metavar="DEGREE:SYMBOL")

@@ -491,7 +491,7 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"{message} at position {pos}: {text!r}")
 
 
-def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
+def _tokenize(text: str, variable: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
     while i < n:
@@ -505,8 +505,8 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
-        elif ch == "z":
-            tokens.append(("z", "z", i))
+        elif ch == variable:
+            tokens.append((ch, ch, i))
             i += 1
         elif ch in "+-*/^()":
             tokens.append((ch, ch, i))
@@ -516,13 +516,15 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent parser over one token list.  Methods, unlike
-    nested closures, build no reference cycle per parse."""
+class TokenCursor:
+    """The tokens of ``text`` (integers, the one ``variable`` letter and
+    +-*/^()) with a read position: the base of the package's
+    recursive-descent parsers.  Methods, unlike nested closures, build no
+    reference cycle per parse."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, variable: str):
         self.text = text
-        self.tokens = _tokenize_expr(text)
+        self.tokens = _tokenize(text, variable)
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -532,6 +534,14 @@ class _ExprParser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def take_or_eof(self) -> tuple[str, object, int]:
+        """The next token, or ("eof", None, len(text)) past the last one."""
+        return self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
+
+
+class _ExprParser(TokenCursor):
+    """Recursive-descent parser for rational functions in z."""
 
     def parse_sum(self) -> RationalFunction:
         left = self.parse_product()
@@ -553,7 +563,7 @@ class _ExprParser:
         base = self.parse_atom()
         if self.peek() == "^":
             self.take()
-            kind, val, at = self.take()
+            kind, val, at = self.take_or_eof()
             if kind != "int":
                 raise ExprSyntaxError(self.text, at, "exponent must be an integer")
             out = RationalFunction.one()
@@ -563,7 +573,7 @@ class _ExprParser:
         return base
 
     def parse_atom(self) -> RationalFunction:
-        kind, val, at = self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
+        kind, val, at = self.take_or_eof()
         if kind == "int":
             return RationalFunction.constant(int(val))
         if kind == "z":
@@ -587,7 +597,7 @@ def parse_rational_function(text: str) -> RationalFunction:
     Accepts general +,-,*,/,^ expressions in z with integer literals, so any
     serialized weight or scalar parses back to an equal value.
     """
-    parser = _ExprParser(text)
+    parser = _ExprParser(text, "z")
     if not parser.tokens:
         raise ExprSyntaxError(text, 0, "empty expression")
     out = parser.parse_sum()

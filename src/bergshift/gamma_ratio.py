@@ -1,7 +1,8 @@
 """Symbolic Gamma quotients with affine arguments, and weight expressions.
 
 A Gamma-ratio expression is a quotient of products of atoms
-Gamma((z + offset)/two_delta) with nonnegative integer offsets.  The
+Gamma((z + offset)/two_delta) with positive integer two_delta and
+nonnegative integer offsets, checked at construction.  The
 functional equation Gamma(x + 1) = x * Gamma(x) lets any offset be lowered
 by two_delta at the cost of a linear factor (z + offset - two_delta) /
 two_delta; applying it until every offset sits in [0, two_delta) and then
@@ -24,7 +25,8 @@ terms in the global variable z = 2k + 2.  All certified numerics of the
 package live here and return balls (midpoint, radius) backed by mpmath
 interval arithmetic: :func:`working_precision` is the one precision scope,
 :func:`eval_ball` encloses one value, and :func:`ball_ratio` is the one
-certified check that two sides are proportional at sample points.
+certified check that two weight expressions are proportional at sample
+points.  The commutant solver uses none of them: it is exact throughout.
 """
 
 from __future__ import annotations
@@ -79,16 +81,22 @@ class GammaRatioExpr:
     num: tuple[GammaAtom, ...]
     den: tuple[GammaAtom, ...]
 
+    def __post_init__(self):
+        # canonicalize only lowers offsets: a negative one would be raised
+        # to its residue without the functional-equation factors.
+        for td, off in self.num + self.den:
+            if type(td) is not int or td < 1:
+                raise ValueError("two_delta must be a positive integer")
+            if type(off) is not int:
+                raise ValueError("offsets must be integers")
+            if off < 0:
+                raise ValueError("offsets must be nonnegative")
+
     @staticmethod
     def of(two_delta: int, num_offsets: Iterable[int], den_offsets: Iterable[int]) -> "GammaRatioExpr":
         """The single-denominator shape: all atoms share ``two_delta``."""
-        if two_delta <= 0:
-            raise ValueError("two_delta must be a positive integer")
         num = [(two_delta, int(a)) for a in num_offsets]
         den = [(two_delta, int(c)) for c in den_offsets]
-        for _, off in num + den:
-            if off < 0:
-                raise ValueError("offsets must be nonnegative")
         n, d = _cancel_common(num, den)
         return GammaRatioExpr(n, d)
 
@@ -446,21 +454,20 @@ class RatioCheck:
 
 
 def ball_ratio(
-    left: Union[WeightExpr, Sequence[Fraction]],
+    left: WeightExpr,
     right: WeightExpr,
     zs: Sequence[Fraction],
     precision_bits: int = 200,
 ) -> RatioCheck:
     """Certified check of left(z) = c * right(z) at the sample points ``zs``.
 
-    ``left`` is a weight expression or its exact values at ``zs``.  Samples
-    at a pole of either side are skipped.  Two samples with disjoint ratio
-    enclosures refute proportionality.  A sample is unresolved when its
-    ratio enclosure is loose, or when the right enclosure contains zero and
-    the two sides are not both exactly zero.  With no sample unresolved the
-    verdict is ``proportional`` and the constant is the first ratio;
-    otherwise the precision is doubled, up to four times, before the
-    verdict is ``inconclusive``.
+    Samples at a pole of either side are skipped.  Two samples with
+    disjoint ratio enclosures refute proportionality.  A sample is
+    unresolved when its ratio enclosure is loose, or when the right
+    enclosure contains zero and the two sides are not both exactly zero.
+    With no sample unresolved the verdict is ``proportional`` and the
+    constant is the first ratio; otherwise the precision is doubled, up to
+    four times, before the verdict is ``inconclusive``.
     """
     bits = precision_bits
     for _ in range(5):  # initial try plus four doublings
@@ -470,11 +477,11 @@ def ball_ratio(
             ratio_ivs: list[tuple[Fraction, object]] = []
             unresolved = False
             quality = mp.mpf(2) ** (-max(16, bits // 4))
-            for i, z in enumerate(zs):
-                if right.poles_at(z) or (isinstance(left, WeightExpr) and left.poles_at(z)):
+            for z in zs:
+                if right.poles_at(z) or left.poles_at(z):
                     skipped.append(z)
                     continue
-                liv = _iv_weight(left, z) if isinstance(left, WeightExpr) else _iv_rational(left[i])
+                liv = _iv_weight(left, z)
                 riv = _iv_weight(right, z)
                 lball = _ball_from_interval(liv)
                 rball = _ball_from_interval(riv)

@@ -23,6 +23,7 @@ from .exact_algebra import (
     Polynomial,
     RationalFunction,
     RationalLike,
+    TokenCursor,
     as_rational,
     format_rational,
     rf_normalize,
@@ -83,50 +84,8 @@ def format_symbol(phi: RadialSymbol) -> str:
     return "".join(parts)
 
 
-def _tokenize_symbol(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch == "r":
-            tokens.append(("r", "r", i))
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(text, i, f"unexpected character {ch!r}")
-    return tokens
-
-
-class _SymbolParser:
-    """Recursive-descent parser over one token list.  Methods, unlike
-    nested closures, build no reference cycle per parse."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_symbol(text)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def take_or_eof(self) -> tuple[str, object, int]:
-        return self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
+class _SymbolParser(TokenCursor):
+    """Recursive-descent parser for radial symbols in r."""
 
     def parse_ratio(self, what: str, allow_sign: bool = False) -> Fraction:
         sign = 1
@@ -183,7 +142,7 @@ def parse_symbol(text: str) -> RadialSymbol:
     `[coeff "*"] "r" ["^" exponent]` or a bare rational constant, with
     rational coeff/exponent written as `int` or `int/int`.
     """
-    parser = _SymbolParser(text)
+    parser = _SymbolParser(text, "r")
     if not parser.tokens:
         raise ExprSyntaxError(text, 0, "empty symbol")
     terms: list[tuple[Fraction, Fraction]] = []

@@ -23,8 +23,9 @@ onto the solutions of (1) and (2), so the dimension is exact; each lifted
 vector is re-verified against every row.  The multiples do not depend on
 K and a larger K only appends rows, so dim(K) cannot increase in K.  As a
 stabilization check the dimension is re-counted at K + 10 and reported as
-found, but only where the count at K is positive: dim 0 at K already
-proves dim 0 at K + 10, so that recount is not run.
+found, but only where no proof settles it: dim(K) never drops below the
+floor of :func:`_proved_floor`, so a count at the floor holds at K + 10 and
+is not re-counted.  The module is exact throughout: it evaluates no ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -48,7 +49,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .exact_algebra import Polynomial, RationalFunction, rf_eval, rf_normalize
-from .gamma_ratio import ball_ratio, power_weight
+from .gamma_ratio import power_weight
 from .mellin import RadialSymbol
 from .shift_algebra import commutator, quasihomogeneous_operator
 
@@ -257,7 +258,6 @@ class NullspaceReport:
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
     dimension_at_increment: Optional[int]
-    increment: int
     f_constant: Optional[Fraction]
     g_constant: Optional[Fraction]
     proportionality: Optional[Fraction]
@@ -279,32 +279,48 @@ MAX_EXPONENT = 1000
 STABILIZATION_INCREMENT = 10
 
 
-def nullspace(sys: ExactLinearSystem, increment: int = STABILIZATION_INCREMENT) -> NullspaceReport:
-    """Exact nullspace with stabilization re-count at K + increment.
+def _proved_floor(prob: CommutantProblem) -> int:
+    """A lower bound on the nullspace dimension that holds at every K.
+
+    With g = gcd(p, s), every index step of rows (1)-(3) is a multiple of
+    g, so each row reads a single residue class mod g.  For n = p and
+    d = s both weights are 1, and F or G equal to 1 on one class, the other
+    0, gives 2g independent solutions at every (m, l).  Otherwise, at
+    (m, l) = (p, s) the g class sample vectors of
+    :func:`class_sample_vectors` solve every row.  Elsewhere the floor is 0.
+    """
+    g = gcd(prob.p, prob.s)
+    if (prob.n, prob.d) == (prob.p, prob.s):
+        return 2 * g
+    return g if (prob.m, prob.l) == (prob.p, prob.s) else 0
+
+
+def nullspace(sys: ExactLinearSystem) -> NullspaceReport:
+    """Exact nullspace with stabilization re-count at K + STABILIZATION_INCREMENT.
 
     The re-count rebuilds the system from ``sys.problem``, so a system with
     a problem must be the one ``build_system(sys.problem)`` returns.  For
-    that system dim(K) does not increase in K (module docstring), so a
-    dimension of 0 at K is reported at K + increment without a re-count.
+    that system dim(K) does not increase in K and never drops below
+    :func:`_proved_floor`, so a dimension at the floor is reported at
+    K + STABILIZATION_INCREMENT without a re-count.
     """
     basis = _nullspace_basis(sys)
     dim = len(basis)
+    prob = sys.problem
     dim_plus: Optional[int] = None
-    if sys.problem is not None and increment > 0:
-        if dim == 0:
-            dim_plus = 0
+    if prob is not None:
+        if dim == _proved_floor(prob):
+            dim_plus = dim
         else:
-            bigger = dataclasses.replace(sys.problem, K=sys.problem.K + increment)
+            bigger = dataclasses.replace(prob, K=prob.K + STABILIZATION_INCREMENT)
             dim_plus = len(_nullspace_basis(build_system(bigger)))
     f_const = g_const = shared = None
-    if dim == 1 and sys.problem is not None:
-        prob = sys.problem
+    if dim == 1 and prob is not None:
         K = prob.K
         vec = basis[0]
         f_const = match_root_power(vec[: K + 1], prob.m, prob.p, prob.n)
         g_const = match_root_power(vec[K + 1 :], prob.l, prob.s, prob.d)
-        if (isinstance(f_const, Fraction) and isinstance(g_const, Fraction)
-                and f_const == g_const and f_const != 0):
+        if f_const is not None and f_const == g_const and f_const != 0:
             # Present the basis in the matched normalization, where the
             # vector is exactly the reference sample pair and the shared
             # constant reads 1.
@@ -314,41 +330,35 @@ def nullspace(sys: ExactLinearSystem, increment: int = STABILIZATION_INCREMENT) 
         dimension=dim,
         basis=tuple(basis),
         dimension_at_increment=dim_plus,
-        increment=increment,
-        f_constant=f_const if isinstance(f_const, Fraction) else None,
-        g_constant=g_const if isinstance(g_const, Fraction) else None,
+        f_constant=f_const,
+        g_constant=g_const,
         proportionality=shared,
     )
 
 
-def match_root_power(
-    v: Sequence[Fraction], m: int, p: int, n: int, precision_bits: int = 200
-):
+def match_root_power(v: Sequence[Fraction], m: int, p: int, n: int) -> Optional[Fraction]:
     """Constant c with v_k = c * power_weight(m, p, n)(2k+2) for all k.
 
-    Exact when the power weight reduces to a rational function; otherwise
-    the certified ratio check :func:`gamma_ratio.ball_ratio` decides and
-    the constant is a ball.  Returns None when no single constant works or
-    the check is inconclusive.
+    Decided exactly when the power weight reduces to a rational function.
+    Returns None when no single constant works, and at once when the power
+    weight keeps Gamma content, since the solver reports exact constants
+    only.
     """
-    pw = power_weight(m, p, n)
-    zs = [Fraction(2 * k + 2) for k in range(len(v))]
-    rf = pw.as_rational()
-    if rf is not None:
-        c: Optional[Fraction] = None
-        for z, vk in zip(zs, v):
-            wk = rf_eval(rf, z)
-            if wk == 0:
-                if vk != 0:
-                    return None
-                continue
-            if c is None:
-                c = vk / wk
-            elif vk != c * wk:
+    rf = power_weight(m, p, n).as_rational()
+    if rf is None:
+        return None
+    c: Optional[Fraction] = None
+    for k, vk in enumerate(v):
+        wk = rf_eval(rf, Fraction(2 * k + 2))
+        if wk == 0:
+            if vk != 0:
                 return None
-        return Fraction(0) if c is None else c
-    check = ball_ratio(v, pw, zs, precision_bits)
-    return check.constant if check.verdict == "proportional" else None
+            continue
+        if c is None:
+            c = vk / wk
+        elif vk != c * wk:
+            return None
+    return Fraction(0) if c is None else c
 
 
 @dataclass(frozen=True)

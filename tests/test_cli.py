@@ -147,6 +147,12 @@ class TestUsageErrors:
     def test_bad_term_format(self, capsys):
         assert dispatch(["apply", "--term", "r^2", "--k", "0"]) == EXIT_USAGE
 
+    def test_apply_takes_no_precision_flag(self, capsys):
+        # Every operator the CLI builds is rational, so apply evaluates no ball.
+        code = dispatch(["apply", "--term", "1:r^2", "--k", "0", "--precision-bits", "80"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         assert dispatch(["weight", "--p", "1", "--symbol", "r", "--bogus"]) == EXIT_USAGE
 
@@ -303,6 +309,16 @@ class TestDeterminismAndRoundTrip:
         data = ser_weight(w)
         assert isinstance(data, dict)
         assert weight_from_jsonable(data) == w
+
+    @pytest.mark.parametrize("atom, message", [
+        ({"two_delta": 2, "offset": -1}, "offsets must be nonnegative"),
+        ({"two_delta": 0, "offset": 1}, "two_delta must be a positive integer"),
+        ({"two_delta": 2, "offset": 1.5}, "offsets must be integers"),
+    ])
+    def test_weight_from_jsonable_rejects_bad_atoms(self, atom, message):
+        data = {"terms": [{"coeff": "1", "gamma": {"num": [atom], "den": []}}]}
+        with pytest.raises(ValueError, match=message):
+            weight_from_jsonable(data)
 
     def test_text_output_mode(self, capsys):
         code = dispatch(["--output", "text", "weight", "--p", "1", "--symbol", "r^2"])

@@ -207,6 +207,7 @@ def test_parse_error_position():
     ("(z+2", 0, "unbalanced parenthesis"),
     ("z+", 2, "expected a term"),
     ("z^z", 2, "exponent must be an integer"),
+    ("z^", 2, "exponent must be an integer"),
     ("z)", 1, "trailing input"),
     ("", 0, "empty expression"),
 ])

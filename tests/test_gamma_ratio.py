@@ -43,6 +43,24 @@ class TestCanonicalize:
         assert cofactor == RationalFunction.one()
         assert reduced == g
 
+    @pytest.mark.parametrize("atom, message", [
+        ((2, -1), "offsets must be nonnegative"),
+        ((0, 1), "two_delta must be a positive integer"),
+        ((-2, 1), "two_delta must be a positive integer"),
+        ((Fraction(2), 1), "two_delta must be a positive integer"),
+        ((2, Fraction(1)), "offsets must be integers"),
+    ])
+    def test_constructor_checks_every_atom(self, atom, message):
+        for num, den in (((atom,), ()), (((2, 0),), (atom,))):
+            with pytest.raises(ValueError, match=message):
+                GammaRatioExpr(num, den)
+
+    def test_of_rejects_negative_offsets(self):
+        with pytest.raises(ValueError, match="offsets must be nonnegative"):
+            GammaRatioExpr.of(2, [1], [-1])
+        with pytest.raises(ValueError, match="two_delta must be a positive integer"):
+            GammaRatioExpr.of(0, [1], [])
+
     def test_identical_atoms_cancel(self):
         g = GammaRatioExpr.of(6, [5], [5])
         assert g.is_one

@@ -40,8 +40,7 @@ def failing_gamma(monkeypatch):
 
 
 def _gamma_bearing_samples():
-    """Exact values that no multiple of a non-rational root power matches,
-    so the matcher takes its certified ball path."""
+    """Exact values set against a root power that keeps Gamma content."""
     return [Fraction(k + 1, k + 2) for k in range(8)]
 
 
@@ -96,9 +95,10 @@ def test_match_root_power_ball_path():
     assert restored()
 
 
-def test_match_root_power_ball_path_exception(failing_gamma):
-    with pytest.raises(RuntimeError):
-        match_root_power(_gamma_bearing_samples(), 1, 2, 3)
+def test_match_root_power_gamma_bearing_samples_evaluate_no_ball(failing_gamma):
+    # The solver keeps exact constants only, so a Gamma-bearing power weight
+    # is rejected before any certified evaluation could run.
+    assert match_root_power(_gamma_bearing_samples(), 1, 2, 3) is None
     assert restored()
 
 

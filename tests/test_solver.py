@@ -109,7 +109,7 @@ class TestNullspace:
         dims = []
         for K in (20, 30, 40, 50):
             prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=K)
-            dims.append(nullspace(build_system(prob), increment=0).dimension)
+            dims.append(nullspace(build_system(prob)).dimension)
         assert dims == sorted(dims, reverse=True)
 
     def test_residue_class_split_dimension(self):
@@ -138,23 +138,6 @@ class TestMatchRootPower:
         v = [rf_eval(phi, Fraction(2 * k + 2)) for k in range(20)]
         v[7] += Fraction(1, 1000)
         assert match_root_power(v, 1, 1, 2) is None
-
-    def test_gamma_bearing_match_via_balls(self):
-        # rational samples consistent with 5x a non-rational root power,
-        # accurate far beyond the matcher's certification precision
-        import mpmath
-        from bergshift.gamma_ratio import eval_ball, power_weight
-        pw = power_weight(1, 2, 3)
-        approx = []
-        for k in range(12):
-            ball = eval_ball(pw, Fraction(2 * k + 2), 300)
-            digits = mpmath.nstr(ball.mid, 60, strip_zeros=False)
-            approx.append(Fraction(digits) * 5)
-        got = match_root_power(approx, 1, 2, 3, precision_bits=80)
-        assert got is not None
-        # a visible perturbation at the certification scale is refuted
-        approx[5] += Fraction(1, 10**6)
-        assert match_root_power(approx, 1, 2, 3, precision_bits=80) is None
 
 
 class TestConsistencyWithShiftAlgebra:
@@ -290,7 +273,7 @@ class TestVectorInNullspace:
     def test_agrees_with_fraction_sums(self, prob):
         rng = random.Random(prob.p * 100 + prob.n)
         sys_ = build_system(prob)
-        vectors = list(nullspace(sys_, increment=0).basis)
+        vectors = list(nullspace(sys_).basis)
         if (prob.m, prob.l) == (prob.p, prob.s):
             vectors += class_sample_vectors(prob)
         assert vectors
@@ -339,18 +322,34 @@ class TestRecount:
         assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (0, 0, True)
         assert built_truncations == []
 
-    def test_positive_dimension_cell_is_recounted(self, built_truncations):
-        sys_ = build_system(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=30))
+    @pytest.mark.parametrize("p, s, n, d, m, floor", [
+        (1, 2, 2, 3, 1, 1),  # (p, s): the gcd(p, s) class sample vectors
+        (2, 4, 3, 5, 2, 2),
+        (1, 2, 1, 2, 1, 2),  # pure shifts: 2 gcd(p, s) at every cell
+        (1, 2, 1, 2, 3, 2),
+        (2, 4, 2, 4, 1, 4),
+    ])
+    def test_cell_at_proved_floor_is_not_recounted(self, built_truncations, p, s, n, d, m, floor):
+        sys_ = build_system(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=m + s - p, K=30))
         rep = nullspace(sys_)
-        assert (rep.dimension, rep.dimension_at_increment) == (1, 1)
-        assert built_truncations == [30 + solver.STABILIZATION_INCREMENT]
+        assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (floor, floor, True)
+        assert built_truncations == []
+
+    def test_cell_above_proved_floor_is_recounted(self, built_truncations):
+        # At the smallest truncation (1, 2) of (1,2,2,3) has dim 2 > gcd(1, 2);
+        # the recount shows the drop.
+        sys_ = build_system(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=2))
+        rep = nullspace(sys_)
+        assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (2, 1, False)
+        assert built_truncations == [2 + solver.STABILIZATION_INCREMENT]
 
     def test_verify_theorem_builds_each_system_once(self, built_truncations):
-        # Seven cells at K = 60, one recount at the dim-1 cell (1, 2); the
-        # class vectors are checked against the scan's (1, 2) system.
+        # Seven cells at K = 60 and no recount: the (1, 2) cell sits at its
+        # floor gcd(1, 2) = 1 and every other cell at 0; the class vectors
+        # are checked against the scan's (1, 2) system.
         rep = verify_theorem(1, 2, 2, 3, bound=8, K=60)
         assert rep.status == "pass"
-        assert sorted(built_truncations) == [60] * 7 + [70]
+        assert built_truncations == [60] * 7
 
 
 class TestInputBounds:

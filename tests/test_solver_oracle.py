@@ -166,8 +166,8 @@ def test_dimension_does_not_increase_in_truncation(data):
     l = m + s - p
     K1 = data.draw(st.integers(max(s, l), 60))
     K2 = data.draw(st.integers(K1, 80))
-    dims = [nullspace(build_system(CommutantProblem(p, s, n, d, m, l, K)),
-                      increment=0).dimension for K in (K1, K2)]
+    dims = [nullspace(build_system(CommutantProblem(p, s, n, d, m, l, K))).dimension
+            for K in (K1, K2)]
     assert dims[0] >= dims[1]
 
 
@@ -195,13 +195,15 @@ class TestAlteredSystems:
 
     @staticmethod
     def check_against_oracle(sys):
-        rep = nullspace(sys, increment=0)
+        # The basis alone: these systems are not the rebuild of their
+        # problem, which the stabilization re-count of `nullspace` assumes.
+        basis = solver._nullspace_basis(sys)
         oracle = bareiss_basis(sys)
-        assert rep.dimension == len(oracle)
-        for vec in rep.basis:
+        assert len(basis) == len(oracle)
+        for vec in basis:
             assert vector_in_nullspace(sys, vec)
-        if rep.dimension == 1:
-            assert lead_normalized(rep.basis[0]) == oracle[0]
+        if len(basis) == 1:
+            assert lead_normalized(basis[0]) == oracle[0]
 
     @pytest.mark.parametrize("prob", PROBLEMS)
     def test_reordered_rows_take_the_reduction(self, prob, monkeypatch):
@@ -250,7 +252,7 @@ class TestAlteredSystems:
             if r.label == "second[k=4]" else r
             for r in sys_.rows)
         with pytest.raises(ArithmeticError, match="zero leading coefficient"):
-            nullspace(dataclasses.replace(sys_, rows=rows), increment=0)
+            nullspace(dataclasses.replace(sys_, rows=rows))
 
 
 def test_system_without_problem_matches_bareiss_basis():

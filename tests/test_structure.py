@@ -8,7 +8,8 @@
 * no ``assert`` statement carries control flow;
 * no ``tuple(<generator expression>)``: on hot paths the generator frames
   fragment the small-object allocator and raise peak memory, so tuples are
-  built from lists.
+  built from lists;
+* ``solver`` binds no certified-numerics name: it is exact throughout.
 """
 
 import ast
@@ -18,6 +19,7 @@ import bergshift
 
 PACKAGE = Path(bergshift.__file__).parent
 SCOPE = ("gamma_ratio", "working_precision")
+CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "working_precision"}
 
 
 def _modules():
@@ -107,4 +109,15 @@ def test_no_tuple_of_generator():
            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
            and node.func.id == "tuple" and node.args
            and isinstance(node.args[0], ast.GeneratorExp)]
+    assert bad == []
+
+
+def test_solver_binds_no_certified_numerics():
+    tree = dict(_modules())["solver"]
+    bad = [f"solver:{node.lineno}"
+           for node in ast.walk(tree)
+           if (isinstance(node, ast.Name) and node.id in CERTIFIED_NUMERICS)
+           or (isinstance(node, ast.Attribute) and node.attr in CERTIFIED_NUMERICS)
+           or (isinstance(node, ast.alias) and node.name.split(".")[0] in CERTIFIED_NUMERICS)
+           or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")]
     assert bad == []
