@@ -17,6 +17,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -448,9 +449,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The grammar, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def dispatch(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns the exit code, printing the report."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         payload, code = _HANDLERS[args.command](args)

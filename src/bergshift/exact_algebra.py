@@ -516,16 +516,39 @@ def _tokenize(text: str, variable: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+#: Deepest nesting of parentheses and unary signs either parser accepts;
+#: every level is a few stack frames of recursive descent.
+MAX_NESTING_DEPTH = 100
+
+#: Largest exponent ``parse_rational_function`` accepts; the exponents of
+#: nested powers multiply, so ``(z^2)^600`` counts as 1200.
+MAX_POWER = 1000
+
+
 class TokenCursor:
     """The tokens of ``text`` (integers, the one ``variable`` letter and
     +-*/^()) with a read position: the base of the package's
     recursive-descent parsers.  Methods, unlike nested closures, build no
-    reference cycle per parse."""
+    reference cycle per parse.  Each nesting level is opened with
+    :meth:`enter` and closed with :meth:`leave`, so input nested deeper
+    than :data:`MAX_NESTING_DEPTH` is a syntax error, not a stack
+    overflow."""
 
     def __init__(self, text: str, variable: str):
         self.text = text
         self.tokens = _tokenize(text, variable)
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, at: int) -> None:
+        """Open one nesting level at text position ``at``."""
+        if self.depth == MAX_NESTING_DEPTH:
+            raise ExprSyntaxError(self.text, at,
+                                  f"nesting deeper than MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}")
+        self.depth += 1
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -540,8 +563,25 @@ class TokenCursor:
         return self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
 
 
+def _power(base: RationalFunction, exponent: int) -> RationalFunction:
+    """base ** exponent by repeated squaring."""
+    out = RationalFunction.one()
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return out
+
+
 class _ExprParser(TokenCursor):
     """Recursive-descent parser for rational functions in z."""
+
+    def __init__(self, text: str, variable: str):
+        super().__init__(text, variable)
+        # product of the exponents of the powers inside the atom being read
+        self.power_scale = 1
 
     def parse_sum(self) -> RationalFunction:
         left = self.parse_product()
@@ -560,16 +600,19 @@ class _ExprParser(TokenCursor):
         return left
 
     def parse_power(self) -> RationalFunction:
+        outer = self.power_scale
+        self.power_scale = 1
         base = self.parse_atom()
         if self.peek() == "^":
             self.take()
             kind, val, at = self.take_or_eof()
             if kind != "int":
                 raise ExprSyntaxError(self.text, at, "exponent must be an integer")
-            out = RationalFunction.one()
-            for _ in range(int(val)):  # small exponents only
-                out = out * base
-            return out
+            self.power_scale *= int(val)
+            if self.power_scale > MAX_POWER:
+                raise ExprSyntaxError(self.text, at, f"exponent above MAX_POWER = {MAX_POWER}")
+            base = _power(base, int(val))
+        self.power_scale = max(outer, self.power_scale)
         return base
 
     def parse_atom(self) -> RationalFunction:
@@ -578,17 +621,20 @@ class _ExprParser(TokenCursor):
             return RationalFunction.constant(int(val))
         if kind == "z":
             return RationalFunction.z_plus(0)
-        if kind == "-":
-            return -self.parse_power()  # binds below ^: -z^4 is -(z^4)
-        if kind == "+":
-            return self.parse_power()
+        if kind not in ("(", "-", "+"):
+            raise ExprSyntaxError(self.text, at, "expected a term")
+        self.enter(at)
         if kind == "(":
             inner = self.parse_sum()
             if self.peek() != ")":
                 raise ExprSyntaxError(self.text, at, "unbalanced parenthesis")
             self.take()
-            return inner
-        raise ExprSyntaxError(self.text, at, "expected a term")
+        else:
+            inner = self.parse_power()  # binds below ^: -z^4 is -(z^4)
+            if kind == "-":
+                inner = -inner
+        self.leave()
+        return inner
 
 
 def parse_rational_function(text: str) -> RationalFunction:

@@ -27,6 +27,14 @@ interval arithmetic: :func:`working_precision` is the one precision scope,
 :func:`eval_ball` encloses one value, and :func:`ball_ratio` is the one
 certified check that two weight expressions are proportional at sample
 points.  The commutant solver uses none of them: it is exact throughout.
+
+Each precision pass computes every interval once: one memo, created inside
+the pass's :func:`working_precision` block and shared by both sides of a
+ratio check, holds the enclosure of each integer, each rational and each
+Gamma argument.  A memo never outlives its pass, so no interval crosses a
+precision doubling.  The pole test is part of evaluation: the enclosure
+of a weight at a pole of a normalized term is None, found while walking
+the same terms, so no sample is inspected twice.
 """
 
 from __future__ import annotations
@@ -391,29 +399,59 @@ def _ball_from_interval(x) -> BallValue:
     return BallValue(mid, max(rad, mp.mpf(0)))
 
 
-def _iv_rational(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-
-
 def _is_gamma_pole(arg: Fraction) -> bool:
     return arg <= 0 and arg.denominator == 1
 
 
-def _iv_weight(w: WeightExpr, z0: Fraction):
-    """Interval enclosure of w(z0); assumes pole-freedom was checked."""
-    total = iv.mpf(0)
+class _IntervalMemo:
+    """Interval values of one precision pass, each computed once: ``iv.mpf``
+    per integer, the enclosure num/den per rational, ``iv.gamma`` per
+    argument.  Valid only at the precision it was filled at, so every
+    memo lives inside one :func:`working_precision` block."""
+
+    def __init__(self):
+        self._ints: dict[int, object] = {}
+        self._rationals: dict[Fraction, object] = {}
+        self._gammas: dict[Fraction, object] = {}
+
+    def integer(self, k: int):
+        x = self._ints.get(k)
+        if x is None:
+            x = self._ints[k] = iv.mpf(k)
+        return x
+
+    def rational(self, q: Fraction):
+        x = self._rationals.get(q)
+        if x is None:
+            x = self._rationals[q] = self.integer(q.numerator) / self.integer(q.denominator)
+        return x
+
+    def gamma(self, arg: Fraction):
+        x = self._gammas.get(arg)
+        if x is None:
+            x = self._gammas[arg] = iv.gamma(self.rational(arg))
+        return x
+
+
+def _iv_weight(w: WeightExpr, z0: Fraction, memo: _IntervalMemo):
+    """Interval enclosure of w(z0), or None when z0 is a pole of some
+    normalized term (see :meth:`WeightExpr.poles_at`)."""
+    total = memo.integer(0)
     for c, g in w.terms:
-        num = c.num.eval(z0)
         den = c.den.eval(z0)
         if den == 0:
-            raise PoleError(z0)
-        if any(_is_gamma_pole((z0 + off) / td) for td, off in g.den):
+            return None
+        num_args = [(z0 + off) / td for td, off in g.num]
+        if any(_is_gamma_pole(a) for a in num_args):
+            return None
+        den_args = [(z0 + off) / td for td, off in g.den]
+        if any(_is_gamma_pole(a) for a in den_args):
             continue  # reciprocal Gamma vanishes: the term contributes 0
-        term = _iv_rational(num) / _iv_rational(den)
-        for td, off in g.num:
-            term *= iv.gamma(_iv_rational((z0 + off) / td))
-        for td, off in g.den:
-            term /= iv.gamma(_iv_rational((z0 + off) / td))
+        term = memo.rational(c.num.eval(z0)) / memo.rational(den)
+        for a in num_args:
+            term *= memo.gamma(a)
+        for a in den_args:
+            term /= memo.gamma(a)
         total += term
     return total
 
@@ -426,9 +464,10 @@ def eval_ball(w: WeightExpr, z0: RationalLike, precision_bits: int = 200) -> Bal
     """
     z0 = as_rational(z0)
     with working_precision(precision_bits):
-        if w.poles_at(z0):
+        x = _iv_weight(w, z0, _IntervalMemo())
+        if x is None:
             raise PoleError(z0)
-        return _ball_from_interval(_iv_weight(w, z0))
+        return _ball_from_interval(x)
 
 
 @dataclass(frozen=True)
@@ -477,12 +516,13 @@ def ball_ratio(
             ratio_ivs: list[tuple[Fraction, object]] = []
             unresolved = False
             quality = mp.mpf(2) ** (-max(16, bits // 4))
+            memo = _IntervalMemo()
             for z in zs:
-                if right.poles_at(z) or left.poles_at(z):
+                riv = _iv_weight(right, z, memo)
+                liv = None if riv is None else _iv_weight(left, z, memo)
+                if liv is None:
                     skipped.append(z)
                     continue
-                liv = _iv_weight(left, z)
-                riv = _iv_weight(right, z)
                 lball = _ball_from_interval(liv)
                 rball = _ball_from_interval(riv)
                 if 0 in riv:

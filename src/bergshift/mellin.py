@@ -94,10 +94,12 @@ class _SymbolParser(TokenCursor):
             sign = -1 if op == "-" else 1
         kind, val, at = self.take_or_eof()
         if kind == "(":
+            self.enter(at)
             inner = self.parse_ratio(what, allow_sign=True)
             if self.peek() != ")":
                 raise ExprSyntaxError(self.text, at, "unbalanced parenthesis")
             self.take()
+            self.leave()
             return sign * inner
         if kind != "int":
             raise ExprSyntaxError(self.text, at, f"expected {what}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bergshift import identities, solver
+from bergshift import cli, identities, solver
 from bergshift.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -21,7 +21,7 @@ from bergshift.cli import (
     ser_weight,
     weight_from_jsonable,
 )
-from bergshift.exact_algebra import parse_rational
+from bergshift.exact_algebra import MAX_NESTING_DEPTH, parse_rational
 from bergshift.gamma_ratio import power_weight
 from bergshift.mellin import RadialSymbol, toeplitz_weight
 
@@ -161,6 +161,85 @@ class TestUsageErrors:
                 "--d", "3", "--m", "2", "--l", "3", "--samples", "5"]
         assert dispatch(argv + ["--precision-bits", "0"]) == EXIT_USAGE
         assert dispatch(argv + ["--precision-bits", "1"]) == EXIT_NEGATIVE
+
+
+class TestDeepNesting:
+    DEEP = "(" * 3000 + "1" + ")" * 3000
+
+    @pytest.mark.parametrize("argv", [
+        ["weight", "--p", "1", "--symbol", DEEP],
+        ["mellin", "--symbol", "r^" + DEEP],
+        ["apply", "--term", "1:" + DEEP, "--k", "0"],
+    ])
+    def test_deep_nesting_is_a_usage_error(self, argv, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"nesting deeper than MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH}" in captured.err
+
+    def test_nesting_at_the_limit_is_accepted(self, capsys):
+        depth = MAX_NESTING_DEPTH
+        code, payload = run(capsys, "weight", "--p", "1", "--symbol",
+                            "(" * depth + "1" + ")" * depth + "*r^2")
+        assert code == EXIT_OK
+        assert payload["weight"] == "(z+2)/(z+3)"
+
+
+class TestParserReuse:
+    """``dispatch`` builds its argument parser once per process; a call must
+    not see anything an earlier call left behind."""
+
+    IDENTITY = ["identity-check", "--id", "functional", "--p", "1", "--s", "2",
+                "--n", "2", "--d", "3", "--m", "2", "--l", "3"]
+
+    @staticmethod
+    def outputs(capsys, sequence):
+        results = []
+        for argv in sequence:
+            code = dispatch(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    @pytest.mark.parametrize("sequence", [
+        [["--output", "text", "weight", "--p", "1", "--symbol", "r^2"],
+         ["weight", "--p", "1", "--symbol", "r^2"]],
+        [["weight", "--p", "1"],
+         ["weight", "--p", "1", "--symbol", "r^2"],
+         ["frobnicate"],
+         ["weight", "--p", "2", "--symbol", "r"]],
+        [["apply", "--term", "1:r^2", "--term", "2:r^3", "--k", "0"],
+         ["apply", "--term", "1:r^2", "--k", "1"],
+         ["mellin", "--symbol", "2*r+3*r^4"],
+         IDENTITY + ["--samples", "5", "--precision-bits", "64"],
+         IDENTITY + ["--samples", "3"],
+         ["rationality", "--a", "2", "--b", "4", "--c", "0", "--d", "6", "--delta", "1"],
+         ["commutator", "--a", "1:r^2", "--a", "0:r", "--b", "2:r^3"],
+         ["commutator", "--a", "1:r^2", "--b", "2:r^3"],
+         ["root-verify", "--p", "2", "--n", "3"]],
+    ])
+    def test_sequence_matches_a_fresh_parser_per_call(self, sequence, capsys, monkeypatch):
+        assert cli._parser() is cli._parser()
+        reused = self.outputs(capsys, sequence)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outputs(capsys, sequence)
+        assert reused == fresh
+
+    def test_text_output_does_not_stick(self, capsys):
+        outputs = self.outputs(capsys, [
+            ["--output", "text", "weight", "--p", "1", "--symbol", "r^2"],
+            ["weight", "--p", "1", "--symbol", "r^2"],
+        ])
+        assert [code for code, _, _ in outputs] == [EXIT_OK, EXIT_OK]
+        assert outputs[0][1] == "degree: 1\nweight: (z+2)/(z+3)\n"
+        assert json.loads(outputs[1][1]) == {"degree": 1, "weight": "(z+2)/(z+3)"}
+
+    def test_repeated_flags_do_not_accumulate(self, capsys):
+        code, first = run(capsys, "apply", "--term", "1:r^2", "--term", "2:r^3", "--k", "0")
+        code2, second = run(capsys, "apply", "--term", "1:r^2", "--k", "0")
+        assert (code, code2) == (EXIT_OK, EXIT_OK)
+        assert [r["index"] for r in first["result"]] == [1, 2]
+        assert second["result"] == [{"index": 1, "coefficient": "4/5"}]
 
 
 class TestIdentityCheckBounds:

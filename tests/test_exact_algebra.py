@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergshift.exact_algebra import (
+    MAX_NESTING_DEPTH,
+    MAX_POWER,
     ExprSyntaxError,
     PoleError,
     Polynomial,
@@ -265,3 +267,61 @@ def test_rf_eval_pole_at_negative_non_integer_point():
     with pytest.raises(PoleError) as exc:
         rf_eval(rf((1,), (7, 3)), point)
     assert exc.value.point == point
+
+
+class TestParserBounds:
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_NESTING_DEPTH
+        assert parse_rational_function("(" * depth + "z+1" + ")" * depth) == rf((1, 1))
+        assert parse_rational_function("-" * depth + "z") == rf((0, 1))
+
+    @pytest.mark.parametrize("opener", ["(", "-", "+", "(-"])
+    def test_nesting_past_the_limit_names_it(self, opener):
+        for depth in (MAX_NESTING_DEPTH + 1, 3000):
+            text = opener * depth + "z" + ")" * (opener.count("(") * depth)
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_rational_function(text)
+            assert exc.value.position == MAX_NESTING_DEPTH
+            assert str(exc.value).startswith(
+                f"nesting deeper than MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH} at position")
+
+    def test_nesting_counts_open_levels_only(self):
+        # siblings do not add up: many closed groups in a row are depth 1
+        text = "+".join(["(z)"] * (3 * MAX_NESTING_DEPTH))
+        assert parse_rational_function(text) == rf((0, 3 * MAX_NESTING_DEPTH))
+
+    def test_power_up_to_the_limit_parses(self):
+        top = Polynomial.from_coeffs([0] * MAX_POWER + [1])
+        assert parse_rational_function(f"z^{MAX_POWER}") == rf_normalize(top, poly(1))
+        assert parse_rational_function(f"(z^2)^{MAX_POWER // 2}") == rf_normalize(top, poly(1))
+
+    @pytest.mark.parametrize("text, position", [
+        (f"z^{MAX_POWER + 1}", 2),
+        ("z^3000", 2),
+        (f"(z+1)^{10 ** 30}", 6),
+        (f"(z^2)^{MAX_POWER // 2 + 1}", 6),  # nested exponents multiply
+        ("((2^10)^10)^11", 12),
+    ])
+    def test_power_past_the_limit_names_it(self, text, position):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_rational_function(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"exponent above MAX_POWER = {MAX_POWER} at position {position}: {text!r}"
+
+    def test_power_by_squaring_equals_repeated_product(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            base = _random_rf(rng)
+            expected = RationalFunction.one()
+            for e in range(14):
+                text = f"({format_rational_function(base)})^{e}"
+                assert parse_rational_function(text) == expected, (base, e)
+                expected = expected * base
+
+    def test_formatted_degree_at_the_limit_round_trips(self):
+        rng = random.Random(5)
+        coeffs = [Fraction(0)] * MAX_POWER + [Fraction(1)]
+        for i in rng.sample(range(MAX_POWER), 12):
+            coeffs[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        a = rf_normalize(Polynomial.from_coeffs(coeffs), poly(3, 1))
+        assert parse_rational_function(format_rational_function(a)) == a

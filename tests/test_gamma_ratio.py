@@ -1,10 +1,11 @@
 """Gamma-quotient canonicalization, rationality decisions, power weights."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from bergshift.exact_algebra import (
     PoleError,
@@ -22,6 +23,7 @@ from bergshift.gamma_ratio import (
     power_weight,
     rationality_oracle,
 )
+from bergshift.identities import build_sides
 
 
 def rf(num, den=(1,)):
@@ -225,6 +227,94 @@ class TestBallRatio:
         check = ball_ratio(w.scale(2), w, self.ZS)
         assert check.skipped_poles == (Fraction(4),)
         assert check.verdict == "proportional"
+
+
+class TestIntervalMemo:
+    """``ball_ratio`` shares one interval memo per precision pass between its
+    two sides and folds the pole test into evaluation; ``eval_ball``, with
+    a fresh memo per call, is the oracle."""
+
+    ZS = [Fraction(2 * k + 2) for k in range(8)]
+    # (scenario, p, s, n, d, m, l, bits, passes): each keeps Gamma content
+    # on at least one side; the low starting precisions force doublings.
+    INSTANCES = [
+        ("commutator", 1, 2, 2, 3, 2, 3, 200, 1),
+        ("commutator", 2, 3, 1, 1, 1, 2, 4, 4),
+        ("functional", 1, 2, 2, 3, 2, 3, 200, 1),
+        ("functional", 1, 2, 2, 3, 2, 3, 8, 2),
+        ("factored", 2, 4, 1, 3, 1, 3, 200, 1),
+        ("factored", 2, 4, 1, 3, 1, 3, 4, 3),
+    ]
+
+    @staticmethod
+    def pass_count(check, bits):
+        return check.precision_bits.bit_length() - bits.bit_length() + 1
+
+    @pytest.mark.parametrize("instance", INSTANCES)
+    def test_rows_equal_eval_ball_bit_for_bit(self, instance):
+        *args, bits, passes = instance
+        left, right = build_sides(*args)
+        assert not (left.is_rational and right.is_rational)
+        check = ball_ratio(left, right, self.ZS, bits)
+        assert self.pass_count(check, bits) == passes
+        assert len(check.rows) == len(self.ZS)
+        for row in check.rows:
+            for side, ball in ((left, row.left), (right, row.right)):
+                oracle = eval_ball(side, row.z, check.precision_bits)
+                assert (ball.mid._mpf_, ball.rad._mpf_) == (oracle.mid._mpf_, oracle.rad._mpf_)
+
+    @pytest.mark.parametrize("instance", INSTANCES)
+    def test_one_gamma_call_per_distinct_argument_per_pass(self, instance, monkeypatch):
+        *args, bits, passes = instance
+        left, right = build_sides(*args)
+        calls = Counter()
+        gamma = iv.gamma
+
+        def spy(x):
+            calls[iv.prec, x.a, x.b] += 1
+            return gamma(x)
+
+        monkeypatch.setattr(iv, "gamma", spy)
+        check = ball_ratio(left, right, self.ZS, bits)
+        assert self.pass_count(check, bits) == passes
+        assert set(calls.values()) == {1}
+
+        def at_pole(arg):
+            return arg <= 0 and arg.denominator == 1
+
+        # Every pass evaluates each argument of each Gamma atom once, except
+        # in terms that vanish because a denominator atom sits at a pole.
+        arguments = {(z + off) / td
+                     for z in self.ZS
+                     for side in (left, right)
+                     for _, g in side.terms
+                     if not any(at_pole((z + off) / td) for td, off in g.den)
+                     for td, off in g.num + g.den}
+        per_pass = Counter(prec for prec, _, _ in calls)
+        assert sorted(per_pass) == [bits << k for k in range(passes)]
+        assert set(per_pass.values()) == {len(arguments)}
+
+    def test_skipped_poles_match_poles_at(self):
+        zs = [Fraction(z) for z in (0, -2, -4, -1, -3, -6)] + [
+            Fraction(-1, 2), Fraction(1, 3), Fraction(2), Fraction(4), Fraction(6), Fraction(10)]
+        pole_at_4 = WeightExpr.from_rational(rf((1,), (-4, 1)))
+        cases = [build_sides("commutator", 1, 2, 2, 3, 2, 3),
+                 build_sides("functional", 1, 2, 2, 3, 2, 3),
+                 build_sides("factored", 2, 4, 1, 3, 1, 3)]
+        cases += [(pole_at_4 * a, b) for a, b in cases] + [(a, pole_at_4 * b) for a, b in cases]
+        for left, right in cases:
+            expected = tuple([z for z in zs if right.poles_at(z) or left.poles_at(z)])
+            assert expected  # the samples hit poles of this pair
+            check = ball_ratio(left, right, zs)
+            assert check.skipped_poles == expected
+            assert [row.z for row in check.rows] == [z for z in zs if z not in expected]
+            for side in (left, right):
+                for z in zs:
+                    if side.poles_at(z):
+                        with pytest.raises(PoleError):
+                            eval_ball(side, z)
+                    else:
+                        eval_ball(side, z)
 
 
 def test_mixed_scale_products_stay_closed():

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from bergshift.exact_algebra import (
+    MAX_NESTING_DEPTH,
     ExprSyntaxError,
     Polynomial,
     parse_rational_function,
@@ -76,6 +77,23 @@ class TestParse:
             parse_symbol(text)
         assert exc.value.position == position
         assert str(exc.value) == f"{message} at position {position}: {text!r}"
+
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_NESTING_DEPTH
+        sym = parse_symbol("(" * depth + "-1/2" + ")" * depth + "*r^" + "(" * depth + "3" + ")" * depth)
+        assert sym.terms == ((Fraction(-1, 2), Fraction(3)),)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH + 1, 3000])
+    def test_nesting_past_the_limit_names_it(self, depth):
+        # the opener of level MAX_NESTING_DEPTH + 1 is the offending position
+        for text, position in (("(" * depth + "1" + ")" * depth, MAX_NESTING_DEPTH),
+                               ("r^" + "(-" * depth + "1" + ")" * depth,
+                                2 + 2 * MAX_NESTING_DEPTH)):
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_symbol(text)
+            assert exc.value.position == position
+            assert str(exc.value).startswith(
+                f"nesting deeper than MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH} at position")
 
     def test_format_round_trip(self):
         for text in ("r^3", "2*r+3*r^4", "1", "-1/2*r+r^7/2", "5/3"):

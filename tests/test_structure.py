@@ -9,7 +9,9 @@
 * no ``tuple(<generator expression>)``: on hot paths the generator frames
   fragment the small-object allocator and raise peak memory, so tuples are
   built from lists;
-* ``solver`` binds no certified-numerics name: it is exact throughout.
+* ``solver`` binds no certified-numerics name: it is exact throughout;
+* ``iv.gamma`` appears once, in the memoized lookup of one precision pass,
+  so no second Gamma evaluation path can come back.
 """
 
 import ast
@@ -20,6 +22,7 @@ import bergshift
 PACKAGE = Path(bergshift.__file__).parent
 SCOPE = ("gamma_ratio", "working_precision")
 CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "working_precision"}
+GAMMA_SITE = ("gamma_ratio", "_IntervalMemo", "gamma")
 
 
 def _modules():
@@ -121,3 +124,21 @@ def test_solver_binds_no_certified_numerics():
            or (isinstance(node, ast.alias) and node.name.split(".")[0] in CERTIFIED_NUMERICS)
            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")]
     assert bad == []
+
+
+def _is_interval_gamma(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "gamma"
+            and ((isinstance(node.value, ast.Name) and node.value.id == "iv")
+                 or (isinstance(node.value, ast.Attribute) and node.value.attr == "iv")))
+
+
+def test_interval_gamma_only_in_the_memo():
+    mod, cls, method = GAMMA_SITE
+    sites = [(name, node.lineno) for name, tree in _modules()
+             for node in ast.walk(tree) if _is_interval_gamma(node)]
+    tree = dict(_modules())[mod]
+    [memo] = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls]
+    [lookup] = [n for n in memo.body if isinstance(n, ast.FunctionDef) and n.name == method]
+    allowed = [(mod, node.lineno) for node in ast.walk(lookup) if _is_interval_gamma(node)]
+    assert len(allowed) == 1
+    assert sites == allowed
