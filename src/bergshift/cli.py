@@ -66,6 +66,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141
 
+#: Largest degree p that `root-verify` accepts; it composes the root p times.
+MAX_ROOT_DEGREE = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -290,6 +293,9 @@ def _cmd_rationality(args) -> tuple[dict, int]:
 
 
 def _cmd_root_verify(args) -> tuple[dict, int]:
+    if args.p > MAX_ROOT_DEGREE:
+        raise ValueError(
+            f"degree p = {args.p} exceeds the limit MAX_ROOT_DEGREE = {MAX_ROOT_DEGREE}")
     root = root_operator(args.p, args.n)
     power = ShiftSum.identity()
     for _ in range(args.p):
@@ -377,55 +383,61 @@ def build_parser() -> _Parser:
     parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_)
-        return cmd
-
-    c = add("mellin", "Mellin transform of a radial symbol")
+    c = sub.add_parser("mellin", help="Mellin transform of a radial symbol")
+    c.set_defaults(handler=_cmd_mellin)
     c.add_argument("--symbol", required=True)
 
-    c = add("weight", "shift weight of a quasihomogeneous operator")
+    c = sub.add_parser("weight", help="shift weight of a quasihomogeneous operator")
+    c.set_defaults(handler=_cmd_weight)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--symbol", required=True)
 
-    c = add("apply", "apply an operator sum to a basis monomial z^k")
+    c = sub.add_parser("apply", help="apply an operator sum to a basis monomial z^k")
+    c.set_defaults(handler=_cmd_apply)
     c.add_argument("--term", action="append", required=True,
                    metavar="DEGREE:SYMBOL")
     c.add_argument("--k", type=int, required=True)
 
-    c = add("commutator", "commutator of two operator sums")
+    c = sub.add_parser("commutator", help="commutator of two operator sums")
+    c.set_defaults(handler=_cmd_commutator)
     c.add_argument("--a", action="append", required=True, metavar="DEGREE:SYMBOL")
     c.add_argument("--b", action="append", required=True, metavar="DEGREE:SYMBOL")
 
-    c = add("rationality", "decide rationality of a 2-over-2 Gamma quotient")
+    c = sub.add_parser("rationality", help="decide rationality of a 2-over-2 Gamma quotient")
+    c.set_defaults(handler=_cmd_rationality)
     for flag in ("--a", "--b", "--c", "--d"):
         c.add_argument(flag, type=int, required=True)
     c.add_argument("--delta", type=int, required=True)
 
-    c = add("root-verify", "telescoping check for the canonical root")
+    c = sub.add_parser("root-verify", help="telescoping check for the canonical root")
+    c.set_defaults(handler=_cmd_root_verify)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
 
-    c = add("identity-check", "pointwise proportionality of a weight identity")
+    c = sub.add_parser("identity-check", help="pointwise proportionality of a weight identity")
+    c.set_defaults(handler=_cmd_identity_check)
     c.add_argument("--id", choices=SCENARIOS, required=True)
     for flag in ("--p", "--s", "--n", "--d", "--m", "--l"):
         c.add_argument(flag, type=int, required=True)
     c.add_argument("--samples", type=int, default=50)
     c.add_argument("--precision-bits", type=int, default=200)
 
-    c = add("scan", "nullspace dimensions over all admissible (m, l) pairs")
+    c = sub.add_parser("scan", help="nullspace dimensions over all admissible (m, l) pairs")
+    c.set_defaults(handler=_cmd_scan)
     for flag in ("--p", "--s", "--n", "--d"):
         c.add_argument(flag, type=int, required=True)
     c.add_argument("--bound", type=int, default=8)
     c.add_argument("--K", type=int, default=40)
 
-    c = add("verify-theorem", "full commutant verification at truncation scale")
+    c = sub.add_parser("verify-theorem", help="full commutant verification at truncation scale")
+    c.set_defaults(handler=_cmd_verify_theorem)
     for flag in ("--p", "--s", "--n", "--d"):
         c.add_argument(flag, type=int, required=True)
     c.add_argument("--bound", type=int, default=8)
     c.add_argument("--K", type=int, default=40)
 
-    c = add("oracle-quadrature", "cross-check a weight against quadrature")
+    c = sub.add_parser("oracle-quadrature", help="cross-check a weight against quadrature")
+    c.set_defaults(handler=_cmd_oracle_quadrature)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--symbol", required=True)
     c.add_argument("--k", type=int, required=True)
@@ -433,20 +445,6 @@ def build_parser() -> _Parser:
     c.add_argument("--tolerance", default="1e-10")
 
     return parser
-
-
-_HANDLERS = {
-    "mellin": _cmd_mellin,
-    "weight": _cmd_weight,
-    "apply": _cmd_apply,
-    "commutator": _cmd_commutator,
-    "rationality": _cmd_rationality,
-    "root-verify": _cmd_root_verify,
-    "identity-check": _cmd_identity_check,
-    "scan": _cmd_scan,
-    "verify-theorem": _cmd_verify_theorem,
-    "oracle-quadrature": _cmd_oracle_quadrature,
-}
 
 
 @functools.cache
@@ -460,7 +458,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        payload, code = _HANDLERS[args.command](args)
+        payload, code = args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE

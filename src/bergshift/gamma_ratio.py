@@ -303,20 +303,6 @@ class WeightExpr:
             total += rf_eval(c, z0)
         return total
 
-    def poles_at(self, z0: RationalLike) -> bool:
-        """True when some term of the normalized form is singular at z0.
-
-        Numerator Gamma atoms at nonpositive integer arguments are poles;
-        denominator atoms there only make the term vanish.
-        """
-        z0 = as_rational(z0)
-        for c, g in self.terms:
-            if c.den.eval(z0) == 0:
-                return True
-            if any(_is_gamma_pole((z0 + off) / td) for td, off in g.num):
-                return True
-        return False
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -435,7 +421,9 @@ class _IntervalMemo:
 
 def _iv_weight(w: WeightExpr, z0: Fraction, memo: _IntervalMemo):
     """Interval enclosure of w(z0), or None when z0 is a pole of some
-    normalized term (see :meth:`WeightExpr.poles_at`)."""
+    normalized term: a zero coefficient denominator, or a numerator Gamma
+    atom at a nonpositive integer.  Denominator atoms there only make the
+    term vanish."""
     total = memo.integer(0)
     for c, g in w.terms:
         den = c.den.eval(z0)

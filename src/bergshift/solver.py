@@ -16,16 +16,20 @@ the unknowns F_0..F_K, G_0..G_K.
 
 Rows (1) and (2) are first-order recurrences with leading coefficients
 Phi(z_k), Psi(z_k) > 0: they pin each F[k >= p] to an exact multiple of
-F[k mod p] and each G[k >= s] to one of G[k mod s].  Substituted into (3),
-they leave K - s + 1 rows in the p + s parameters F[0..p-1], G[0..s-1],
-solved by one exact Gauss-Jordan elimination.  Lifting back is a bijection
-onto the solutions of (1) and (2), so the dimension is exact; each lifted
-vector is re-verified against every row.  The multiples do not depend on
-K and a larger K only appends rows, so dim(K) cannot increase in K.  As a
-stabilization check the dimension is re-counted at K + 10 and reported as
-found, but only where no proof settles it: dim(K) never drops below the
-floor of :func:`_proved_floor`, so a count at the floor holds at K + 10 and
-is not re-counted.  The module is exact throughout: it evaluates no ball.
+F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`build_system`
+emits them first, in order of k, and the solver reads the pins from them
+by position; a system whose leading rows do not have that layout raises
+ValueError, and a system without a problem is eliminated whole.
+Substituted into (3), the pins leave K - s + 1 rows in the p + s
+parameters F[0..p-1], G[0..s-1], solved by one exact Gauss-Jordan
+elimination.  Lifting back is a bijection onto the solutions of (1) and
+(2), so the dimension is exact; each lifted vector is re-verified against
+every row.  The multiples do not depend on K and a larger K only appends
+rows, so dim(K) cannot increase in K.  As a stabilization check the
+dimension is re-counted at K + 10 and reported as found, but only where
+no proof settles it: dim(K) never drops below the floor of
+:func:`_proved_floor`, so a count at the floor holds at K + 10 and is not
+re-counted.  The module is exact throughout: it evaluates no ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -89,10 +93,6 @@ class CommutantProblem:
             raise ValueError("monomial exponents must be positive")
         if self.K < max(self.p, self.s, self.m, self.l):
             raise ValueError("truncation K too small for the given degrees")
-
-    def nondegenerate(self) -> bool:
-        """True when the reference operators do not commute (computed)."""
-        return not commuting_pair(self.p, self.n, self.s, self.d)
 
 
 @dataclass(frozen=True)
@@ -182,46 +182,42 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> li
             for f in range(ncols) if f not in pivots]
 
 
-def _parametrize(sys: ExactLinearSystem):
-    """Write every unknown as a scale times one parameter: F[0..p-1] and
-    G[0..s-1] when the system's two-term rows (1) and (2) pin every other
-    unknown, else the unknown itself.  Returns the lift, one (parameter,
-    scale) pair per unknown, the parameter count and the unused rows.
+def _lift(sys: ExactLinearSystem):
+    """Write every unknown as a scale times one parameter, F[0..p-1] or
+    G[0..s-1], reading the pins by position from the rows (1) and (2) that
+    :func:`build_system` emits first; without a problem, every unknown is
+    its own parameter.  Returns the lift, one (parameter, scale) pair per
+    unknown, the parameter count and the rows left to eliminate.
     """
-    identity = [(j, Fraction(1)) for j in range(sys.num_unknowns)], sys.num_unknowns, sys.rows
     prob = sys.problem
     if prob is None:
-        return identity
+        return [(j, Fraction(1)) for j in range(sys.num_unknowns)], sys.num_unknowns, sys.rows
     K = prob.K
-    pins: dict[int, Fraction] = {}
-    rest = []
-    for row in sys.rows:
-        if len(row.coeffs) == 2:
-            (lo, c_lo), (hi, c_hi) = sorted(row.coeffs)
-            step = prob.p if hi <= K else prob.s
-            if hi - lo == step and (lo <= K) == (hi <= K):
-                if c_hi == 0:
-                    raise ArithmeticError(
-                        f"recurrence row for unknown {hi} has a zero leading coefficient")
-                if hi not in pins:
-                    pins[hi] = -c_lo / c_hi
-                    continue
-        rest.append(row)
     lift: list[tuple[int, Fraction]] = []
+    i = 0
     for offset, step, first_param in ((0, prob.p, 0), (K + 1, prob.s, prob.p)):
         for k in range(K + 1):
             if k < step:
                 lift.append((first_param + k, Fraction(1)))
-            elif offset + k in pins:
-                param, scale = lift[offset + k - step]
-                lift.append((param, scale * pins[offset + k]))
-            else:
-                return identity
-    return lift, prob.p + prob.s, rest
+                continue
+            pinned, earlier = offset + k, offset + k - step
+            row = sys.rows[i].coeffs if i < len(sys.rows) else ()
+            if len(row) != 2 or (row[0][0], row[1][0]) != (pinned, earlier):
+                raise ValueError(
+                    f"row {i} is not the recurrence row ({pinned}, {earlier}) of build_system's "
+                    f"layout: K - p + 1 first rows, then K - s + 1 second rows")
+            (_, lead), (_, trail) = row
+            if lead == 0:
+                raise ArithmeticError(
+                    f"recurrence row for unknown {pinned} has a zero leading coefficient")
+            param, scale = lift[earlier]
+            lift.append((param, scale * (-trail / lead)))
+            i += 1
+    return lift, prob.p + prob.s, sys.rows[i:]
 
 
 def _nullspace_basis(sys: ExactLinearSystem) -> list[tuple[Fraction, ...]]:
-    lift, width, rows = _parametrize(sys)
+    lift, width, rows = _lift(sys)
     # Lazy: the elimination stops reading rows once it has full rank.
     reduced = (((lift[j][0], c * lift[j][1]) for j, c in row.coeffs) for row in rows)
     basis: list[tuple[Fraction, ...]] = []
@@ -302,7 +298,10 @@ def nullspace(sys: ExactLinearSystem) -> NullspaceReport:
     a problem must be the one ``build_system(sys.problem)`` returns.  For
     that system dim(K) does not increase in K and never drops below
     :func:`_proved_floor`, so a dimension at the floor is reported at
-    K + STABILIZATION_INCREMENT without a re-count.
+    K + STABILIZATION_INCREMENT without a re-count.  The recurrence pins
+    are read by position from the leading rows; ValueError is raised when
+    those rows do not have :func:`build_system`'s layout, and rows after
+    them stay constraints.  A system without a problem is eliminated whole.
     """
     basis = _nullspace_basis(sys)
     dim = len(basis)

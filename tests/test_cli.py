@@ -1,5 +1,6 @@
 """CLI dispatch, serialization round-trips, exit-code triage."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -288,6 +289,34 @@ class TestIdentityCheckBounds:
                             "--precision-bits", str(identities.MAX_PRECISION_BITS))
         assert code == EXIT_OK
         assert len(payload["samples"]) == 2
+
+
+class TestRootVerifyBound:
+    @pytest.fixture
+    def no_composition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("root composed for a rejected input")
+        monkeypatch.setattr(cli, "compose", refuse)
+
+    @pytest.mark.parametrize("p", [cli.MAX_ROOT_DEGREE + 1, 10**9])
+    def test_degree_above_limit_names_the_limit(self, p, capsys, no_composition):
+        code = dispatch(["root-verify", "--p", str(p), "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"p = {p} exceeds the limit MAX_ROOT_DEGREE = {cli.MAX_ROOT_DEGREE}" in captured.err
+
+    def test_limit_itself_accepted(self, capsys):
+        code, payload = run(capsys, "root-verify", "--p", str(cli.MAX_ROOT_DEGREE), "--n", "3")
+        assert code == EXIT_OK
+        assert payload["match"] is True
+
+
+def test_every_subcommand_registers_its_handler():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 10
+    for name, parser in sub.choices.items():
+        assert parser.get_default("handler") is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
 
 class TestSolverBounds:

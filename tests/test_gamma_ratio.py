@@ -30,6 +30,20 @@ def rf(num, den=(1,)):
     return rf_normalize(Polynomial.from_coeffs(num), Polynomial.from_coeffs(den))
 
 
+def poles_at(w, z0):
+    """Oracle: True when some term of the normalized form of w is singular
+    at z0.  Numerator Gamma atoms at nonpositive integer arguments are
+    poles; denominator atoms there only make the term vanish."""
+    for c, g in w.terms:
+        if c.den.eval(z0) == 0:
+            return True
+        for td, off in g.num:
+            arg = (z0 + off) / td
+            if arg <= 0 and arg.denominator == 1:
+                return True
+    return False
+
+
 class TestCanonicalize:
     def test_functional_equation_extraction(self):
         # one step: offset two_delta above the base class
@@ -193,7 +207,7 @@ class TestEvalBall:
             eval_ball(w, Fraction(0), 100)
         gamma_pole = WeightExpr.build(
             [(RationalFunction.one(), GammaRatioExpr.of(2, [0], []))])
-        assert gamma_pole.poles_at(Fraction(-2))
+        assert poles_at(gamma_pole, Fraction(-2))
         with pytest.raises(PoleError):
             eval_ball(gamma_pole, Fraction(-2), 100)
 
@@ -303,14 +317,14 @@ class TestIntervalMemo:
                  build_sides("factored", 2, 4, 1, 3, 1, 3)]
         cases += [(pole_at_4 * a, b) for a, b in cases] + [(a, pole_at_4 * b) for a, b in cases]
         for left, right in cases:
-            expected = tuple([z for z in zs if right.poles_at(z) or left.poles_at(z)])
+            expected = tuple([z for z in zs if poles_at(right, z) or poles_at(left, z)])
             assert expected  # the samples hit poles of this pair
             check = ball_ratio(left, right, zs)
             assert check.skipped_poles == expected
             assert [row.z for row in check.rows] == [z for z in zs if z not in expected]
             for side in (left, right):
                 for z in zs:
-                    if side.poles_at(z):
+                    if poles_at(side, z):
                         with pytest.raises(PoleError):
                             eval_ball(side, z)
                     else:

@@ -220,3 +220,17 @@ def test_apply_pole_raises():
     bad = ShiftSum.single(1, WeightExpr.from_rational(rf((1,), (-4, 1))))
     with pytest.raises(PoleError):
         apply_to_basis(bad, 1)  # z = 4 is a pole of 1/(z-4)
+
+
+def test_apply_gamma_bearing_pole_raises_at_the_point():
+    bad = ShiftSum.single(1, WeightExpr.from_rational(rf((1,), (-4, 1))) * power_weight(1, 2, 3))
+    assert not bad.weight_at(1).is_rational
+    with pytest.raises(PoleError) as exc:
+        apply_to_basis(bad, 1)
+    assert exc.value.point == 4
+
+
+def test_is_zero_skips_pole_samples():
+    # z = 2, the first sample, is a pole; the next sample certifies NONZERO
+    w = WeightExpr.from_rational(rf((1,), (-2, 1))) * power_weight(1, 2, 3)
+    assert is_zero(w) is ZeroVerdict.NONZERO

@@ -49,8 +49,8 @@ class TestProblemValidation:
             CommutantProblem(**kwargs)
 
     def test_nondegeneracy_computed(self):
-        assert CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=10).nondegenerate()
-        assert not CommutantProblem(p=1, s=2, n=1, d=2, m=1, l=2, K=10).nondegenerate()
+        assert not commuting_pair(p=1, n=2, s=2, d=3)
+        assert commuting_pair(p=1, n=1, s=2, d=2)
 
 
 class TestBuildSystem:

@@ -172,7 +172,9 @@ def test_dimension_does_not_increase_in_truncation(data):
 
 
 class TestAlteredSystems:
-    """Systems that carry a problem but not exactly its rows."""
+    """Systems that carry a problem but not exactly its rows.  The solver
+    reads the recurrence rows (1) and (2) by position, so only rows
+    appended after `build_system`'s layout are accepted."""
 
     PROBLEMS = (
         CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=14),
@@ -182,16 +184,18 @@ class TestAlteredSystems:
     )
 
     @staticmethod
-    def eliminated_widths(monkeypatch):
-        widths = []
+    def eliminated(monkeypatch):
+        """Spy on `_eliminate`: records (width, rows handed over) per call."""
+        calls = []
         eliminate = solver._eliminate
 
         def spy(rows, ncols):
-            widths.append(ncols)
+            rows = [list(row) for row in rows]
+            calls.append((ncols, len(rows)))
             return eliminate(rows, ncols)
 
         monkeypatch.setattr(solver, "_eliminate", spy)
-        return widths
+        return calls
 
     @staticmethod
     def check_against_oracle(sys):
@@ -206,23 +210,41 @@ class TestAlteredSystems:
             assert lead_normalized(basis[0]) == oracle[0]
 
     @pytest.mark.parametrize("prob", PROBLEMS)
-    def test_reordered_rows_take_the_reduction(self, prob, monkeypatch):
+    def test_built_system_eliminates_the_mixed_rows_in_p_plus_s_columns(self, prob, monkeypatch):
+        calls = self.eliminated(monkeypatch)
+        self.check_against_oracle(build_system(prob))
+        assert calls == [(prob.p + prob.s, prob.K - prob.s + 1)]
+
+    @pytest.mark.parametrize("prob", PROBLEMS)
+    def test_system_without_problem_is_eliminated_whole(self, prob, monkeypatch):
+        sys_ = dataclasses.replace(build_system(prob), problem=None)
+        calls = self.eliminated(monkeypatch)
+        self.check_against_oracle(sys_)
+        assert calls == [(sys_.num_unknowns, len(sys_.rows))]
+
+    @pytest.mark.parametrize("prob", PROBLEMS)
+    def test_reordered_rows_raise(self, prob):
         sys_ = build_system(prob)
         rows = list(sys_.rows)
         random.Random(prob.K + prob.m).shuffle(rows)
-        widths = self.eliminated_widths(monkeypatch)
-        self.check_against_oracle(dataclasses.replace(sys_, rows=tuple(rows)))
-        assert widths == [prob.p + prob.s]
+        with pytest.raises(ValueError, match="build_system's layout"):
+            nullspace(dataclasses.replace(sys_, rows=tuple(rows)))
 
     @pytest.mark.parametrize("prob", PROBLEMS)
     @pytest.mark.parametrize("label", ["first[k=3]", "second[k=0]", "second[k=10]"])
-    def test_missing_recurrence_row_eliminates_whole_system(self, prob, label, monkeypatch):
+    def test_missing_recurrence_row_raises(self, prob, label):
         sys_ = build_system(prob)
         rows = tuple(r for r in sys_.rows if r.label != label)
         assert len(rows) == len(sys_.rows) - 1
-        widths = self.eliminated_widths(monkeypatch)
-        self.check_against_oracle(dataclasses.replace(sys_, rows=rows))
-        assert widths == [sys_.num_unknowns]
+        with pytest.raises(ValueError, match="build_system's layout"):
+            nullspace(dataclasses.replace(sys_, rows=rows))
+
+    @pytest.mark.parametrize("prob", PROBLEMS)
+    def test_truncated_recurrence_rows_raise(self, prob):
+        sys_ = build_system(prob)
+        rows = sys_.rows[: 2 * prob.K - prob.p - prob.s + 1]
+        with pytest.raises(ValueError, match="build_system's layout"):
+            nullspace(dataclasses.replace(sys_, rows=rows))
 
     @staticmethod
     def extra_rows(prob):
@@ -237,12 +259,18 @@ class TestAlteredSystems:
 
     @pytest.mark.parametrize("prob", PROBLEMS)
     @pytest.mark.parametrize("kind", ["duplicate pin", "cross block"])
-    @pytest.mark.parametrize("first", [True, False])
-    def test_extra_two_term_row_is_kept_as_a_constraint(self, prob, kind, first):
+    def test_extra_two_term_row_after_the_layout_is_a_constraint(self, prob, kind):
         sys_ = build_system(prob)
-        extra = (self.extra_rows(prob)[kind],)
-        rows = extra + sys_.rows if first else sys_.rows + extra
+        rows = sys_.rows + (self.extra_rows(prob)[kind],)
         self.check_against_oracle(dataclasses.replace(sys_, rows=rows))
+
+    @pytest.mark.parametrize("prob", PROBLEMS)
+    @pytest.mark.parametrize("kind", ["duplicate pin", "cross block"])
+    def test_extra_two_term_row_put_first_raises(self, prob, kind):
+        sys_ = build_system(prob)
+        rows = (self.extra_rows(prob)[kind],) + sys_.rows
+        with pytest.raises(ValueError, match="build_system's layout"):
+            nullspace(dataclasses.replace(sys_, rows=rows))
 
     def test_zero_leading_coefficient_raises(self):
         prob = self.PROBLEMS[0]
