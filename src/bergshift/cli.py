@@ -58,7 +58,7 @@ from .shift_algebra import (
     compose,
     root_operator,
 )
-from .solver import ScanReport, TheoremReport, scan, verify_theorem
+from .solver import ScanReport, TheoremReport, check_exponents, scan, verify_theorem
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -296,6 +296,7 @@ def _cmd_root_verify(args) -> tuple[dict, int]:
     if args.p > MAX_ROOT_DEGREE:
         raise ValueError(
             f"degree p = {args.p} exceeds the limit MAX_ROOT_DEGREE = {MAX_ROOT_DEGREE}")
+    check_exponents(n=args.n)
     root = root_operator(args.p, args.n)
     power = ShiftSum.identity()
     for _ in range(args.p):

@@ -50,6 +50,7 @@ from .gamma_ratio import (
 )
 from .mellin import RadialSymbol
 from .shift_algebra import ShiftSum, commutator, quasihomogeneous_operator
+from .solver import check_exponents
 
 SCENARIOS = ("commutator", "factored", "functional")
 
@@ -211,14 +212,16 @@ def verify_identity(
     """Check left = constant * right pointwise for one scenario instance.
 
     Raises ValueError, before any evaluation, for fewer than 2 or more than
-    :data:`MAX_SAMPLES` samples and for ``precision_bits`` above
-    :data:`MAX_PRECISION_BITS`.
+    :data:`MAX_SAMPLES` samples, for ``precision_bits`` above
+    :data:`MAX_PRECISION_BITS` and for n or d above
+    :data:`bergshift.solver.MAX_EXPONENT`.
     """
     samples = [as_rational(z) for z in (sample_zs if sample_zs is not None else default_samples())]
     _check_sample_count(len(samples))
     if precision_bits > MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits {precision_bits} exceeds "
                          f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+    check_exponents(n=n, d=d)
     left, right = build_sides(scenario, p, s, n, d, m, l)
     params = {"p": p, "s": s, "n": n, "d": d, "m": m, "l": l}
 

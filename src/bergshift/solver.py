@@ -16,20 +16,16 @@ the unknowns F_0..F_K, G_0..G_K.
 
 Rows (1) and (2) are first-order recurrences with leading coefficients
 Phi(z_k), Psi(z_k) > 0: they pin each F[k >= p] to an exact multiple of
-F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`build_system`
-emits them first, in order of k, and the solver reads the pins from them
-by position; a system whose leading rows do not have that layout raises
-ValueError, and a system without a problem is eliminated whole.
-Substituted into (3), the pins leave K - s + 1 rows in the p + s
-parameters F[0..p-1], G[0..s-1], solved by one exact Gauss-Jordan
-elimination.  Lifting back is a bijection onto the solutions of (1) and
-(2), so the dimension is exact; each lifted vector is re-verified against
-every row.  The multiples do not depend on K and a larger K only appends
-rows, so dim(K) cannot increase in K.  As a stabilization check the
-dimension is re-counted at K + 10 and reported as found, but only where
-no proof settles it: dim(K) never drops below the floor of
-:func:`_proved_floor`, so a count at the floor holds at K + 10 and is not
-re-counted.  The module is exact throughout: it evaluates no ball.
+F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`nullspace`
+generates row k of (3) in the p + s parameters F[0..p-1], G[0..s-1]
+straight from the problem, extending the pins only as far as the rows
+read them, and eliminates the rows lazily; each lifted basis vector is
+re-verified against every row of the explicit expansion
+:func:`build_system`.  A larger K only appends rows, so dim(K) cannot
+increase in K, and it never drops below :func:`_proved_floor`: the
+elimination stops once the rank leaves only the floor.  Only a cell above
+the floor at K is re-counted at K + 10, as a stabilization check.  The
+module is exact throughout: it evaluates no ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -46,11 +42,11 @@ and reports both dimensions.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact_algebra import Polynomial, RationalFunction, rf_eval, rf_normalize
 from .gamma_ratio import power_weight
@@ -107,11 +103,11 @@ class LinearEquation:
 class ExactLinearSystem:
     rows: tuple[LinearEquation, ...]
     num_unknowns: int
-    problem: Optional[CommutantProblem] = None
 
 
 def build_system(prob: CommutantProblem) -> ExactLinearSystem:
-    """Expand the three equation families at every index that fits below K."""
+    """Expand the three equation families at every index that fits below K,
+    in the unknowns F_0..F_K (columns 0..K) and G_0..G_K (K+1..2K+1)."""
     p, s, n, d, m, l, K = prob.p, prob.s, prob.n, prob.d, prob.m, prob.l, prob.K
     phi = monomial_weight(p, n)
     psi = monomial_weight(s, d)
@@ -137,7 +133,7 @@ def build_system(prob: CommutantProblem) -> ExactLinearSystem:
              (k, -psi_at[k + m]),
              (G + k, -phi_at[k + l])),
             f"mixed[k={k}]"))
-    return ExactLinearSystem(tuple(rows), 2 * (K + 1), prob)
+    return ExactLinearSystem(tuple(rows), 2 * (K + 1))
 
 
 def _subtract(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
@@ -150,17 +146,16 @@ def _subtract(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]
             target.pop(j, None)
 
 
-def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> list[list[Fraction]]:
+def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int,
+               stop_rank: int) -> list[list[Fraction]]:
     """Nullspace basis of sparse rational rows by exact Gauss-Jordan elimination.
 
     The pivot rows stay in reduced echelon form, so whatever the row order
     the basis is canonical: 1 at its free column, 0 at the other free
-    columns.  Rows after full rank are not read.
+    columns.  Rows after the rank reaches ``stop_rank`` are not read.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
-        if len(pivots) == ncols:
-            break
         r: dict[int, Fraction] = {}
         for j, c in row:
             r[j] = r[j] + c if j in r else c
@@ -177,58 +172,53 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> li
             if col in prow:
                 _subtract(prow, prow[col], r)
         pivots[col] = r
+        if len(pivots) == stop_rank:
+            break
     return [[-pivots[j].get(f, 0) if j in pivots else Fraction(int(j == f))
              for j in range(ncols)]
             for f in range(ncols) if f not in pivots]
 
 
-def _lift(sys: ExactLinearSystem):
-    """Write every unknown as a scale times one parameter, F[0..p-1] or
-    G[0..s-1], reading the pins by position from the rows (1) and (2) that
-    :func:`build_system` emits first; without a problem, every unknown is
-    its own parameter.  Returns the lift, one (parameter, scale) pair per
-    unknown, the parameter count and the rows left to eliminate.
+class _Pins:
+    """Rows (1) and (2) solved for their later unknown, extended on demand.
+
+    F[k] = f[k] * F[k mod p] with f[k + p] = f[k] * Phi(z_{k+m}) / Phi(z_k),
+    and G[k] = g[k] * G[k mod s] with g[k + s] = g[k] * Psi(z_{k+l}) / Psi(z_k);
+    every sample is positive, so every pin exists.  The samples come from
+    the formulas, not from :func:`build_system`'s rational functions, so
+    the re-multiplication of a lifted vector checks one against the other.
     """
-    prob = sys.problem
-    if prob is None:
-        return [(j, Fraction(1)) for j in range(sys.num_unknowns)], sys.num_unknowns, sys.rows
-    K = prob.K
-    lift: list[tuple[int, Fraction]] = []
-    i = 0
-    for offset, step, first_param in ((0, prob.p, 0), (K + 1, prob.s, prob.p)):
-        for k in range(K + 1):
-            if k < step:
-                lift.append((first_param + k, Fraction(1)))
-                continue
-            pinned, earlier = offset + k, offset + k - step
-            row = sys.rows[i].coeffs if i < len(sys.rows) else ()
-            if len(row) != 2 or (row[0][0], row[1][0]) != (pinned, earlier):
-                raise ValueError(
-                    f"row {i} is not the recurrence row ({pinned}, {earlier}) of build_system's "
-                    f"layout: K - p + 1 first rows, then K - s + 1 second rows")
-            (_, lead), (_, trail) = row
-            if lead == 0:
-                raise ArithmeticError(
-                    f"recurrence row for unknown {pinned} has a zero leading coefficient")
-            param, scale = lift[earlier]
-            lift.append((param, scale * (-trail / lead)))
-            i += 1
-    return lift, prob.p + prob.s, sys.rows[i:]
+
+    def __init__(self, prob: CommutantProblem):
+        self.prob = prob
+        self.phi: list[Fraction] = []  # Phi(z_k)
+        self.psi: list[Fraction] = []  # Psi(z_k)
+        self.f, self.g = [Fraction(1)] * prob.p, [Fraction(1)] * prob.s
+
+    def extend(self, i: int) -> None:
+        """Pins through index i; they read samples through i + m - p."""
+        prob, phi, psi, f, g = self.prob, self.phi, self.psi, self.f, self.g
+        while len(phi) <= i + prob.m - prob.p:
+            z = 2 * len(phi) + 2
+            phi.append(Fraction(z + 2 * prob.p, z + prob.p + prob.n))
+            psi.append(Fraction(z + 2 * prob.s, z + prob.s + prob.d))
+        while len(f) <= i:
+            j = len(f) - prob.p
+            f.append(f[j] * phi[j + prob.m] / phi[j])
+        while len(g) <= i:
+            j = len(g) - prob.s
+            g.append(g[j] * psi[j + prob.l] / psi[j])
 
 
-def _nullspace_basis(sys: ExactLinearSystem) -> list[tuple[Fraction, ...]]:
-    lift, width, rows = _lift(sys)
-    # Lazy: the elimination stops reading rows once it has full rank.
-    reduced = (((lift[j][0], c * lift[j][1]) for j, c in row.coeffs) for row in rows)
-    basis: list[tuple[Fraction, ...]] = []
-    for theta in _eliminate(reduced, width):
-        vec = [scale * theta[param] for param, scale in lift]
-        lead = next(v for v in vec if v != 0)
-        vec = tuple([v / lead for v in vec])
-        if not vector_in_nullspace(sys, vec):
-            raise ArithmeticError("computed vector fails exact re-multiplication")
-        basis.append(vec)
-    return basis
+def _mixed_rows(pins: _Pins) -> Iterator[tuple[tuple[int, Fraction], ...]]:
+    """Row k of (3), for k = 0, 1, ..., in the parameters F[0..p-1]
+    (columns 0..p-1) and G[0..s-1] (columns p..p+s-1)."""
+    p, s, m, l = pins.prob.p, pins.prob.s, pins.prob.m, pins.prob.l
+    phi, psi, f, g = pins.phi, pins.psi, pins.f, pins.g
+    for k in count():
+        pins.extend(k + s)  # samples through k + s + m - p = k + l
+        yield (((k + s) % p, psi[k] * f[k + s]), (p + (k + p) % s, phi[k] * g[k + p]),
+               (k % p, -psi[k + m] * f[k]), (p + k % s, -phi[k + l] * g[k]))
 
 
 def vector_in_nullspace(sys: ExactLinearSystem, vec: Sequence[Fraction]) -> bool:
@@ -253,7 +243,7 @@ def vector_in_nullspace(sys: ExactLinearSystem, vec: Sequence[Fraction]) -> bool
 class NullspaceReport:
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
-    dimension_at_increment: Optional[int]
+    dimension_at_increment: int
     f_constant: Optional[Fraction]
     g_constant: Optional[Fraction]
     proportionality: Optional[Fraction]
@@ -266,7 +256,7 @@ class NullspaceReport:
 #: Largest truncation K that `scan` and `verify_theorem` accept.
 MAX_TRUNCATION = 1000
 
-#: Largest monomial exponent n or d that `scan` and `verify_theorem` accept.
+#: Largest monomial exponent n or d that any command or check accepts.
 MAX_EXPONENT = 1000
 
 
@@ -291,31 +281,40 @@ def _proved_floor(prob: CommutantProblem) -> int:
     return g if (prob.m, prob.l) == (prob.p, prob.s) else 0
 
 
-def nullspace(sys: ExactLinearSystem) -> NullspaceReport:
-    """Exact nullspace with stabilization re-count at K + STABILIZATION_INCREMENT.
+def nullspace(prob: CommutantProblem) -> NullspaceReport:
+    """Exact nullspace of the cell, with the stabilization re-count.
 
-    The re-count rebuilds the system from ``sys.problem``, so a system with
-    a problem must be the one ``build_system(sys.problem)`` returns.  For
-    that system dim(K) does not increase in K and never drops below
-    :func:`_proved_floor`, so a dimension at the floor is reported at
-    K + STABILIZATION_INCREMENT without a re-count.  The recurrence pins
-    are read by position from the leading rows; ValueError is raised when
-    those rows do not have :func:`build_system`'s layout, and rows after
-    them stay constraints.  A system without a problem is eliminated whole.
+    The rows of (3) through K - s decide dim(K).  Their elimination stops
+    once the rank leaves only :func:`_proved_floor`: every K from there on
+    has the floor dimension, which is then also the count reported at
+    K + STABILIZATION_INCREMENT.  Only a cell above the floor at K is
+    counted again, on the rows through K + STABILIZATION_INCREMENT - s.
+    Each basis vector is lifted to F_0..F_K, G_0..G_K and re-multiplied
+    against ``build_system(prob)``; a cell of dimension 0 builds nothing.
     """
-    basis = _nullspace_basis(sys)
-    dim = len(basis)
-    prob = sys.problem
-    dim_plus: Optional[int] = None
-    if prob is not None:
-        if dim == _proved_floor(prob):
-            dim_plus = dim
-        else:
-            bigger = dataclasses.replace(prob, K=prob.K + STABILIZATION_INCREMENT)
-            dim_plus = len(_nullspace_basis(build_system(bigger)))
+    p, s, K = prob.p, prob.s, prob.K
+    width, floor = p + s, _proved_floor(prob)
+    pins = _Pins(prob)
+    thetas = _eliminate(islice(_mixed_rows(pins), K - s + 1), width, width - floor)
+    dim = len(thetas)
+    dim_plus = dim
+    if dim != floor:
+        rows = islice(_mixed_rows(pins), K + STABILIZATION_INCREMENT - s + 1)
+        dim_plus = len(_eliminate(rows, width, width))
+    basis: list[tuple[Fraction, ...]] = []
+    if thetas:
+        pins.extend(K)
+        system = build_system(prob)
+    for theta in thetas:
+        vec = ([pins.f[k] * theta[k % p] for k in range(K + 1)]
+               + [pins.g[k] * theta[p + k % s] for k in range(K + 1)])
+        lead = next(v for v in vec if v != 0)
+        vec = tuple([v / lead for v in vec])
+        if not vector_in_nullspace(system, vec):
+            raise ArithmeticError("computed vector fails exact re-multiplication")
+        basis.append(vec)
     f_const = g_const = shared = None
-    if dim == 1 and prob is not None:
-        K = prob.K
+    if dim == 1:
         vec = basis[0]
         f_const = match_root_power(vec[: K + 1], prob.m, prob.p, prob.n)
         g_const = match_root_power(vec[K + 1 :], prob.l, prob.s, prob.d)
@@ -385,13 +384,18 @@ class ScanReport:
     counterexamples: tuple[tuple[int, int], ...]
 
 
+def check_exponents(**exponents: int) -> None:
+    """Raise ValueError, naming the limit, for a keyword above MAX_EXPONENT."""
+    for name, value in exponents.items():
+        if value > MAX_EXPONENT:
+            raise ValueError(f"exponent {name} = {value} exceeds the limit {MAX_EXPONENT}")
+
+
 def _check_input(p: int, s: int, n: int, d: int, bound: int, K: int) -> None:
     """Raise ValueError, naming the limit, for an input outside the bounds."""
     if not 1 <= p < s:
         raise ValueError("need 1 <= p < s")
-    for name, value in (("n", n), ("d", d)):
-        if value > MAX_EXPONENT:
-            raise ValueError(f"exponent {name} = {value} exceeds the limit {MAX_EXPONENT}")
+    check_exponents(n=n, d=d)
     if K > MAX_TRUNCATION:
         raise ValueError(f"truncation K = {K} exceeds the limit {MAX_TRUNCATION}")
     if bound > K:
@@ -412,25 +416,18 @@ def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
         raise ValueError(
             f"bound {bound} admits no pair (m, m + s - p) with m >= 1: "
             f"it must be at least s - p + 1 = {s - p + 1}")
-    return _sweep(p, s, n, d, bound, K)[0]
+    return _sweep(p, s, n, d, bound, K)
 
 
-def _sweep(p: int, s: int, n: int, d: int, bound: int,
-           K: int) -> tuple[ScanReport, Optional[ExactLinearSystem]]:
-    """The scan on checked input, and the system it built at (m, l) = (p, s)
-    (None when the bound does not reach that pair)."""
+def _sweep(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
+    """The scan on checked input."""
     nondeg = not commuting_pair(p, n, s, d)
     alpha = s - p
     cells: list[ScanCell] = []
     counterexamples: list[tuple[int, int]] = []
-    sys_match: Optional[ExactLinearSystem] = None
     for m in range(1, bound - alpha + 1):
         l = m + alpha
-        prob = CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K)
-        sys_ = build_system(prob)
-        if (m, l) == (p, s):
-            sys_match = sys_
-        report = nullspace(sys_)
+        report = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K))
         bad = report.dimension > 0 and (m, l) != (p, s) and report.stable
         cells.append(ScanCell(
             m=m,
@@ -449,7 +446,7 @@ def _sweep(p: int, s: int, n: int, d: int, bound: int,
         outside_hypotheses=not nondeg,
         cells=tuple(cells),
         counterexamples=tuple(counterexamples),
-    ), sys_match
+    )
 
 
 def class_sample_vectors(prob: CommutantProblem) -> list[tuple[Fraction, ...]]:
@@ -499,7 +496,7 @@ def verify_theorem(p: int, s: int, n: int, d: int, bound: int, K: int) -> Theore
     except that a bound below s - p + 1 is a FAIL: (p, s) is not covered.
     """
     _check_input(p, s, n, d, bound, K)
-    report, sys_match = _sweep(p, s, n, d, bound, K)
+    report = _sweep(p, s, n, d, bound, K)
     g = gcd(p, s)
     messages: list[str] = []
     if report.outside_hypotheses:
@@ -528,9 +525,10 @@ def verify_theorem(p: int, s: int, n: int, d: int, bound: int, K: int) -> Theore
                 f"{matching.dimension}, expected gcd(p, s) = {g}")
             failed = True
         else:
-            class_vectors = class_sample_vectors(sys_match.problem)
-            bad = [j for j, v in enumerate(class_vectors)
-                   if not vector_in_nullspace(sys_match, v)]
+            prob = CommutantProblem(p=p, s=s, n=n, d=d, m=p, l=s, K=K)
+            system = build_system(prob)
+            bad = [j for j, v in enumerate(class_sample_vectors(prob))
+                   if not vector_in_nullspace(system, v)]
             if bad:
                 messages.append(
                     f"class sample vectors {bad} fail the commutant equations")

@@ -118,7 +118,7 @@ def _check_theorem(capsys, p, s, n, d):
 
 def _matching_dim(p, s, n, d, K):
     prob = bs.CommutantProblem(p=p, s=s, n=n, d=d, m=p, l=s, K=K)
-    return bs.nullspace(bs.build_system(prob)).dimension
+    return bs.nullspace(prob).dimension
 
 
 def test_c06_theorem_base_instance(capsys):
@@ -130,7 +130,7 @@ def test_c06_theorem_base_instance(capsys):
         # excluded pair stays empty across the same range
         for K in (40, 60):
             prob = bs.CommutantProblem(p=1, s=2, n=2, d=3, m=2, l=3, K=K)
-            assert bs.nullspace(bs.build_system(prob)).dimension == 0
+            assert bs.nullspace(prob).dimension == 0
 
 
 def test_c07_theorem_double_degree_regime(capsys):

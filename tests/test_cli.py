@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bergshift import cli, identities, solver
+from bergshift import cli, identities, shift_algebra, solver
 from bergshift.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -290,6 +290,30 @@ class TestIdentityCheckBounds:
         assert code == EXIT_OK
         assert len(payload["samples"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    @pytest.mark.parametrize("value", [solver.MAX_EXPONENT + 1, 10**9])
+    def test_exponent_above_limit_names_the_limit(self, flag, value, capsys, no_evaluation,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power weight built for a rejected input")
+        monkeypatch.setattr(identities, "power_weight", refuse)
+        argv = list(self.ARGV)
+        argv[argv.index(flag) + 1] = str(value)
+        code = dispatch(argv + ["--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"exponent {flag[2:]} = {value} exceeds the limit {solver.MAX_EXPONENT}" in captured.err
+
+    @pytest.mark.parametrize("scenario", ["commutator", "functional"])
+    def test_exponent_limit_itself_accepted(self, scenario, capsys):
+        limit = str(solver.MAX_EXPONENT)
+        code, payload = run(capsys, "identity-check", "--id", scenario, "--p", "2", "--s", "3",
+                            "--n", limit, "--d", limit, "--m", "2", "--l", "3",
+                            "--samples", "2")
+        assert code in (EXIT_OK, EXIT_NEGATIVE)
+        assert payload["params"]["n"] == payload["params"]["d"] == solver.MAX_EXPONENT
+
 
 class TestRootVerifyBound:
     @pytest.fixture
@@ -297,6 +321,7 @@ class TestRootVerifyBound:
         def refuse(*args, **kwargs):
             raise AssertionError("root composed for a rejected input")
         monkeypatch.setattr(cli, "compose", refuse)
+        monkeypatch.setattr(shift_algebra, "power_weight", refuse)
 
     @pytest.mark.parametrize("p", [cli.MAX_ROOT_DEGREE + 1, 10**9])
     def test_degree_above_limit_names_the_limit(self, p, capsys, no_composition):
@@ -308,6 +333,19 @@ class TestRootVerifyBound:
 
     def test_limit_itself_accepted(self, capsys):
         code, payload = run(capsys, "root-verify", "--p", str(cli.MAX_ROOT_DEGREE), "--n", "3")
+        assert code == EXIT_OK
+        assert payload["match"] is True
+
+    @pytest.mark.parametrize("n", [solver.MAX_EXPONENT + 1, 10**9])
+    def test_exponent_above_limit_names_the_limit(self, n, capsys, no_composition):
+        code = dispatch(["root-verify", "--p", "2", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"exponent n = {n} exceeds the limit {solver.MAX_EXPONENT}" in captured.err
+
+    def test_exponent_limit_itself_accepted(self, capsys):
+        code, payload = run(capsys, "root-verify", "--p", "2", "--n", str(solver.MAX_EXPONENT))
         assert code == EXIT_OK
         assert payload["match"] is True
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -80,13 +81,12 @@ class TestBuildSystem:
 
 class TestNullspace:
     def test_empty_system_is_full_space(self):
-        rep = nullspace(ExactLinearSystem(rows=(), num_unknowns=5))
-        assert rep.dimension == 5
-        assert len(rep.basis) == 5
+        basis = solver._eliminate([], 5, 5)
+        assert basis == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
 
     def test_matching_pair_dimension_one(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=30)
-        rep = nullspace(build_system(prob))
+        rep = nullspace(prob)
         assert rep.dimension == 1
         assert rep.stable
         assert rep.proportionality == Fraction(1)
@@ -95,28 +95,28 @@ class TestNullspace:
 
     def test_excluded_pair_dimension_zero(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=2, l=3, K=30)
-        rep = nullspace(build_system(prob))
+        rep = nullspace(prob)
         assert rep.dimension == 0
         assert rep.stable
 
     def test_basis_vectors_verified_exactly(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=20)
         sys_ = build_system(prob)
-        for vec in nullspace(sys_).basis:
+        for vec in nullspace(prob).basis:
             assert vector_in_nullspace(sys_, vec)
 
     def test_dimension_monotone_in_truncation(self):
         dims = []
         for K in (20, 30, 40, 50):
             prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=K)
-            dims.append(nullspace(build_system(prob)).dimension)
+            dims.append(nullspace(prob).dimension)
         assert dims == sorted(dims, reverse=True)
 
     def test_residue_class_split_dimension(self):
         # gcd(p, s) = 2: sequence nullspace carries one line per class
         prob = CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=30)
         sys_ = build_system(prob)
-        rep = nullspace(sys_)
+        rep = nullspace(prob)
         assert rep.dimension == 2
         for v in class_sample_vectors(prob):
             assert vector_in_nullspace(sys_, v)
@@ -143,7 +143,7 @@ class TestMatchRootPower:
 class TestConsistencyWithShiftAlgebra:
     def test_matched_solution_commutes_as_operator(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=30)
-        rep = nullspace(build_system(prob))
+        rep = nullspace(prob)
         assert rep.proportionality == Fraction(1)
         # the normalized basis is (Phi, Psi): assemble S = T1 + T2 and check
         t = linear_combine([
@@ -212,8 +212,9 @@ def test_commuting_pair_examples():
 
 
 def test_elimination_against_reference():
-    """Random sparse systems: dimension must match a dense Fraction
-    Gauss-Jordan rank, and every basis vector re-multiplies to zero."""
+    """Random sparse systems: the elimination kernel's dimension must match
+    a dense Fraction Gauss-Jordan rank, and every basis vector re-multiplies
+    to zero."""
     import random
     from bergshift.solver import LinearEquation
 
@@ -249,9 +250,9 @@ def test_elimination_against_reference():
             if coeffs:
                 rows.append(LinearEquation(coeffs, f"r{i}"))
         sys_ = ExactLinearSystem(tuple(rows), ncols)
-        rep = nullspace(sys_)
-        assert rep.dimension == ncols - reference_rank(rows, ncols)
-        for v in rep.basis:
+        basis = solver._eliminate([r.coeffs for r in rows], ncols, ncols)
+        assert len(basis) == ncols - reference_rank(rows, ncols)
+        for v in basis:
             assert vector_in_nullspace(sys_, v)
 
 
@@ -273,7 +274,7 @@ class TestVectorInNullspace:
     def test_agrees_with_fraction_sums(self, prob):
         rng = random.Random(prob.p * 100 + prob.n)
         sys_ = build_system(prob)
-        vectors = list(nullspace(sys_).basis)
+        vectors = list(nullspace(prob).basis)
         if (prob.m, prob.l) == (prob.p, prob.s):
             vectors += class_sample_vectors(prob)
         assert vectors
@@ -295,10 +296,27 @@ class TestVectorInNullspace:
                                      for j in rng.sample(range(ncols), rng.randint(1, ncols))), "r")
                 for _ in range(rng.randint(0, 6)))
             sys_ = ExactLinearSystem(rows, ncols)
-            candidates = [list(v) for v in nullspace(sys_).basis]
+            candidates = solver._eliminate([r.coeffs for r in rows], ncols, ncols)
             candidates.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)])
             for vec in candidates:
                 assert vector_in_nullspace(sys_, vec) == fraction_sum_in_nullspace(sys_, vec)
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """Rows of (3) read from each row generator the solver starts."""
+    reads = []
+    mixed_rows = solver._mixed_rows
+
+    def spy(pins):
+        reads.append(0)
+        i = len(reads) - 1
+        for row in mixed_rows(pins):
+            reads[i] += 1
+            yield row
+
+    monkeypatch.setattr(solver, "_mixed_rows", spy)
+    return reads
 
 
 @pytest.fixture
@@ -316,40 +334,46 @@ def built_truncations(monkeypatch):
 
 
 class TestRecount:
-    def test_dimension_zero_cell_is_not_recounted(self, built_truncations):
-        sys_ = build_system(CommutantProblem(p=1, s=2, n=2, d=3, m=2, l=3, K=30))
-        rep = nullspace(sys_)
-        assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (0, 0, True)
+    def test_dimension_zero_cell_is_not_recounted(self, rows_read, built_truncations):
+        # at every cell of (1,2,2,3) but (1, 2), a few rows have full rank 3
+        for m in range(2, 9):
+            rows_read.clear()
+            rep = nullspace(CommutantProblem(p=1, s=2, n=2, d=3, m=m, l=m + 1, K=1000))
+            assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (0, 0, True)
+            assert len(rows_read) == 1 and rows_read[0] <= 1 + 2 + 1
         assert built_truncations == []
 
     @pytest.mark.parametrize("p, s, n, d, m, floor", [
         (1, 2, 2, 3, 1, 1),  # (p, s): the gcd(p, s) class sample vectors
         (2, 4, 3, 5, 2, 2),
+        (3, 5, 2, 1, 3, 1),
         (1, 2, 1, 2, 1, 2),  # pure shifts: 2 gcd(p, s) at every cell
         (1, 2, 1, 2, 3, 2),
         (2, 4, 2, 4, 1, 4),
     ])
-    def test_cell_at_proved_floor_is_not_recounted(self, built_truncations, p, s, n, d, m, floor):
-        sys_ = build_system(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=m + s - p, K=30))
-        rep = nullspace(sys_)
+    def test_cell_at_proved_floor_is_not_recounted(self, rows_read, p, s, n, d, m, floor):
+        # rank p + s - floor comes within p + s rows, and nothing is re-counted
+        rep = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=m + s - p, K=200))
         assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (floor, floor, True)
-        assert built_truncations == []
+        assert len(rows_read) == 1 and rows_read[0] <= p + s
+        if m == p and (n, d) != (p, s):
+            assert rows_read == [p + s - gcd(p, s)]
 
-    def test_cell_above_proved_floor_is_recounted(self, built_truncations):
-        # At the smallest truncation (1, 2) of (1,2,2,3) has dim 2 > gcd(1, 2);
-        # the recount shows the drop.
-        sys_ = build_system(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=2))
-        rep = nullspace(sys_)
+    def test_cell_above_proved_floor_is_recounted(self, rows_read):
+        # At the smallest truncation (1, 2) of (1,2,2,3) has dim 2 > gcd(1, 2):
+        # rows 0..K-s give the count at K, rows 0..K+10-s the drop.
+        K = 2
+        rep = nullspace(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=K))
         assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (2, 1, False)
-        assert built_truncations == [2 + solver.STABILIZATION_INCREMENT]
+        assert rows_read == [K - 2 + 1, K + solver.STABILIZATION_INCREMENT - 2 + 1]
 
-    def test_verify_theorem_builds_each_system_once(self, built_truncations):
-        # Seven cells at K = 60 and no recount: the (1, 2) cell sits at its
-        # floor gcd(1, 2) = 1 and every other cell at 0; the class vectors
-        # are checked against the scan's (1, 2) system.
+    def test_verify_theorem_builds_only_the_matching_system(self, built_truncations):
+        # Seven cells at K = 60: only the (1, 2) cell has a basis to
+        # re-multiply, and the class vectors are checked against the
+        # (1, 2) system once more.
         rep = verify_theorem(1, 2, 2, 3, bound=8, K=60)
         assert rep.status == "pass"
-        assert built_truncations == [60] * 7
+        assert built_truncations == [60, 60]
 
 
 class TestInputBounds:

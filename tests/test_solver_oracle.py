@@ -26,10 +26,7 @@ from bergshift.solver import (
 )
 
 
-def _interleaved_columns(sys):
-    if sys.problem is None:
-        return list(range(sys.num_unknowns))
-    K = sys.problem.K
+def _interleaved_columns(K):
     order = []
     for k in range(K + 1):
         order += [k, K + 1 + k]
@@ -87,9 +84,12 @@ def _ff_echelon(rows, col_order):
     return pivot_rows, pivot_cols
 
 
-def bareiss_basis(sys):
-    """Lead-normalized nullspace basis of `sys` by Bareiss elimination."""
-    pivot_rows, pivot_cols = _ff_echelon(_integer_rows(sys), _interleaved_columns(sys))
+def bareiss_basis(sys, col_order=None):
+    """Lead-normalized nullspace basis of `sys` by Bareiss elimination,
+    pivoting in `col_order` (default: the natural order)."""
+    if col_order is None:
+        col_order = range(sys.num_unknowns)
+    pivot_rows, pivot_cols = _ff_echelon(_integer_rows(sys), col_order)
     pivot_set = set(pivot_cols)
     basis = []
     for f in (c for c in range(sys.num_unknowns) if c not in pivot_set):
@@ -107,8 +107,9 @@ def lead_normalized(vec):
     return tuple(v / lead for v in vec)
 
 
-def oracle_dimension(prob):
-    return len(bareiss_basis(build_system(prob)))
+def oracle_basis(prob):
+    """The old solver: Bareiss on `build_system(prob)`, F_k, G_k interleaved."""
+    return bareiss_basis(build_system(prob), _interleaved_columns(prob.K))
 
 
 def grid():
@@ -146,11 +147,13 @@ def test_grid_covers_the_stated_instances():
 @pytest.mark.parametrize("chunk", range(6))
 def test_nullspace_matches_bareiss_on_grid(chunk):
     for prob in GRID[chunk::6]:
-        rep = nullspace(build_system(prob))
-        oracle = bareiss_basis(build_system(prob))
+        rep = nullspace(prob)
+        oracle = oracle_basis(prob)
         assert rep.dimension == len(oracle), prob
         bigger = dataclasses.replace(prob, K=prob.K + solver.STABILIZATION_INCREMENT)
-        assert rep.dimension_at_increment == oracle_dimension(bigger), prob
+        assert rep.dimension_at_increment == len(oracle_basis(bigger)), prob
+        sys_ = build_system(prob)
+        assert all(vector_in_nullspace(sys_, vec) for vec in rep.basis), prob
         if rep.dimension == 1:
             assert lead_normalized(rep.basis[0]) == oracle[0], prob
 
@@ -166,124 +169,34 @@ def test_dimension_does_not_increase_in_truncation(data):
     l = m + s - p
     K1 = data.draw(st.integers(max(s, l), 60))
     K2 = data.draw(st.integers(K1, 80))
-    dims = [nullspace(build_system(CommutantProblem(p, s, n, d, m, l, K))).dimension
+    dims = [nullspace(CommutantProblem(p, s, n, d, m, l, K)).dimension
             for K in (K1, K2)]
     assert dims[0] >= dims[1]
 
 
-class TestAlteredSystems:
-    """Systems that carry a problem but not exactly its rows.  The solver
-    reads the recurrence rows (1) and (2) by position, so only rows
-    appended after `build_system`'s layout are accepted."""
+def eliminated_whole(sys):
+    """Lead-normalized basis of the elimination kernel on every row of `sys`."""
+    rows = [row.coeffs for row in sys.rows]
+    n = sys.num_unknowns
+    return [lead_normalized(vec) for vec in solver._eliminate(rows, n, n)]
 
-    PROBLEMS = (
-        CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=14),
-        CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=14),
-        CommutantProblem(p=2, s=3, n=2, d=3, m=3, l=4, K=14),
-        CommutantProblem(p=1, s=3, n=1, d=3, m=2, l=4, K=14),
-    )
 
-    @staticmethod
-    def eliminated(monkeypatch):
-        """Spy on `_eliminate`: records (width, rows handed over) per call."""
-        calls = []
-        eliminate = solver._eliminate
-
-        def spy(rows, ncols):
-            rows = [list(row) for row in rows]
-            calls.append((ncols, len(rows)))
-            return eliminate(rows, ncols)
-
-        monkeypatch.setattr(solver, "_eliminate", spy)
-        return calls
-
-    @staticmethod
-    def check_against_oracle(sys):
-        # The basis alone: these systems are not the rebuild of their
-        # problem, which the stabilization re-count of `nullspace` assumes.
-        basis = solver._nullspace_basis(sys)
-        oracle = bareiss_basis(sys)
-        assert len(basis) == len(oracle)
-        for vec in basis:
-            assert vector_in_nullspace(sys, vec)
-        if len(basis) == 1:
-            assert lead_normalized(basis[0]) == oracle[0]
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    def test_built_system_eliminates_the_mixed_rows_in_p_plus_s_columns(self, prob, monkeypatch):
-        calls = self.eliminated(monkeypatch)
-        self.check_against_oracle(build_system(prob))
-        assert calls == [(prob.p + prob.s, prob.K - prob.s + 1)]
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    def test_system_without_problem_is_eliminated_whole(self, prob, monkeypatch):
-        sys_ = dataclasses.replace(build_system(prob), problem=None)
-        calls = self.eliminated(monkeypatch)
-        self.check_against_oracle(sys_)
-        assert calls == [(sys_.num_unknowns, len(sys_.rows))]
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    def test_reordered_rows_raise(self, prob):
-        sys_ = build_system(prob)
-        rows = list(sys_.rows)
-        random.Random(prob.K + prob.m).shuffle(rows)
-        with pytest.raises(ValueError, match="build_system's layout"):
-            nullspace(dataclasses.replace(sys_, rows=tuple(rows)))
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    @pytest.mark.parametrize("label", ["first[k=3]", "second[k=0]", "second[k=10]"])
-    def test_missing_recurrence_row_raises(self, prob, label):
-        sys_ = build_system(prob)
-        rows = tuple(r for r in sys_.rows if r.label != label)
-        assert len(rows) == len(sys_.rows) - 1
-        with pytest.raises(ValueError, match="build_system's layout"):
-            nullspace(dataclasses.replace(sys_, rows=rows))
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    def test_truncated_recurrence_rows_raise(self, prob):
-        sys_ = build_system(prob)
-        rows = sys_.rows[: 2 * prob.K - prob.p - prob.s + 1]
-        with pytest.raises(ValueError, match="build_system's layout"):
-            nullspace(dataclasses.replace(sys_, rows=rows))
-
-    @staticmethod
-    def extra_rows(prob):
-        """Two-term rows that must stay constraints, not pins: a second,
-        inconsistent pin of F[2 + p], and a row linking F and G whose index
-        gap equals s."""
-        K = prob.K
-        return {
-            "duplicate pin": LinearEquation(((2 + prob.p, Fraction(1)), (2, Fraction(1))), "x"),
-            "cross block": LinearEquation(((K + 1, Fraction(1)), (K + 1 - prob.s, Fraction(2))), "x"),
-        }
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    @pytest.mark.parametrize("kind", ["duplicate pin", "cross block"])
-    def test_extra_two_term_row_after_the_layout_is_a_constraint(self, prob, kind):
-        sys_ = build_system(prob)
-        rows = sys_.rows + (self.extra_rows(prob)[kind],)
-        self.check_against_oracle(dataclasses.replace(sys_, rows=rows))
-
-    @pytest.mark.parametrize("prob", PROBLEMS)
-    @pytest.mark.parametrize("kind", ["duplicate pin", "cross block"])
-    def test_extra_two_term_row_put_first_raises(self, prob, kind):
-        sys_ = build_system(prob)
-        rows = (self.extra_rows(prob)[kind],) + sys_.rows
-        with pytest.raises(ValueError, match="build_system's layout"):
-            nullspace(dataclasses.replace(sys_, rows=rows))
-
-    def test_zero_leading_coefficient_raises(self):
-        prob = self.PROBLEMS[0]
-        sys_ = build_system(prob)
-        rows = tuple(
-            LinearEquation(((r.coeffs[0][0], Fraction(0)), r.coeffs[1]), r.label)
-            if r.label == "second[k=4]" else r
-            for r in sys_.rows)
-        with pytest.raises(ArithmeticError, match="zero leading coefficient"):
-            nullspace(dataclasses.replace(sys_, rows=rows))
+@pytest.mark.parametrize("prob", [
+    CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=14),
+    CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=14),
+    CommutantProblem(p=2, s=3, n=2, d=3, m=3, l=4, K=14),
+    CommutantProblem(p=1, s=3, n=1, d=3, m=2, l=4, K=14),
+])
+def test_built_system_eliminated_whole_matches_bareiss(prob):
+    sys_ = build_system(prob)
+    basis = eliminated_whole(sys_)
+    assert basis == bareiss_basis(sys_)
+    assert all(vector_in_nullspace(sys_, vec) for vec in basis)
+    assert len(basis) == nullspace(prob).dimension
 
 
 def test_system_without_problem_matches_bareiss_basis():
+    """Random sparse systems through the elimination kernel."""
     rng = random.Random(11)
     for _ in range(60):
         ncols = rng.randint(1, 10)
@@ -293,4 +206,4 @@ def test_system_without_problem_matches_bareiss_basis():
             coeffs = tuple((j, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for j in support)
             rows.append(LinearEquation(coeffs, f"r{i}"))
         sys_ = ExactLinearSystem(tuple(rows), ncols)
-        assert list(nullspace(sys_).basis) == bareiss_basis(sys_)
+        assert eliminated_whole(sys_) == bareiss_basis(sys_)
