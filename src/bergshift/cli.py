@@ -5,7 +5,7 @@ for human-readable tables).  Exit codes triage results for CI:
 
 * 0  - success / verified positive (PASS)
 * 1  - verified negative (mismatch, FAIL, counterexample)
-* 2  - inconclusive (unknown, unstabilized, non-convergent)
+* 2  - inconclusive (unknown, a cell above its proved floor, non-convergent)
 * 64 - usage or input error (the grammar is printed)
 * 141 - stdout was closed before the report was written, the status a
   shell gives a process ended by SIGPIPE
@@ -58,16 +58,20 @@ from .shift_algebra import (
     compose,
     root_operator,
 )
-from .solver import ScanReport, TheoremReport, check_exponents, scan, verify_theorem
+from .solver import (
+    ScanReport,
+    TheoremReport,
+    check_exponents,
+    check_root_degrees,
+    scan,
+    verify_theorem,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141
-
-#: Largest degree p that `root-verify` accepts; it composes the root p times.
-MAX_ROOT_DEGREE = 1000
 
 
 class _UsageError(Exception):
@@ -166,8 +170,7 @@ def ser_scan_report(rep: ScanReport) -> dict:
                 "m": c.m,
                 "l": c.l,
                 "dim": c.dimension,
-                "dim_at_increment": c.dimension_at_increment,
-                "stable": c.stable,
+                "floor": c.floor,
                 "root_match": ser_value(c.root_match),
                 "counterexample": c.counterexample,
             }
@@ -293,9 +296,7 @@ def _cmd_rationality(args) -> tuple[dict, int]:
 
 
 def _cmd_root_verify(args) -> tuple[dict, int]:
-    if args.p > MAX_ROOT_DEGREE:
-        raise ValueError(
-            f"degree p = {args.p} exceeds the limit MAX_ROOT_DEGREE = {MAX_ROOT_DEGREE}")
+    check_root_degrees(p=args.p)
     check_exponents(n=args.n)
     root = root_operator(args.p, args.n)
     power = ShiftSum.identity()

@@ -50,7 +50,7 @@ from .gamma_ratio import (
 )
 from .mellin import RadialSymbol
 from .shift_algebra import ShiftSum, commutator, quasihomogeneous_operator
-from .solver import check_exponents
+from .solver import check_exponents, check_root_degrees
 
 SCENARIOS = ("commutator", "factored", "functional")
 
@@ -213,8 +213,9 @@ def verify_identity(
 
     Raises ValueError, before any evaluation, for fewer than 2 or more than
     :data:`MAX_SAMPLES` samples, for ``precision_bits`` above
-    :data:`MAX_PRECISION_BITS` and for n or d above
-    :data:`bergshift.solver.MAX_EXPONENT`.
+    :data:`MAX_PRECISION_BITS`, for n or d above
+    :data:`bergshift.solver.MAX_EXPONENT` and for m or l above
+    :data:`bergshift.solver.MAX_ROOT_DEGREE`.
     """
     samples = [as_rational(z) for z in (sample_zs if sample_zs is not None else default_samples())]
     _check_sample_count(len(samples))
@@ -222,6 +223,7 @@ def verify_identity(
         raise ValueError(f"precision_bits {precision_bits} exceeds "
                          f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
     check_exponents(n=n, d=d)
+    check_root_degrees(m=m, l=l)
     left, right = build_sides(scenario, p, s, n, d, m, l)
     params = {"p": p, "s": s, "n": n, "d": d, "m": m, "l": l}
 

@@ -23,9 +23,11 @@ read them, and eliminates the rows lazily; each lifted basis vector is
 re-verified against every row of the explicit expansion
 :func:`build_system`.  A larger K only appends rows, so dim(K) cannot
 increase in K, and it never drops below :func:`_proved_floor`: the
-elimination stops once the rank leaves only the floor.  Only a cell above
-the floor at K is re-counted at K + 10, as a stabilization check.  The
-module is exact throughout: it evaluates no ball.
+elimination stops once the rank leaves only the floor.  A count at the
+floor is therefore settled: it holds at every K' >= K and in the
+untruncated system.  A count above the floor is only an upper bound, and
+the verdict on it is inconclusive.  The module is exact throughout: it
+evaluates no ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -243,14 +245,10 @@ def vector_in_nullspace(sys: ExactLinearSystem, vec: Sequence[Fraction]) -> bool
 class NullspaceReport:
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
-    dimension_at_increment: int
+    floor: int
     f_constant: Optional[Fraction]
     g_constant: Optional[Fraction]
     proportionality: Optional[Fraction]
-
-    @property
-    def stable(self) -> bool:
-        return self.dimension_at_increment == self.dimension
 
 
 #: Largest truncation K that `scan` and `verify_theorem` accept.
@@ -259,10 +257,10 @@ MAX_TRUNCATION = 1000
 #: Largest monomial exponent n or d that any command or check accepts.
 MAX_EXPONENT = 1000
 
-
-#: Window by which K is extended for the stabilization re-count; a drop
-#: in dimension over it shows that the count at K has not settled.
-STABILIZATION_INCREMENT = 10
+#: Largest degree of a power of the canonical root that any command
+#: accepts: `root-verify` composes the root p times, and `identity-check`
+#: builds its m-th and l-th powers.
+MAX_ROOT_DEGREE = 1000
 
 
 def _proved_floor(prob: CommutantProblem) -> int:
@@ -272,8 +270,10 @@ def _proved_floor(prob: CommutantProblem) -> int:
     g, so each row reads a single residue class mod g.  For n = p and
     d = s both weights are 1, and F or G equal to 1 on one class, the other
     0, gives 2g independent solutions at every (m, l).  Otherwise, at
-    (m, l) = (p, s) the g class sample vectors of
-    :func:`class_sample_vectors` solve every row.  Elsewhere the floor is 0.
+    (m, l) = (p, s) the g class sample vectors solve every row: class j
+    carries the samples Phi(z_k), Psi(z_k) at k = j mod g and zeros
+    elsewhere, and each row cancels term by term since z_k + 2j = z_{k+j}.
+    Elsewhere the floor is 0.
     """
     g = gcd(prob.p, prob.s)
     if (prob.n, prob.d) == (prob.p, prob.s):
@@ -282,25 +282,21 @@ def _proved_floor(prob: CommutantProblem) -> int:
 
 
 def nullspace(prob: CommutantProblem) -> NullspaceReport:
-    """Exact nullspace of the cell, with the stabilization re-count.
+    """Exact nullspace of the cell at K, and the cell's proved floor.
 
     The rows of (3) through K - s decide dim(K).  Their elimination stops
-    once the rank leaves only :func:`_proved_floor`: every K from there on
-    has the floor dimension, which is then also the count reported at
-    K + STABILIZATION_INCREMENT.  Only a cell above the floor at K is
-    counted again, on the rows through K + STABILIZATION_INCREMENT - s.
-    Each basis vector is lifted to F_0..F_K, G_0..G_K and re-multiplied
-    against ``build_system(prob)``; a cell of dimension 0 builds nothing.
+    once the rank leaves only :func:`_proved_floor`: the count is then
+    settled, the same at every K' >= K and untruncated.  A count above the
+    floor reads every row through K - s and bounds the untruncated one
+    from above only.  Each basis vector is lifted to F_0..F_K, G_0..G_K
+    and re-multiplied against ``build_system(prob)``; a cell of dimension
+    0 builds nothing.
     """
     p, s, K = prob.p, prob.s, prob.K
     width, floor = p + s, _proved_floor(prob)
     pins = _Pins(prob)
     thetas = _eliminate(islice(_mixed_rows(pins), K - s + 1), width, width - floor)
     dim = len(thetas)
-    dim_plus = dim
-    if dim != floor:
-        rows = islice(_mixed_rows(pins), K + STABILIZATION_INCREMENT - s + 1)
-        dim_plus = len(_eliminate(rows, width, width))
     basis: list[tuple[Fraction, ...]] = []
     if thetas:
         pins.extend(K)
@@ -327,7 +323,7 @@ def nullspace(prob: CommutantProblem) -> NullspaceReport:
     return NullspaceReport(
         dimension=dim,
         basis=tuple(basis),
-        dimension_at_increment=dim_plus,
+        floor=floor,
         f_constant=f_const,
         g_constant=g_const,
         proportionality=shared,
@@ -364,8 +360,7 @@ class ScanCell:
     m: int
     l: int
     dimension: int
-    dimension_at_increment: int
-    stable: bool
+    floor: int
     root_match: Optional[Fraction]
     counterexample: bool
 
@@ -391,6 +386,14 @@ def check_exponents(**exponents: int) -> None:
             raise ValueError(f"exponent {name} = {value} exceeds the limit {MAX_EXPONENT}")
 
 
+def check_root_degrees(**degrees: int) -> None:
+    """Raise ValueError, naming the limit, for a keyword above MAX_ROOT_DEGREE."""
+    for name, value in degrees.items():
+        if value > MAX_ROOT_DEGREE:
+            raise ValueError(f"degree {name} = {value} exceeds the limit "
+                             f"MAX_ROOT_DEGREE = {MAX_ROOT_DEGREE}")
+
+
 def _check_input(p: int, s: int, n: int, d: int, bound: int, K: int) -> None:
     """Raise ValueError, naming the limit, for an input outside the bounds."""
     if not 1 <= p < s:
@@ -405,9 +408,10 @@ def _check_input(p: int, s: int, n: int, d: int, bound: int, K: int) -> None:
 def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
     """Sweep every admissible (m, l) pair up to `bound` at truncation K.
 
-    A pair other than (p, s) with a stable nontrivial nullspace is flagged
-    as a counterexample report.  A commuting reference pair is surfaced and
-    the whole scan marked as outside the commutant hypotheses.  Raises
+    A pair other than (p, s) with a nontrivial nullspace settled at its
+    proved floor is flagged as a counterexample report.  A commuting
+    reference pair is surfaced and the whole scan marked as outside the
+    commutant hypotheses.  Raises
     ValueError before any elimination if bound > K, K > MAX_TRUNCATION,
     n or d > MAX_EXPONENT, or bound < s - p + 1, which admits no pair.
     """
@@ -428,13 +432,12 @@ def _sweep(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
     for m in range(1, bound - alpha + 1):
         l = m + alpha
         report = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K))
-        bad = report.dimension > 0 and (m, l) != (p, s) and report.stable
+        bad = 0 < report.dimension == report.floor and (m, l) != (p, s)
         cells.append(ScanCell(
             m=m,
             l=l,
             dimension=report.dimension,
-            dimension_at_increment=report.dimension_at_increment,
-            stable=report.stable,
+            floor=report.floor,
             root_match=report.proportionality,
             counterexample=bad,
         ))
@@ -447,19 +450,6 @@ def _sweep(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
         cells=tuple(cells),
         counterexamples=tuple(counterexamples),
     )
-
-
-def class_sample_vectors(prob: CommutantProblem) -> list[tuple[Fraction, ...]]:
-    """Per-residue-class reference solutions at (m, l) = (p, s).
-
-    Class j of g = gcd(p, s) carries (Phi, Psi) samples on indices k = j
-    mod g and zeros elsewhere; their sum is the full reference pair.
-    """
-    g = gcd(prob.p, prob.s)
-    weights = (monomial_weight(prob.p, prob.n), monomial_weight(prob.s, prob.d))
-    samples = [[rf_eval(w, Fraction(2 * k + 2)) for k in range(prob.K + 1)] for w in weights]
-    return [tuple([v if k % g == j else Fraction(0) for part in samples for k, v in enumerate(part)])
-            for j in range(g)]
 
 
 @dataclass(frozen=True)
@@ -484,16 +474,19 @@ def verify_theorem(p: int, s: int, n: int, d: int, bound: int, K: int) -> Theore
     """Desk-scale verification that the commutant forces (m, l) = (p, s)
     with a single proportionality constant.
 
-    PASS requires: a nondegenerate reference pair; stable zero-dimensional
-    nullspaces at every (m, l) other than (p, s); and at (p, s) a stable
-    nullspace that is exactly the span of the per-residue-class reference
-    sample vectors (dimension gcd(p, s), verified by exact membership of
-    each class vector).  The operator-realizable subspace of that span is
-    the single line with all class constants equal, because each class
-    subsequence already pins the transform; its normalized constant is the
-    reported c.  The raw sequence dimension is reported alongside, never
-    suppressed.  Raises ValueError on the input bounds of :func:`scan`,
-    except that a bound below s - p + 1 is a FAIL: (p, s) is not covered.
+    PASS requires a nondegenerate reference pair and every cell settled at
+    its proved floor (see :func:`nullspace`): dimension 0 at every (m, l)
+    other than (p, s), and gcd(p, s) at (p, s), where the floor is the span
+    of the per-residue-class reference sample vectors.  Each count then
+    holds at every K' >= K and untruncated, for every m <= ``bound``.  The
+    operator-realizable subspace of that span is the single line with all
+    class constants equal, because each class subsequence already pins the
+    transform; its normalized constant is the reported c.  The raw sequence
+    dimension is reported alongside, never suppressed.  FAIL means (p, s)
+    is not covered by ``bound``, or a settled counterexample; a cell above
+    its floor is only an upper bound, and makes the verdict inconclusive.
+    Raises ValueError on the input bounds of :func:`scan`, except that a
+    bound below s - p + 1 is a FAIL: (p, s) is not covered.
     """
     _check_input(p, s, n, d, bound, K)
     report = _sweep(p, s, n, d, bound, K)
@@ -505,51 +498,30 @@ def verify_theorem(p: int, s: int, n: int, d: int, bound: int, K: int) -> Theore
         return TheoremReport(p, s, n, d, bound, K, "outside_hypotheses", None,
                              None, g, None, None, report, tuple(messages))
     matching = next((c for c in report.cells if (c.m, c.l) == (p, s)), None)
-    unstable = [c for c in report.cells if not c.stable]
     seq_dim = matching.dimension if matching else None
-    op_dim: Optional[int] = None
-    failed = False
     for cell in report.cells:
         if cell.counterexample:
             messages.append(
-                f"pair (m={cell.m}, l={cell.l}) has a stable nullspace of "
+                f"pair (m={cell.m}, l={cell.l}) has a settled nullspace of "
                 f"dimension {cell.dimension}")
-            failed = True
     if matching is None:
         messages.append(f"(m, l) = ({p}, {s}) not covered by bound {bound}")
-        failed = True
-    else:
-        if matching.dimension != g:
-            messages.append(
-                f"matching pair has sequence nullspace dimension "
-                f"{matching.dimension}, expected gcd(p, s) = {g}")
-            failed = True
-        else:
-            prob = CommutantProblem(p=p, s=s, n=n, d=d, m=p, l=s, K=K)
-            system = build_system(prob)
-            bad = [j for j, v in enumerate(class_sample_vectors(prob))
-                   if not vector_in_nullspace(system, v)]
-            if bad:
-                messages.append(
-                    f"class sample vectors {bad} fail the commutant equations")
-                failed = True
-            else:
-                # dim == g and all g independent class vectors are members,
-                # so the nullspace is exactly their span; the realizable
-                # subspace (equal class constants) is one line.
-                op_dim = 1
-                if g > 1:
-                    messages.append(
-                        f"sequence nullspace splits over {g} residue classes; "
-                        f"operator-realizable subspace is 1-dimensional")
-    if failed:
+    if messages:  # a settled counterexample, or (p, s) not covered
         return TheoremReport(p, s, n, d, bound, K, "fail", False, None,
-                             g, seq_dim, op_dim, report, tuple(messages))
-    if unstable:
-        for cell in unstable:
+                             g, seq_dim, None, report, tuple(messages))
+    # At its floor the nullspace is exactly the span of the g class vectors,
+    # and the realizable subspace (equal class constants) is one line.
+    op_dim = 1 if matching.dimension == matching.floor else None
+    if op_dim and g > 1:
+        messages.append(
+            f"sequence nullspace splits over {g} residue classes; "
+            f"operator-realizable subspace is 1-dimensional")
+    above = [c for c in report.cells if c.dimension != c.floor]
+    if above:
+        for cell in above:
             messages.append(
-                f"pair (m={cell.m}, l={cell.l}) dimensions {cell.dimension} -> "
-                f"{cell.dimension_at_increment} not stabilized at K={K}")
+                f"pair (m={cell.m}, l={cell.l}) has dimension {cell.dimension} "
+                f"above its proved floor {cell.floor} at K={K}")
         return TheoremReport(p, s, n, d, bound, K, "inconclusive", None, None,
                              g, seq_dim, op_dim, report, tuple(messages))
     # c refers to the normalized realizable vector, which equals the

@@ -110,7 +110,7 @@ def _check_theorem(capsys, p, s, n, d):
     assert payload["operator_dimension"] == 1
     cells = {(c["m"], c["l"]): c for c in payload["scan"]["cells"]}
     for (m, l), cell in cells.items():
-        assert cell["stable"], (m, l)
+        assert cell["dim"] == cell["floor"], (m, l)
         if (m, l) != (p, s):
             assert cell["dim"] == 0, (m, l)
     return payload

@@ -110,8 +110,7 @@ class TestVerdictCommands:
                             "--d", "3", "--bound", "4", "--K", "20")
         assert code == EXIT_OK
         first = payload["cells"][0]
-        assert (first["m"], first["l"], first["dim"]) == (1, 2, 1)
-        assert first["stable"] is True
+        assert (first["m"], first["l"], first["dim"], first["floor"]) == (1, 2, 1, 1)
         assert first["root_match"] == "1"
 
     def test_scan_degenerate(self, capsys):
@@ -314,6 +313,31 @@ class TestIdentityCheckBounds:
         assert code in (EXIT_OK, EXIT_NEGATIVE)
         assert payload["params"]["n"] == payload["params"]["d"] == solver.MAX_EXPONENT
 
+    @pytest.mark.parametrize("flag", ["--m", "--l"])
+    @pytest.mark.parametrize("value", [solver.MAX_ROOT_DEGREE + 1, 10**9])
+    def test_degree_above_limit_names_the_limit(self, flag, value, capsys, no_evaluation):
+        # the run time grows steeply in m: --m 1000 --l 1001 took 9 s
+        argv = list(self.ARGV)
+        argv[argv.index(flag) + 1] = str(value)
+        code = dispatch(argv + ["--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert (f"degree {flag[2:]} = {value} exceeds the limit "
+                f"MAX_ROOT_DEGREE = {solver.MAX_ROOT_DEGREE}") in captured.err
+
+    def test_degree_limit_itself_passes_the_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached(args)
+        monkeypatch.setattr(identities, "build_sides", reached)
+        limit = solver.MAX_ROOT_DEGREE
+        with pytest.raises(Reached):
+            identities.verify_identity("commutator", 1, 2, 2, 3, limit, limit,
+                                       sample_zs=identities.default_samples(2))
+
 
 class TestRootVerifyBound:
     @pytest.fixture
@@ -323,16 +347,16 @@ class TestRootVerifyBound:
         monkeypatch.setattr(cli, "compose", refuse)
         monkeypatch.setattr(shift_algebra, "power_weight", refuse)
 
-    @pytest.mark.parametrize("p", [cli.MAX_ROOT_DEGREE + 1, 10**9])
+    @pytest.mark.parametrize("p", [solver.MAX_ROOT_DEGREE + 1, 10**9])
     def test_degree_above_limit_names_the_limit(self, p, capsys, no_composition):
         code = dispatch(["root-verify", "--p", str(p), "--n", "3"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
-        assert f"p = {p} exceeds the limit MAX_ROOT_DEGREE = {cli.MAX_ROOT_DEGREE}" in captured.err
+        assert f"p = {p} exceeds the limit MAX_ROOT_DEGREE = {solver.MAX_ROOT_DEGREE}" in captured.err
 
     def test_limit_itself_accepted(self, capsys):
-        code, payload = run(capsys, "root-verify", "--p", str(cli.MAX_ROOT_DEGREE), "--n", "3")
+        code, payload = run(capsys, "root-verify", "--p", str(solver.MAX_ROOT_DEGREE), "--n", "3")
         assert code == EXIT_OK
         assert payload["match"] is True
 
@@ -407,6 +431,34 @@ class TestSolverBounds:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{flag[2:]} = 100000 exceeds the limit {solver.MAX_EXPONENT}" in err
+
+
+class TestCellAboveProvedFloor:
+    """A count above its proved floor only bounds the untruncated one from
+    above, so it makes the verdict inconclusive, never a FAIL; each of
+    these calls used to exit 1 with a wrong FAIL."""
+
+    @pytest.mark.parametrize("p, s, n, d, K, matching", [
+        (1, 2, 2, 3, 2, (2, 1)),  # (dim, floor) of the (p, s) cell
+        (2, 4, 3, 5, 4, (5, 2)),
+        (1, 3, 2, 2, 3, (3, 1)),
+        (2, 3, 1, 4, 3, (4, 1)),
+        (2, 3, 1, 4, 4, (3, 1)),
+    ])
+    def test_verify_theorem_names_each_cell_above_its_floor(self, p, s, n, d, K, matching,
+                                                           capsys):
+        code, payload = run(capsys, "verify-theorem", "--p", str(p), "--s", str(s),
+                            "--n", str(n), "--d", str(d), "--bound", str(K), "--K", str(K))
+        assert code == EXIT_INCONCLUSIVE
+        assert (payload["status"], payload["pass"]) == ("inconclusive", None)
+        assert payload["operator_dimension"] is None
+        cells = payload["scan"]["cells"]
+        assert [(c["dim"], c["floor"]) for c in cells if (c["m"], c["l"]) == (p, s)] == [matching]
+        above = [c for c in cells if c["dim"] != c["floor"]]
+        assert all(c["dim"] > c["floor"] for c in above)
+        assert payload["messages"] == [
+            f"pair (m={c['m']}, l={c['l']}) has dimension {c['dim']} above its proved "
+            f"floor {c['floor']} at K={K}" for c in above]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -1,8 +1,9 @@
-"""Replay the golden corpus of the solver commands in process.
+"""Replay the golden CLI corpora in process.
 
-Every entry of ``tests/golden/solver_cli.jsonl`` must give the same
-stdout, stderr and exit code as when the corpus was generated; see
-``tests/golden/generate.py`` for what it covers and when to regenerate it.
+Every entry of ``tests/golden/*.jsonl`` must give the same stdout, stderr
+and exit code as when its corpus was generated; see
+``tests/golden/generate.py`` for what they cover and when to regenerate
+them.
 """
 
 import importlib.util
@@ -15,11 +16,12 @@ _spec = importlib.util.spec_from_file_location(
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
-ENTRIES = golden.load()
+ENTRIES = [e for name in golden.CORPORA for e in golden.load(name)]
 
 
-def test_corpus_matches_its_generator():
-    assert [e["argv"] for e in ENTRIES] == golden.corpus_argvs()
+@pytest.mark.parametrize("name", list(golden.CORPORA))
+def test_corpus_matches_its_generator(name):
+    assert [e["argv"] for e in golden.load(name)] == golden.CORPORA[name]()
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])

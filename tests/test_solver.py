@@ -15,7 +15,6 @@ from bergshift.solver import (
     ExactLinearSystem,
     LinearEquation,
     build_system,
-    class_sample_vectors,
     commuting_pair,
     match_root_power,
     monomial_weight,
@@ -87,8 +86,7 @@ class TestNullspace:
     def test_matching_pair_dimension_one(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=30)
         rep = nullspace(prob)
-        assert rep.dimension == 1
-        assert rep.stable
+        assert (rep.dimension, rep.floor) == (1, 1)
         assert rep.proportionality == Fraction(1)
         # normalized basis is exactly the reference samples
         assert rep.basis[0] == reference_vector(prob)
@@ -96,8 +94,7 @@ class TestNullspace:
     def test_excluded_pair_dimension_zero(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=2, l=3, K=30)
         rep = nullspace(prob)
-        assert rep.dimension == 0
-        assert rep.stable
+        assert (rep.dimension, rep.floor) == (0, 0)
 
     def test_basis_vectors_verified_exactly(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=20)
@@ -115,11 +112,9 @@ class TestNullspace:
     def test_residue_class_split_dimension(self):
         # gcd(p, s) = 2: sequence nullspace carries one line per class
         prob = CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=30)
-        sys_ = build_system(prob)
         rep = nullspace(prob)
-        assert rep.dimension == 2
-        for v in class_sample_vectors(prob):
-            assert vector_in_nullspace(sys_, v)
+        assert (rep.dimension, rep.floor) == (2, 2)
+        assert vector_in_nullspace(build_system(prob), reference_vector(prob))
 
 
 class TestMatchRootPower:
@@ -175,7 +170,7 @@ class TestScan:
         rep = scan(1, 2, 2, 3, bound=4, K=30)
         cell = next(c for c in rep.cells if (c.m, c.l) == (1, 2))
         assert cell.root_match == Fraction(1)
-        assert cell.stable
+        assert cell.dimension == cell.floor
 
 
 class TestVerifyTheorem:
@@ -276,7 +271,7 @@ class TestVectorInNullspace:
         sys_ = build_system(prob)
         vectors = list(nullspace(prob).basis)
         if (prob.m, prob.l) == (prob.p, prob.s):
-            vectors += class_sample_vectors(prob)
+            vectors.append(reference_vector(prob))
         assert vectors
         for vec in vectors:
             assert vector_in_nullspace(sys_, vec)
@@ -333,13 +328,13 @@ def built_truncations(monkeypatch):
     return built
 
 
-class TestRecount:
-    def test_dimension_zero_cell_is_not_recounted(self, rows_read, built_truncations):
+class TestProvedFloor:
+    def test_dimension_zero_cell_settles_on_a_prefix(self, rows_read, built_truncations):
         # at every cell of (1,2,2,3) but (1, 2), a few rows have full rank 3
         for m in range(2, 9):
             rows_read.clear()
             rep = nullspace(CommutantProblem(p=1, s=2, n=2, d=3, m=m, l=m + 1, K=1000))
-            assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (0, 0, True)
+            assert (rep.dimension, rep.floor) == (0, 0)
             assert len(rows_read) == 1 and rows_read[0] <= 1 + 2 + 1
         assert built_truncations == []
 
@@ -351,29 +346,29 @@ class TestRecount:
         (1, 2, 1, 2, 3, 2),
         (2, 4, 2, 4, 1, 4),
     ])
-    def test_cell_at_proved_floor_is_not_recounted(self, rows_read, p, s, n, d, m, floor):
-        # rank p + s - floor comes within p + s rows, and nothing is re-counted
+    def test_cell_at_proved_floor_settles_on_a_prefix(self, rows_read, p, s, n, d, m, floor):
+        # rank p + s - floor comes within p + s rows, and no row after it is read
         rep = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=m + s - p, K=200))
-        assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (floor, floor, True)
+        assert (rep.dimension, rep.floor) == (floor, floor)
         assert len(rows_read) == 1 and rows_read[0] <= p + s
         if m == p and (n, d) != (p, s):
             assert rows_read == [p + s - gcd(p, s)]
 
-    def test_cell_above_proved_floor_is_recounted(self, rows_read):
+    def test_cell_above_proved_floor_reads_every_row_once(self, rows_read):
         # At the smallest truncation (1, 2) of (1,2,2,3) has dim 2 > gcd(1, 2):
-        # rows 0..K-s give the count at K, rows 0..K+10-s the drop.
+        # rows 0..K-s give the count at K, an upper bound only, and no row
+        # past K - s is read.
         K = 2
         rep = nullspace(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=K))
-        assert (rep.dimension, rep.dimension_at_increment, rep.stable) == (2, 1, False)
-        assert rows_read == [K - 2 + 1, K + solver.STABILIZATION_INCREMENT - 2 + 1]
+        assert (rep.dimension, rep.floor) == (2, 1)
+        assert rows_read == [K - 2 + 1]
 
     def test_verify_theorem_builds_only_the_matching_system(self, built_truncations):
         # Seven cells at K = 60: only the (1, 2) cell has a basis to
-        # re-multiply, and the class vectors are checked against the
-        # (1, 2) system once more.
+        # re-multiply.
         rep = verify_theorem(1, 2, 2, 3, bound=8, K=60)
         assert rep.status == "pass"
-        assert built_truncations == [60, 60]
+        assert built_truncations == [60]
 
 
 class TestInputBounds:

@@ -4,6 +4,8 @@
 reduction: one-step Bareiss on the whole integer-scaled system with
 F_k, G_k interleaved columns and first-nonzero pivoting.  It is kept here
 only as an independent oracle, at truncations small enough for it.
+`class_sample_vectors` is the floor the solver proves at (m, l) = (p, s),
+built from the weight functions rather than from the recurrences.
 """
 
 import dataclasses
@@ -16,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergshift import solver
+from bergshift.exact_algebra import rf_eval
 from bergshift.solver import (
     CommutantProblem,
     ExactLinearSystem,
     LinearEquation,
     build_system,
+    monomial_weight,
     nullspace,
     vector_in_nullspace,
 )
@@ -112,6 +116,23 @@ def oracle_basis(prob):
     return bareiss_basis(build_system(prob), _interleaved_columns(prob.K))
 
 
+def class_sample_vectors(prob):
+    """Per-residue-class reference solutions at (m, l) = (p, s).
+
+    Class j of g = gcd(p, s) carries (Phi, Psi) samples on indices k = j
+    mod g and zeros elsewhere; their sum is the full reference pair.
+    """
+    g = gcd(prob.p, prob.s)
+    weights = (monomial_weight(prob.p, prob.n), monomial_weight(prob.s, prob.d))
+    samples = [[rf_eval(w, Fraction(2 * k + 2)) for k in range(prob.K + 1)] for w in weights]
+    return [tuple([v if k % g == j else Fraction(0) for part in samples for k, v in enumerate(part)])
+            for j in range(g)]
+
+
+def rank(vectors, ncols):
+    return ncols - len(solver._eliminate([list(enumerate(v)) for v in vectors], ncols, ncols))
+
+
 def grid():
     """Every (p, s) with s <= 6 and every admissible m <= 8, for a generic
     instance, both pure-shift variants (n = p or d = s) and the commuting
@@ -150,12 +171,24 @@ def test_nullspace_matches_bareiss_on_grid(chunk):
         rep = nullspace(prob)
         oracle = oracle_basis(prob)
         assert rep.dimension == len(oracle), prob
-        bigger = dataclasses.replace(prob, K=prob.K + solver.STABILIZATION_INCREMENT)
-        assert rep.dimension_at_increment == len(oracle_basis(bigger)), prob
+        # The floor bounds the count from below at K and beyond, and a
+        # count at the floor is settled: ten more rows leave it unchanged.
+        bigger = len(oracle_basis(dataclasses.replace(prob, K=prob.K + 10)))
+        assert rep.floor <= bigger <= rep.dimension, prob
+        if rep.dimension == rep.floor:
+            assert bigger == rep.dimension, prob
         sys_ = build_system(prob)
         assert all(vector_in_nullspace(sys_, vec) for vec in rep.basis), prob
         if rep.dimension == 1:
             assert lead_normalized(rep.basis[0]) == oracle[0], prob
+        if (prob.m, prob.l) == (prob.p, prob.s):
+            # The lemma under the floor at (p, s): the g class vectors solve
+            # every row, and at the floor they span the whole nullspace.
+            classes = class_sample_vectors(prob)
+            assert all(vector_in_nullspace(sys_, vec) for vec in classes), prob
+            assert rank(classes, sys_.num_unknowns) == gcd(prob.p, prob.s), prob
+            if rep.dimension == rep.floor == len(classes):
+                assert rank(classes + list(rep.basis), sys_.num_unknowns) == rep.dimension, prob
 
 
 @settings(max_examples=40, deadline=None)
