@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable
 
 import mpmath
@@ -204,6 +205,12 @@ def bergman_quadrature_oracle(
 
     computed by adaptive quadrature, independent of the Mellin route.  The
     result carries the quadrature error estimate scaled by the same factor.
+
+    With N the largest exponent, r^N has its mass within about 1/N of
+    r = 1, where the nodes of [0, 1] and its halves would miss it and agree
+    on about 0.  So [0, 1] is cut at 1 - 2^-j for j = 1..J, with
+    J = ceil(log2(N + 1)), and each of the J + 1 panels is integrated to
+    1/(J + 1) of the tolerance.
     """
     if p < 0 or k < 0:
         raise ValueError("p and k must be nonnegative")
@@ -219,6 +226,14 @@ def bergman_quadrature_oracle(
                 total += c * r**e
             return total
 
+        # 2^J >= N + 1 exactly when 2^J > ceil(N)
+        J = ceil(2 * k + p + 1 + max((e for _, e in phi.terms), default=0)).bit_length()
+        cuts = [1 - mp.mpf(2) ** -j for j in range(J + 1)] + [mp.mpf(1)]
+        tol = mp.mpf(10) ** (-digits) / (J + 1)
+        value = err = mp.mpf(0)
+        for a, b in zip(cuts, cuts[1:]):
+            v, e = integrate_adaptive(integrand, a, b, tol)
+            value += v
+            err += e
         factor = 2 * (k + p + 1)
-        value, err = integrate_adaptive(integrand, 0, 1, mp.mpf(10) ** (-digits))
         return QuadratureResult(factor * value, factor * err)

@@ -28,6 +28,12 @@ class QuadratureError(ArithmeticError):
         )
 
 
+#: Points of the Gauss-Legendre rule on each panel.
+ORDER = 12
+
+#: Halvings before :func:`integrate_adaptive` gives up.
+MAX_DEPTH = 48
+
 _RULE_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
 
 
@@ -69,20 +75,13 @@ def _panel(f: Callable, a, b, nodes, weights):
     return half * total
 
 
-def integrate_adaptive(
-    f: Callable,
-    a,
-    b,
-    tol,
-    order: int = 12,
-    max_depth: int = 48,
-) -> tuple[mpmath.mpf, mpmath.mpf]:
+def integrate_adaptive(f: Callable, a, b, tol) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Integrate f over [a, b]; returns (value, error_estimate).
 
     Raises :class:`QuadratureError` when halving cannot reach `tol` within
-    `max_depth` levels (the estimate achieved so far is attached).
+    MAX_DEPTH levels (the estimate achieved so far is attached).
     """
-    nodes, weights = gauss_legendre_rule(order, mp.prec)
+    nodes, weights = gauss_legendre_rule(ORDER, mp.prec)
     a, b, tol = mp.mpf(a), mp.mpf(b), mp.mpf(tol)
 
     def recurse(a, b, tol, whole, depth):
@@ -90,7 +89,7 @@ def integrate_adaptive(
         left = _panel(f, a, mid, nodes, weights)
         right = _panel(f, mid, b, nodes, weights)
         err = abs(whole - (left + right))
-        if err <= tol or depth >= max_depth:
+        if err <= tol or depth >= MAX_DEPTH:
             return left + right, err
         lv, le = recurse(a, mid, tol / 2, left, depth + 1)
         rv, re = recurse(mid, b, tol / 2, right, depth + 1)

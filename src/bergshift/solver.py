@@ -21,7 +21,10 @@ generates row k of (3) in the p + s parameters F[0..p-1], G[0..s-1]
 straight from the problem, extending the pins only as far as the rows
 read them, and eliminates the rows lazily; each lifted basis vector is
 re-verified against every row of the explicit expansion
-:func:`build_system`.  A larger K only appends rows, so dim(K) cannot
+:func:`build_system`.  The module decides from (p, s, n, d) what it can
+prove: whether the reference pair commutes (:func:`commuting_pair`), each
+cell's floor, and a root match on the p + s entries that the pins
+determine.  A larger K only appends rows, so dim(K) cannot
 increase in K, and it never drops below :func:`_proved_floor`: the
 elimination stops once the rank leaves only the floor.  A count at the
 floor is therefore settled: it holds at every K' >= K and in the
@@ -52,8 +55,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact_algebra import Polynomial, RationalFunction, rf_eval, rf_normalize
 from .gamma_ratio import power_weight
-from .mellin import RadialSymbol
-from .shift_algebra import commutator, quasihomogeneous_operator
 
 
 def monomial_weight(p: int, n: int) -> RationalFunction:
@@ -62,10 +63,22 @@ def monomial_weight(p: int, n: int) -> RationalFunction:
 
 
 def commuting_pair(p: int, n: int, s: int, d: int) -> bool:
-    """Exact check of whether the two reference operators commute."""
-    a = quasihomogeneous_operator(p, RadialSymbol.monomial(n))
-    b = quasihomogeneous_operator(s, RadialSymbol.monomial(d))
-    return commutator(a, b).is_zero
+    """Whether the reference operators of degrees p < s with radial parts
+    r^n and r^d commute: exactly when (n, d) = (p, s), for 1 <= p < s.
+
+    Their weights are Phi(z) = (z+2p)/(z+p+n) and Psi(z) = (z+2s)/(z+s+d),
+    and the commutator is the shift by p + s with the single weight
+    Phi(z+2s) Psi(z) - Psi(z+2p) Phi(z).  Both products carry the factor
+    z+2p+2s; after cancelling it, the weight vanishes iff
+
+        (z+2s)(z+2p+s+d)(z+p+n) = (z+2p)(z+2s+p+n)(z+s+d),
+
+    that is, iff the root multisets {2s, 2p+s+d, p+n} and
+    {2p, 2s+p+n, s+d} are equal.  Since p < s and s + d > 0, 2p can only
+    equal p+n, so n = p; then 2s cannot equal 2s+2p, so 2s = s+d and d = s.
+    Conversely both weights are 1 at (n, d) = (p, s).
+    """
+    return (n, d) == (p, s)
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,6 @@ class LinearEquation:
     """Sparse row: (unknown index, coefficient) pairs, exact rationals."""
 
     coeffs: tuple[tuple[int, Fraction], ...]
-    label: str
 
 
 @dataclass(frozen=True)
@@ -121,20 +133,15 @@ def build_system(prob: CommutantProblem) -> ExactLinearSystem:
 
     rows: list[LinearEquation] = []
     for k in range(K - p + 1):
-        rows.append(LinearEquation(
-            ((k + p, phi_at[k]), (k, -phi_at[k + m])),
-            f"first[k={k}]"))
+        rows.append(LinearEquation(((k + p, phi_at[k]), (k, -phi_at[k + m]))))
     for k in range(K - s + 1):
-        rows.append(LinearEquation(
-            ((G + k + s, psi_at[k]), (G + k, -psi_at[k + l])),
-            f"second[k={k}]"))
+        rows.append(LinearEquation(((G + k + s, psi_at[k]), (G + k, -psi_at[k + l]))))
     for k in range(K - s + 1):
         rows.append(LinearEquation(
             ((k + s, psi_at[k]),
              (G + k + p, phi_at[k]),
              (k, -psi_at[k + m]),
-             (G + k, -phi_at[k + l])),
-            f"mixed[k={k}]"))
+             (G + k, -phi_at[k + l]))))
     return ExactLinearSystem(tuple(rows), 2 * (K + 1))
 
 
@@ -246,8 +253,6 @@ class NullspaceReport:
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
     floor: int
-    f_constant: Optional[Fraction]
-    g_constant: Optional[Fraction]
     proportionality: Optional[Fraction]
 
 
@@ -267,16 +272,16 @@ def _proved_floor(prob: CommutantProblem) -> int:
     """A lower bound on the nullspace dimension that holds at every K.
 
     With g = gcd(p, s), every index step of rows (1)-(3) is a multiple of
-    g, so each row reads a single residue class mod g.  For n = p and
-    d = s both weights are 1, and F or G equal to 1 on one class, the other
-    0, gives 2g independent solutions at every (m, l).  Otherwise, at
-    (m, l) = (p, s) the g class sample vectors solve every row: class j
-    carries the samples Phi(z_k), Psi(z_k) at k = j mod g and zeros
-    elsewhere, and each row cancels term by term since z_k + 2j = z_{k+j}.
-    Elsewhere the floor is 0.
+    g, so each row reads a single residue class mod g.  For a commuting
+    pair, (n, d) = (p, s), both weights are 1, and F or G equal to 1 on one
+    class, the other 0, gives 2g independent solutions at every (m, l).
+    Otherwise, at (m, l) = (p, s) the g class sample vectors solve every
+    row: class j carries the samples Phi(z_k), Psi(z_k) at k = j mod g and
+    zeros elsewhere, and each row cancels term by term since
+    z_k + 2j = z_{k+j}.  Elsewhere the floor is 0.
     """
     g = gcd(prob.p, prob.s)
-    if (prob.n, prob.d) == (prob.p, prob.s):
+    if commuting_pair(prob.p, prob.n, prob.s, prob.d):
         return 2 * g
     return g if (prob.m, prob.l) == (prob.p, prob.s) else 0
 
@@ -309,11 +314,16 @@ def nullspace(prob: CommutantProblem) -> NullspaceReport:
         if not vector_in_nullspace(system, vec):
             raise ArithmeticError("computed vector fails exact re-multiplication")
         basis.append(vec)
-    f_const = g_const = shared = None
+    shared = None
     if dim == 1:
         vec = basis[0]
-        f_const = match_root_power(vec[: K + 1], prob.m, prob.p, prob.n)
-        g_const = match_root_power(vec[K + 1 :], prob.l, prob.s, prob.d)
+        # F and c * w_m, w_m = power_weight(m, p, n), both satisfy row (1):
+        # w_m(z+2p) Phi(z) = Phi(z+2m) w_m(z), as w_p = Phi and R^m, R^p are
+        # powers of one root.  Its leading samples Phi(z_k) are positive, so
+        # the two agree at every k once they agree at k < p; so does G with
+        # row (2) at k < s.
+        f_const = match_root_power(vec[:p], prob.m, p, prob.n)
+        g_const = match_root_power(vec[K + 1 : K + 1 + s], prob.l, s, prob.d)
         if f_const is not None and f_const == g_const and f_const != 0:
             # Present the basis in the matched normalization, where the
             # vector is exactly the reference sample pair and the shared
@@ -324,8 +334,6 @@ def nullspace(prob: CommutantProblem) -> NullspaceReport:
         dimension=dim,
         basis=tuple(basis),
         floor=floor,
-        f_constant=f_const,
-        g_constant=g_const,
         proportionality=shared,
     )
 

@@ -154,6 +154,8 @@ def command_argvs() -> list[list[str]]:
          "--digits", "15"],
         ["oracle-quadrature", "--p", "1", "--symbol", "r", "--k", "2",
          "--tolerance", "0"],
+        ["oracle-quadrature", "--p", "1", "--symbol", "r^2", "--k", "0",
+         "--tolerance", "0"],
     ]
     # --help and the usage errors
     argvs += [

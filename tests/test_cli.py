@@ -133,6 +133,13 @@ class TestVerdictCommands:
         assert payload["exact"] == "4/5"
         assert payload["ok"] is True
 
+    @pytest.mark.parametrize("extra", [("--k", "10000"), ("--k", "400", "--digits", "1")])
+    def test_oracle_quadrature_finds_the_mass_near_one_at_large_k(self, capsys, extra):
+        # r^N has its mass within about 1/N of r = 1
+        code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^2", *extra)
+        assert code == EXIT_OK
+        assert payload["ok"] is True
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

@@ -58,7 +58,6 @@ class TestBuildSystem:
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=5)
         sys_ = build_system(prob)
         row = sys_.rows[0]
-        assert row.label == "first[k=0]"
         assert dict(row.coeffs) == {1: Fraction(4, 5), 0: Fraction(-6, 7)}
 
     def test_single_mixed_family_degree(self):
@@ -134,6 +133,48 @@ class TestMatchRootPower:
         v[7] += Fraction(1, 1000)
         assert match_root_power(v, 1, 1, 2) is None
 
+    def test_pinned_prefix_decides_the_whole_vector(self):
+        """On every cell of dimension 1, including cells above their floor,
+        matching the first p entries of F and s of G gives what matching all
+        K + 1 of each gives, and the solver reports that full-vector match.
+        Every m is read at the smallest truncations, m <= 8 at K = 30."""
+        cells = above = 0
+        for s in range(2, 5):
+            for p in range(1, s):
+                for n in range(1, 5):
+                    for d in range(1, 5):
+                        for K in (s, s + 1, s + 2, 30):
+                            for m in range(1, min(K - s + p, 8) + 1):
+                                l = m + s - p
+                                rep = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K))
+                                if rep.dimension != 1:
+                                    continue
+                                cells += 1
+                                above += rep.floor == 0
+                                v = rep.basis[0]
+                                f = match_root_power(v[: K + 1], m, p, n)
+                                g = match_root_power(v[K + 1 :], l, s, d)
+                                assert match_root_power(v[:p], m, p, n) == f
+                                assert match_root_power(v[K + 1 : K + 1 + s], l, s, d) == g
+                                matched = f is not None and f == g and f != 0
+                                assert rep.proportionality == (Fraction(1) if matched else None)
+                                if matched:
+                                    assert f == 1  # the basis is reported in the matched scale
+        assert cells > 100 and above > 20
+
+    def test_nullspace_matches_only_the_pinned_prefix(self, monkeypatch):
+        lengths = []
+        match = solver.match_root_power
+
+        def spy(v, m, p, n):
+            lengths.append(len(v))
+            return match(v, m, p, n)
+
+        monkeypatch.setattr(solver, "match_root_power", spy)
+        rep = nullspace(CommutantProblem(p=2, s=3, n=5, d=1, m=2, l=3, K=40))
+        assert rep.proportionality == Fraction(1)
+        assert lengths == [2, 3]
+
 
 class TestConsistencyWithShiftAlgebra:
     def test_matched_solution_commutes_as_operator(self):
@@ -206,6 +247,17 @@ def test_commuting_pair_examples():
     assert not commuting_pair(1, 2, 2, 3)
 
 
+def test_commuting_pair_equals_the_operator_commutator():
+    """The closed form against the commutator built by the operator algebra."""
+    for s in range(2, 7):
+        for p in range(1, s):
+            for n in range(1, 9):
+                for d in range(1, 9):
+                    a = quasihomogeneous_operator(p, RadialSymbol.monomial(n))
+                    b = quasihomogeneous_operator(s, RadialSymbol.monomial(d))
+                    assert commuting_pair(p, n, s, d) == commutator(a, b).is_zero, (p, n, s, d)
+
+
 def test_elimination_against_reference():
     """Random sparse systems: the elimination kernel's dimension must match
     a dense Fraction Gauss-Jordan rank, and every basis vector re-multiplies
@@ -243,7 +295,7 @@ def test_elimination_against_reference():
                 (j, Fraction(rng.randint(-6, 6), rng.randint(1, 5))) for j in support)
             coeffs = tuple((j, c) for j, c in coeffs if c != 0)
             if coeffs:
-                rows.append(LinearEquation(coeffs, f"r{i}"))
+                rows.append(LinearEquation(coeffs))
         sys_ = ExactLinearSystem(tuple(rows), ncols)
         basis = solver._eliminate([r.coeffs for r in rows], ncols, ncols)
         assert len(basis) == ncols - reference_rank(rows, ncols)
@@ -288,7 +340,7 @@ class TestVectorInNullspace:
             ncols = rng.randint(1, 8)
             rows = tuple(
                 LinearEquation(tuple((j, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
-                                     for j in rng.sample(range(ncols), rng.randint(1, ncols))), "r")
+                                     for j in rng.sample(range(ncols), rng.randint(1, ncols))))
                 for _ in range(rng.randint(0, 6)))
             sys_ = ExactLinearSystem(rows, ncols)
             candidates = solver._eliminate([r.coeffs for r in rows], ncols, ncols)

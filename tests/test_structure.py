@@ -11,7 +11,10 @@
   built from lists;
 * ``solver`` binds no certified-numerics name: it is exact throughout;
 * ``iv.gamma`` appears once, in the memoized lookup of one precision pass,
-  so no second Gamma evaluation path can come back.
+  so no second Gamma evaluation path can come back;
+* ``solver`` imports only ``exact_algebra`` and ``gamma_ratio`` from the
+  package: it decides from its own parameters, not through the operator
+  algebra or the symbol layer.
 """
 
 import ast
@@ -23,6 +26,7 @@ PACKAGE = Path(bergshift.__file__).parent
 SCOPE = ("gamma_ratio", "working_precision")
 CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "working_precision"}
 GAMMA_SITE = ("gamma_ratio", "_IntervalMemo", "gamma")
+SOLVER_IMPORTS = {"exact_algebra", "gamma_ratio"}
 
 
 def _modules():
@@ -142,3 +146,15 @@ def test_interval_gamma_only_in_the_memo():
     allowed = [(mod, node.lineno) for node in ast.walk(lookup) if _is_interval_gamma(node)]
     assert len(allowed) == 1
     assert sites == allowed
+
+
+def test_solver_imports_only_exact_algebra_and_gamma_ratio():
+    tree = dict(_modules())["solver"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_package_import(node):
+            module = (node.module or "").removeprefix("bergshift").lstrip(".")
+            imported |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import) and _is_package_import(node):
+            imported |= {alias.name.partition(".")[2] for alias in node.names}
+    assert imported <= SOLVER_IMPORTS, sorted(imported - SOLVER_IMPORTS)
