@@ -45,6 +45,7 @@ from .gamma_ratio import (
 from .identities import SCENARIOS, IdentityReport, default_samples, verify_identity
 from .mellin import (
     bergman_quadrature_oracle,
+    check_digits,
     format_symbol,
     mellin_transform,
     parse_symbol,
@@ -343,9 +344,31 @@ def _cmd_verify_theorem(args) -> tuple[dict, int]:
     return payload, code
 
 
+def _oracle_tolerance(text: Optional[str], digits: int) -> mpmath.mpf:
+    """The tolerance at the working precision, read by the parser the
+    comparison uses: ``text``, or 1e-10 when it is None.  Raise ValueError
+    unless it is a finite number of at least 10^-digits: below that, the
+    verdict reads the rounding noise of the working precision, and nan or
+    inf decide nothing.  The default is raised to that floor."""
+    floor = mp.mpf(10) ** -digits
+    if text is None:
+        return max(mp.mpf("1e-10"), floor)
+    try:
+        tol = mp.mpf(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"tolerance must be a finite number, got {text!r}") from None
+    if not mp.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {text!r}")
+    if tol < floor:
+        raise ValueError(f"tolerance must be at least 1e-{digits} (10^-digits), got {text!r}")
+    return tol
+
+
 def _cmd_oracle_quadrature(args) -> tuple[dict, int]:
-    phi = parse_symbol(args.symbol)
+    check_digits(args.digits)
     with mp.workdps(args.digits + 15):
+        tol = _oracle_tolerance(args.tolerance, args.digits)
+        phi = parse_symbol(args.symbol)
         try:
             result = bergman_quadrature_oracle(args.p, phi, args.k, args.digits)
         except QuadratureError as exc:
@@ -357,7 +380,6 @@ def _cmd_oracle_quadrature(args) -> tuple[dict, int]:
         exact = toeplitz_weight(args.p, phi).eval_exact(Fraction(2 * args.k + 2))
         exact_mp = mp.mpf(exact.numerator) / exact.denominator
         abs_err = abs(result.value - exact_mp)
-        tol = mp.mpf(args.tolerance)
         payload = {
             "p": args.p,
             "k": args.k,
@@ -444,7 +466,8 @@ def build_parser() -> _Parser:
     c.add_argument("--symbol", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--digits", type=int, default=25)
-    c.add_argument("--tolerance", default="1e-10")
+    c.add_argument("--tolerance", default=None,
+                   help="default 1e-10, or 10^-digits when that is larger")
 
     return parser
 

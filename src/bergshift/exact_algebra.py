@@ -170,6 +170,11 @@ class Polynomial:
         num, den = _eval_ints(self, as_rational(point))
         return Fraction(num, den)
 
+    def scaled_ints(self) -> tuple[list[int], int]:
+        """(ints, L): L the lcm of the coefficient denominators and
+        ints[i] = L * coeffs[i], so the polynomial is sum(ints[i] z^i) / L."""
+        return _scaled_ints(self)
+
     def shift(self, h: RationalLike) -> "Polynomial":
         """Return p(z + h)."""
         h = as_rational(h)
@@ -205,22 +210,23 @@ def _from_scaled_ints(ints: Sequence, lcm: int) -> Polynomial:
     return Polynomial(tuple([Fraction(c, lcm) for c in ints]))
 
 
-def _eval_ints(p: Polynomial, point: Fraction) -> tuple[int, int]:
-    """p(point) as an integer pair (num, den) with den > 0, not reduced.
-
-    With L the lcm of the coefficient denominators and point = u/v, the
-    value is sum(L*c_i * u^i * v^(deg-i)) / (L * v^deg): one Horner pass
-    on ints.
-    """
-    if p.is_zero:
+def eval_scaled(ints: Sequence[int], lcm: int, u: int, v: int) -> tuple[int, int]:
+    """sum(ints[i] (u/v)^i) / lcm as an integer pair (num, den) with den > 0
+    when v > 0, not reduced: with deg = len(ints) - 1 it is
+    sum(ints[i] u^i v^(deg-i)) / (lcm v^deg), one Horner pass on ints.
+    ``ints, lcm`` is the form :meth:`Polynomial.scaled_ints` gives."""
+    if not ints:
         return 0, 1
-    ints, lcm = _scaled_ints(p)
-    u, v = point.numerator, point.denominator
     acc, vpow = 0, 1
     for c in reversed(ints):
         acc = acc * u + c * vpow
         vpow *= v
     return acc, lcm * (vpow // v)
+
+
+def _eval_ints(p: Polynomial, point: Fraction) -> tuple[int, int]:
+    """p(point) as an integer pair (num, den) with den > 0, not reduced."""
+    return eval_scaled(*_scaled_ints(p), point.numerator, point.denominator)
 
 
 def _int_content(cs: Sequence[int]) -> int:

@@ -28,13 +28,30 @@ interval arithmetic: :func:`working_precision` is the one precision scope,
 certified check that two weight expressions are proportional at sample
 points.  The commutant solver uses none of them: it is exact throughout.
 
+Each check turns both sides into a plan once, before its first precision
+pass: per term, the lcm-scaled integer coefficients of the coefficient's
+numerator and denominator and the (two_delta, offset) atoms.  At a sample
+u/v each coefficient value is the Horner pass on ints of
+:func:`~bergshift.exact_algebra.eval_scaled`, reduced to lowest terms, and
+each Gamma argument (u/v + offset)/two_delta is a reduced
+integer pair, whose pole test reads the pair: denominator 1 and numerator
+at most 0.  The pole test is part of evaluation: the enclosure of a
+weight at a pole of a normalized term is None, found while walking the
+same terms, so no sample is inspected twice.
+
 Each precision pass computes every interval once: one memo, created inside
 the pass's :func:`working_precision` block and shared by both sides of a
 ratio check, holds the enclosure of each integer, each rational and each
-Gamma argument.  A memo never outlives its pass, so no interval crosses a
-precision doubling.  The pole test is part of evaluation: the enclosure
-of a weight at a pole of a normalized term is None, found while walking
-the same terms, so no sample is inspected twice.
+Gamma argument, as mpmath's raw interval tuples (lower, upper).  A memo
+never outlives its pass, so no interval crosses a precision doubling.  The
+kernel calls the ``mpmath.libmp`` interval primitives that the ``iv``
+context calls underneath, on the same operands, in the same order and at
+the same precision, and encloses an integer with the same floor and
+ceiling roundings; only the wrapper objects are gone.  So every interval,
+ball and printed radius is the one the ``iv`` objects give, bit for bit;
+``tests/test_ball_kernel_oracle.py`` keeps that ``iv`` evaluation as the
+oracle.  Gamma values come from ``iv.gamma`` at each argument, never from
+the recurrence Gamma(x + 1) = x Gamma(x), which would change the radii.
 """
 
 from __future__ import annotations
@@ -43,10 +60,28 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from math import gcd
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_gt,
+    mpf_le,
+    mpf_shift,
+    mpf_sub,
+    mpi_add,
+    mpi_div,
+    mpi_mul,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    round_up,
+)
 
 from .exact_algebra import (
     Polynomial,
@@ -54,6 +89,7 @@ from .exact_algebra import (
     RationalFunction,
     RationalLike,
     as_rational,
+    eval_scaled,
     format_rational_function,
     rf_eval,
     rf_normalize,
@@ -377,70 +413,126 @@ class BallValue:
         return f"[{mpmath.nstr(self.mid, 20)} +/- {mpmath.nstr(self.rad, 5)}]"
 
 
-def _ball_from_interval(x) -> BallValue:
-    a = mp.convert(x.a)
-    b = mp.convert(x.b)
-    mid = (a + b) / 2
-    rad = max(mp.fsub(b, mid, rounding="u"), mp.fsub(mid, a, rounding="u"))
-    return BallValue(mid, max(rad, mp.mpf(0)))
+# A raw interval is mpmath's endpoint pair (lower, upper) of mpf tuples;
+# the libmp primitives below are what the ``iv`` context calls underneath.
+_EXACT_ZERO = (fzero, fzero)
 
 
-def _is_gamma_pole(arg: Fraction) -> bool:
-    return arg <= 0 and arg.denominator == 1
+def _ball(x, bits: int) -> BallValue:
+    """The ball of the raw interval x, rounded as the mpmath real context
+    rounds (a + b)/2 and the two upward differences at ``bits``."""
+    a, b = x
+    mid = mpf_shift(mpf_add(a, b, bits, round_nearest), -1)
+    rad = mpf_sub(b, mid, bits, round_up)
+    other = mpf_sub(mid, a, bits, round_up)
+    if mpf_gt(other, rad):
+        rad = other
+    if mpf_gt(fzero, rad):
+        rad = fzero
+    return BallValue(mp.make_mpf(mid), mp.make_mpf(rad))
+
+
+def _has_zero(x) -> bool:
+    """``0 in x``, read off the endpoints as mpmath's interval ``in`` does."""
+    return mpf_le(x[0], fzero) and mpf_le(fzero, x[1])
+
+
+class _TermPlan(NamedTuple):
+    """One term of a weight on ints: the coefficient as lcm-scaled integer
+    numerator and denominator coefficients over their lcms, and its atoms."""
+
+    num: list[int]
+    num_lcm: int
+    den: list[int]
+    den_lcm: int
+    gamma_num: tuple[GammaAtom, ...]
+    gamma_den: tuple[GammaAtom, ...]
+
+
+def _plan(w: WeightExpr) -> list[_TermPlan]:
+    return [_TermPlan(*c.num.scaled_ints(), *c.den.scaled_ints(), g.num, g.den)
+            for c, g in w.terms]
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms.  A coefficient value is reduced before it is
+    enclosed: the enclosure of an unreduced quotient whose parts exceed the
+    precision rounds differently."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _gamma_args(atoms: tuple[GammaAtom, ...], u: int, v: int) -> Optional[list[tuple[int, int]]]:
+    """The arguments (u/v + offset)/two_delta in lowest terms (num, den), or
+    None when one is a nonpositive integer, a pole of Gamma."""
+    out = []
+    for td, off in atoms:
+        num, den = _lowest(u + off * v, v * td)
+        if den == 1 and num <= 0:
+            return None
+        out.append((num, den))
+    return out
 
 
 class _IntervalMemo:
-    """Interval values of one precision pass, each computed once: ``iv.mpf``
-    per integer, the enclosure num/den per rational, ``iv.gamma`` per
-    argument.  Valid only at the precision it was filled at, so every
-    memo lives inside one :func:`working_precision` block."""
+    """Raw intervals of one precision pass, each computed once: the
+    enclosure per integer, num/den per rational (num, den) in lowest terms,
+    ``iv.gamma`` per argument.  Valid only at the precision ``bits`` it was
+    filled at, so every memo lives inside one :func:`working_precision`
+    block, where ``iv.gamma`` works at the same precision.  The field is
+    ``bits``: only the scope assigns a ``.prec``."""
 
-    def __init__(self):
-        self._ints: dict[int, object] = {}
-        self._rationals: dict[Fraction, object] = {}
-        self._gammas: dict[Fraction, object] = {}
+    def __init__(self, bits: int):
+        self.bits = bits
+        self._ints: dict[int, tuple] = {}
+        self._rationals: dict[tuple[int, int], tuple] = {}
+        self._gammas: dict[tuple[int, int], tuple] = {}
 
     def integer(self, k: int):
         x = self._ints.get(k)
         if x is None:
-            x = self._ints[k] = iv.mpf(k)
+            lower = from_int(k, self.bits, round_floor)
+            # at most ``bits`` bits: exact, so both roundings agree
+            upper = lower if k.bit_length() <= self.bits else from_int(k, self.bits, round_ceiling)
+            x = self._ints[k] = (lower, upper)
         return x
 
-    def rational(self, q: Fraction):
+    def rational(self, q: tuple[int, int]):
         x = self._rationals.get(q)
         if x is None:
-            x = self._rationals[q] = self.integer(q.numerator) / self.integer(q.denominator)
+            x = self._rationals[q] = mpi_div(self.integer(q[0]), self.integer(q[1]), self.bits)
         return x
 
-    def gamma(self, arg: Fraction):
+    def gamma(self, arg: tuple[int, int]):
         x = self._gammas.get(arg)
         if x is None:
-            x = self._gammas[arg] = iv.gamma(self.rational(arg))
+            x = self._gammas[arg] = iv.gamma(iv.make_mpf(self.rational(arg)))._mpi_
         return x
 
 
-def _iv_weight(w: WeightExpr, z0: Fraction, memo: _IntervalMemo):
-    """Interval enclosure of w(z0), or None when z0 is a pole of some
-    normalized term: a zero coefficient denominator, or a numerator Gamma
-    atom at a nonpositive integer.  Denominator atoms there only make the
-    term vanish."""
+def _interval_at(plan: list[_TermPlan], u: int, v: int, memo: _IntervalMemo):
+    """Raw enclosure of the planned weight at z0 = u/v, or None when z0 is a
+    pole of some normalized term: a zero coefficient denominator, or a
+    numerator Gamma atom at a nonpositive integer.  Denominator atoms there
+    only make the term vanish."""
+    bits = memo.bits
     total = memo.integer(0)
-    for c, g in w.terms:
-        den = c.den.eval(z0)
-        if den == 0:
+    for num, num_lcm, den, den_lcm, gamma_num, gamma_den in plan:
+        d = _lowest(*eval_scaled(den, den_lcm, u, v))
+        if d[0] == 0:
             return None
-        num_args = [(z0 + off) / td for td, off in g.num]
-        if any(_is_gamma_pole(a) for a in num_args):
+        num_args = _gamma_args(gamma_num, u, v)
+        if num_args is None:
             return None
-        den_args = [(z0 + off) / td for td, off in g.den]
-        if any(_is_gamma_pole(a) for a in den_args):
+        den_args = _gamma_args(gamma_den, u, v)
+        if den_args is None:
             continue  # reciprocal Gamma vanishes: the term contributes 0
-        term = memo.rational(c.num.eval(z0)) / memo.rational(den)
+        term = mpi_div(memo.rational(_lowest(*eval_scaled(num, num_lcm, u, v))), memo.rational(d), bits)
         for a in num_args:
-            term *= memo.gamma(a)
+            term = mpi_mul(term, memo.gamma(a), bits)
         for a in den_args:
-            term /= memo.gamma(a)
-        total += term
+            term = mpi_div(term, memo.gamma(a), bits)
+        total = mpi_add(total, term, bits)
     return total
 
 
@@ -451,11 +543,12 @@ def eval_ball(w: WeightExpr, z0: RationalLike, precision_bits: int = 200) -> Bal
     hits a pole of any normalized term.
     """
     z0 = as_rational(z0)
+    plan = _plan(w)
     with working_precision(precision_bits):
-        x = _iv_weight(w, z0, _IntervalMemo())
+        x = _interval_at(plan, z0.numerator, z0.denominator, _IntervalMemo(precision_bits))
         if x is None:
             raise PoleError(z0)
-        return _ball_from_interval(x)
+        return _ball(x, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -496,42 +589,45 @@ def ball_ratio(
     constant is the first ratio; otherwise the precision is doubled, up to
     four times, before the verdict is ``inconclusive``.
     """
+    lplan, rplan = _plan(left), _plan(right)
+    points = [(z, z.numerator, z.denominator) for z in zs]
     bits = precision_bits
     for _ in range(5):  # initial try plus four doublings
         with working_precision(bits):
             rows: list[SampleRow] = []
             skipped: list[Fraction] = []
-            ratio_ivs: list[tuple[Fraction, object]] = []
+            ratio_ivs: list[tuple[Fraction, tuple]] = []
             unresolved = False
             quality = mp.mpf(2) ** (-max(16, bits // 4))
-            memo = _IntervalMemo()
-            for z in zs:
-                riv = _iv_weight(right, z, memo)
-                liv = None if riv is None else _iv_weight(left, z, memo)
+            memo = _IntervalMemo(bits)
+            for z, u, v in points:
+                riv = _interval_at(rplan, u, v, memo)
+                liv = None if riv is None else _interval_at(lplan, u, v, memo)
                 if liv is None:
                     skipped.append(z)
                     continue
-                lball = _ball_from_interval(liv)
-                rball = _ball_from_interval(riv)
-                if 0 in riv:
+                lball = _ball(liv, bits)
+                rball = _ball(riv, bits)
+                if _has_zero(riv):
                     rows.append(SampleRow(z, lball, rball, None))
-                    if not all(x.a == 0 and x.b == 0 for x in (liv, riv)):
+                    if liv != _EXACT_ZERO or riv != _EXACT_ZERO:
                         unresolved = True
                     continue
-                q = liv / riv
-                qball = _ball_from_interval(q)
+                q = mpi_div(liv, riv, bits)
+                qball = _ball(q, bits)
                 rows.append(SampleRow(z, lball, rball, qball))
                 if qball.rad > quality * max(abs(qball.mid), mp.mpf(1)):
                     unresolved = True
                 ratio_ivs.append((z, q))
             witness = next(((za, zb) for j, (za, qa) in enumerate(ratio_ivs)
-                            for zb, qb in ratio_ivs[j + 1:] if 0 not in qa - qb), None)
+                            for zb, qb in ratio_ivs[j + 1:]
+                            if not _has_zero(mpi_sub(qa, qb, bits))), None)
             if witness is not None:
                 return RatioCheck("not_proportional", None, tuple(rows), (witness,),
                                   tuple(skipped), bits)
             if not unresolved:
                 # with no ratio at all, every sample had both sides exactly zero
-                const = _ball_from_interval(ratio_ivs[0][1]) if ratio_ivs else None
+                const = _ball(ratio_ivs[0][1], bits) if ratio_ivs else None
                 return RatioCheck("proportional", const, tuple(rows), (), tuple(skipped), bits)
         bits *= 2
     return RatioCheck("inconclusive", None, tuple(rows), (), tuple(skipped), bits // 2)

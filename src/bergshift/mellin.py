@@ -190,6 +190,24 @@ def toeplitz_weight(p: int, phi: RadialSymbol) -> WeightExpr:
     return WeightExpr.from_rational(total)
 
 
+#: Most decimal digits :func:`bergman_quadrature_oracle` is asked for.
+MAX_DIGITS = 300
+
+
+def check_digits(digits: int) -> None:
+    """Raise ValueError unless 1 <= digits <= MAX_DIGITS."""
+    if digits <= 0:
+        raise ValueError("digits must be positive")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
+
+
+#: Largest power N of r in the integrand of :func:`bergman_quadrature_oracle`.
+#: Its cuts 1 - 2^-j, j <= log2(N + 1), stay apart at the lowest working
+#: precision, 16 digits (53 bits), and r^N costs little more than r^2.
+MAX_POWER = 2**40
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: mpmath.mpf
@@ -210,12 +228,15 @@ def bergman_quadrature_oracle(
     r = 1, where the nodes of [0, 1] and its halves would miss it and agree
     on about 0.  So [0, 1] is cut at 1 - 2^-j for j = 1..J, with
     J = ceil(log2(N + 1)), and each of the J + 1 panels is integrated to
-    1/(J + 1) of the tolerance.
+    1/(J + 1) of the tolerance.  One integrand evaluation costs one power
+    per term, so the quadrature's work budget counts the terms.
     """
     if p < 0 or k < 0:
         raise ValueError("p and k must be nonnegative")
-    if digits <= 0:
-        raise ValueError("digits must be positive")
+    check_digits(digits)
+    N = 2 * k + p + 1 + max((e for _, e in phi.terms), default=0)
+    if N > MAX_POWER:
+        raise ValueError("the largest power of r, 2k + p + 1 + exponent, must be at most 2^40")
     with mp.workdps(digits + 15):
         exps = [(mp.mpf(c.numerator) / c.denominator, 2 * k + p + 1 + mp.mpf(e.numerator) / e.denominator)
                 for c, e in phi.terms]
@@ -227,13 +248,8 @@ def bergman_quadrature_oracle(
             return total
 
         # 2^J >= N + 1 exactly when 2^J > ceil(N)
-        J = ceil(2 * k + p + 1 + max((e for _, e in phi.terms), default=0)).bit_length()
+        J = ceil(N).bit_length()
         cuts = [1 - mp.mpf(2) ** -j for j in range(J + 1)] + [mp.mpf(1)]
-        tol = mp.mpf(10) ** (-digits) / (J + 1)
-        value = err = mp.mpf(0)
-        for a, b in zip(cuts, cuts[1:]):
-            v, e = integrate_adaptive(integrand, a, b, tol)
-            value += v
-            err += e
+        value, err = integrate_adaptive(integrand, cuts, mp.mpf(10) ** (-digits), cost=max(1, len(exps)))
         factor = 2 * (k + p + 1)
         return QuadratureResult(factor * value, factor * err)

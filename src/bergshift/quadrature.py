@@ -10,14 +10,15 @@ convergence check rather than a fixed-grid guess.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import mpmath
 from mpmath import mp
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive refinement hit the depth limit; carries the achieved error."""
+    """Adaptive refinement hit the depth or panel limit; carries the
+    achieved error."""
 
     def __init__(self, achieved: mpmath.mpf, requested: mpmath.mpf):
         self.achieved = achieved
@@ -33,6 +34,11 @@ ORDER = 12
 
 #: Halvings before :func:`integrate_adaptive` gives up.
 MAX_DEPTH = 48
+
+#: Work the panels of one :func:`integrate_adaptive` call may cost over
+#: all its pieces.  A panel costs the ``cost`` of its integrand, so an
+#: integrand of cost c gets at most MAX_WORK / c panels.
+MAX_WORK = 3000
 
 _RULE_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
 
@@ -75,27 +81,49 @@ def _panel(f: Callable, a, b, nodes, weights):
     return half * total
 
 
-def integrate_adaptive(f: Callable, a, b, tol) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """Integrate f over [a, b]; returns (value, error_estimate).
+def integrate_adaptive(f: Callable, points: Sequence, tol, cost: int = 1) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """Integrate f over [points[0], points[-1]]; returns (value, error_estimate).
 
-    Raises :class:`QuadratureError` when halving cannot reach `tol` within
-    MAX_DEPTH levels (the estimate achieved so far is attached).
+    Each of the n pieces between consecutive points is integrated to tol/n,
+    and the values and estimates are summed.  `cost` is the work of one
+    evaluation of f, for a sum the number of its terms.  Halving stops at
+    MAX_DEPTH levels, and wherever the next two panels would take the
+    call's work past MAX_WORK, so the run time is bounded whatever f: a
+    right half left unsplit then takes its parent's estimate.  A piece
+    whose estimate exceeds its tolerance raises :class:`QuadratureError`
+    with that estimate attached, and a piece with no room for its first
+    three panels raises it with an infinite estimate.
     """
     nodes, weights = gauss_legendre_rule(ORDER, mp.prec)
-    a, b, tol = mp.mpf(a), mp.mpf(b), mp.mpf(tol)
+    cuts = [mp.mpf(x) for x in points]
+    tol = mp.mpf(tol) / (len(cuts) - 1)
+    work = 0
+
+    def panel(a, b):
+        nonlocal work
+        work += cost
+        return _panel(f, a, b, nodes, weights)
 
     def recurse(a, b, tol, whole, depth):
         mid = (a + b) / 2
-        left = _panel(f, a, mid, nodes, weights)
-        right = _panel(f, mid, b, nodes, weights)
+        left = panel(a, mid)
+        right = panel(mid, b)
         err = abs(whole - (left + right))
-        if err <= tol or depth >= MAX_DEPTH:
+        if err <= tol or depth >= MAX_DEPTH or work + 2 * cost > MAX_WORK:
             return left + right, err
         lv, le = recurse(a, mid, tol / 2, left, depth + 1)
+        if work + 2 * cost > MAX_WORK:
+            return lv + right, le + err
         rv, re = recurse(mid, b, tol / 2, right, depth + 1)
         return lv + rv, le + re
 
-    value, err = recurse(a, b, tol, _panel(f, a, b, nodes, weights), 0)
-    if err > tol:
-        raise QuadratureError(err, tol)
+    value = err = mp.mpf(0)
+    for a, b in zip(cuts, cuts[1:]):
+        if work + 3 * cost > MAX_WORK:
+            raise QuadratureError(mp.inf, tol)  # no room for this piece
+        v, e = recurse(a, b, tol, panel(a, b), 0)
+        if e > tol:
+            raise QuadratureError(e, tol)
+        value += v
+        err += e
     return value, err

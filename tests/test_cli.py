@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bergshift import cli, identities, shift_algebra, solver
+from bergshift import cli, identities, mellin, quadrature, shift_algebra, solver
 from bergshift.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -137,6 +137,81 @@ class TestVerdictCommands:
     def test_oracle_quadrature_finds_the_mass_near_one_at_large_k(self, capsys, extra):
         # r^N has its mass within about 1/N of r = 1
         code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^2", *extra)
+        assert code == EXIT_OK
+        assert payload["ok"] is True
+        assert float(payload["abs_error"]) <= 1e-10
+
+
+class TestOracleQuadratureLimits:
+    """Hostile tolerances and precisions exit 64 before any quadrature, and
+    the panel budget ends a call that cannot converge with exit 2."""
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(mellin, "integrate_adaptive", boom)
+
+    @pytest.mark.parametrize("argv", [
+        ("--tolerance", "0"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--tolerance=-inf",),
+        ("--tolerance", "1e-26"),
+        ("--tolerance", "1e-11", "--digits", "10"),
+        ("--tolerance", "abc"),
+        ("--tolerance", "1/0"),
+        ("--tolerance", "1e-999999999"),
+        ("--digits", "0"),
+        ("--digits", str(mellin.MAX_DIGITS + 1)),
+        ("--digits", "1000000000"),
+        ("--k", str(mellin.MAX_POWER // 2 - 1)),  # r^2 r^(2k+2): 2^40 + 2
+        ("--k", str(10 ** 60)),
+    ])
+    def test_exit_64_before_any_work(self, capsys, no_quadrature, argv):
+        code = dispatch(["oracle-quadrature", "--p", "1", "--symbol", "r^2", "--k", "0", *argv])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("--tolerance", "1e-25"),
+        ("--tolerance", "1/1000", "--digits", "3"),
+        ("--tolerance", "1e999999999"),
+        ("--digits", str(mellin.MAX_DIGITS)),
+        ("--k", str(mellin.MAX_POWER // 2 - 2)),  # r^2 r^(2k+2): 2^40
+    ])
+    def test_tolerances_and_digits_at_their_limits_run(self, capsys, argv):
+        code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^2",
+                            "--k", "0", *argv)
+        assert code == EXIT_OK
+        assert payload["ok"] is True
+
+    @pytest.mark.parametrize("digits, tolerance", [("3", "0.001"), ("25", "1.0e-10")])
+    def test_default_tolerance_is_raised_to_the_floor(self, capsys, digits, tolerance):
+        code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^2",
+                            "--k", "0", "--digits", digits)
+        assert code == EXIT_OK
+        assert payload["tolerance"] == tolerance
+
+    def test_panel_budget_ends_the_call_with_exit_2(self, capsys, monkeypatch):
+        # 40 panels reach 25 digits here; 20 panels of this 2-term symbol
+        # cost 40, and a budget of 40 stops the halving
+        monkeypatch.setattr(quadrature, "MAX_WORK", 40)
+        panels = []
+        panel = quadrature._panel
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1) or panel(*a))
+        code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^7/3+2*r^5",
+                            "--k", "40")
+        assert code == EXIT_INCONCLUSIVE
+        assert payload["error"] == "quadrature did not converge"
+        assert float(payload["achieved"]) > float(payload["requested"]) > 0
+        assert 19 <= len(panels) <= 20
+
+    def test_benchmark_sized_call_fits_the_budget(self, capsys):
+        code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^7/3+2*r^5",
+                            "--k", "40")
         assert code == EXIT_OK
         assert payload["ok"] is True
 

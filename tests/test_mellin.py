@@ -15,7 +15,10 @@ from bergshift.exact_algebra import (
     rf_normalize,
 )
 from bergshift.gamma_ratio import WeightExpr
+from bergshift import mellin, quadrature
 from bergshift.mellin import (
+    MAX_DIGITS,
+    MAX_POWER,
     RadialSymbol,
     bergman_quadrature_oracle,
     format_symbol,
@@ -23,6 +26,7 @@ from bergshift.mellin import (
     parse_symbol,
     toeplitz_weight,
 )
+from bergshift.quadrature import QuadratureError, integrate_adaptive
 
 
 def rf(num, den=(1,)):
@@ -182,6 +186,65 @@ class TestOracle:
         with mp.workdps(50):
             true_err = abs(res.value - mp.mpf(exact.numerator) / exact.denominator)
             assert true_err <= res.error_estimate + mp.mpf(10) ** -20
+
+
+class TestQuadratureLimits:
+    def test_digits_are_bounded(self):
+        for digits in (0, MAX_DIGITS + 1):
+            with pytest.raises(ValueError):
+                bergman_quadrature_oracle(1, parse_symbol("r^2"), 0, digits)
+
+    def test_the_largest_power_is_bounded(self, monkeypatch):
+        # r^(1/2) r^(2k + 2) with 2k + 5/2 = 2^40 + 1/2
+        monkeypatch.setattr(mellin, "integrate_adaptive", None)
+        with pytest.raises(ValueError, match="2\\^40"):
+            bergman_quadrature_oracle(1, parse_symbol("r^(1/2)"), MAX_POWER // 2 - 1, 25)
+
+    def test_a_piece_left_without_panels_has_an_infinite_estimate(self, monkeypatch):
+        # the first piece spends the whole budget of 3 panels and converges
+        monkeypatch.setattr(quadrature, "MAX_WORK", 3)
+        with mp.workdps(30):
+            with pytest.raises(QuadratureError) as exc:
+                integrate_adaptive(lambda r: r, [0, 1, 2], mp.mpf(10) ** -20)
+        assert exc.value.achieved == mp.inf
+
+    def test_the_budget_is_for_the_whole_call_and_counts_the_cost(self, monkeypatch):
+        # each piece of [-1, 1] takes about 120 panels: one fits the budget
+        # at cost 1, two do not, and neither does one at cost 2
+        def f(r):
+            return abs(r) ** (mp.mpf(7) / 3)
+
+        panels = []
+        panel = quadrature._panel
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1) or panel(*a))
+        monkeypatch.setattr(quadrature, "MAX_WORK", 151)
+        with mp.workdps(40):
+            tol = mp.mpf(10) ** -25
+            integrate_adaptive(f, [0, 1], tol / 2)
+            for points, cost in (([-1, 0, 1], 1), ([0, 1], 2)):
+                panels.clear()
+                with pytest.raises(QuadratureError) as exc:
+                    integrate_adaptive(f, points, tol, cost)
+                assert mp.inf > exc.value.achieved > exc.value.requested
+                assert len(panels) * cost <= 151
+
+    def test_a_piece_without_room_for_three_panels_is_not_started(self, monkeypatch):
+        panels = []
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1))
+        monkeypatch.setattr(quadrature, "MAX_WORK", 5)
+        with pytest.raises(QuadratureError) as exc:
+            integrate_adaptive(lambda r: r, [0, 1], 1, cost=2)
+        assert exc.value.achieved == mp.inf
+        assert panels == []
+
+    @pytest.mark.parametrize("text, cost", [("r^2", 1), ("r^2 + 3*r^(1/2) - 1", 3), ("0", 1)])
+    def test_the_oracle_cost_is_the_number_of_terms(self, monkeypatch, text, cost):
+        costs = []
+        integrate = mellin.integrate_adaptive
+        monkeypatch.setattr(mellin, "integrate_adaptive",
+                            lambda *a, **kw: costs.append(kw["cost"]) or integrate(*a, **kw))
+        bergman_quadrature_oracle(1, parse_symbol(text), 2, 20)
+        assert costs == [cost]
 
 
 @pytest.mark.parametrize("parse, texts", [

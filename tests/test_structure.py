@@ -4,7 +4,9 @@
 * no function body imports a bergshift module;
 * only :func:`gamma_ratio.working_precision` assigns mpmath ``.prec`` or
   ``.dps`` (everything else uses that scope or mpmath's ``workprec``);
-* only ``gamma_ratio`` uses the interval context ``iv``;
+* only ``gamma_ratio`` uses the interval context ``iv``, imports from
+  ``mpmath.libmp`` or binds an ``mpi_*`` name, so a second certified path
+  cannot come back through the raw interval primitives;
 * no ``assert`` statement carries control flow;
 * no ``tuple(<generator expression>)``: on hot paths the generator frames
   fragment the small-object allocator and raise peak memory, so tuples are
@@ -92,13 +94,27 @@ def test_precision_is_set_only_by_the_scope():
     assert bad == []
 
 
+def _is_interval_name(name: str) -> bool:
+    return name == "iv" or name == "libmp" or name.startswith("mpi_")
+
+
+def _uses_interval_numerics(node) -> bool:
+    if isinstance(node, ast.Name):
+        return _is_interval_name(node.id)
+    if isinstance(node, ast.Attribute):
+        return _is_interval_name(node.attr)
+    if isinstance(node, ast.alias):
+        return any(_is_interval_name(part) for part in node.name.split(".")) or (
+            node.asname is not None and _is_interval_name(node.asname))
+    if isinstance(node, ast.ImportFrom):
+        return "libmp" in (node.module or "").split(".")
+    return False
+
+
 def test_interval_context_only_in_gamma_ratio():
     bad = [f"{mod}:{node.lineno}"
            for mod, tree in _modules() if mod != "gamma_ratio"
-           for node in ast.walk(tree)
-           if (isinstance(node, ast.Name) and node.id == "iv")
-           or (isinstance(node, ast.Attribute) and node.attr == "iv")
-           or (isinstance(node, ast.alias) and node.name == "iv")]
+           for node in ast.walk(tree) if _uses_interval_numerics(node)]
     assert bad == []
 
 
