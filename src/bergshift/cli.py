@@ -478,11 +478,23 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _join_symbol_values(argv: list[str]) -> list[str]:
+    """``--symbol -r^2`` as ``--symbol=-r^2``: argparse reads a value that
+    starts with a single ``-`` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--symbol" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--symbol={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def dispatch(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns the exit code, printing the report."""
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_symbol_values(sys.argv[1:] if argv is None else argv))
         payload, code = args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")

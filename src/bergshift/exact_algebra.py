@@ -1,12 +1,14 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
-Everything in this module is computed over arbitrary-precision rationals
-(`fractions.Fraction`); no floating point enters anywhere.  Coefficients
-are stored as `Fraction`s, but the inner loops run on Python ints over one
-common denominator (the lcm of the coefficient denominators): products,
-shifts, the gcd's input and point values (`Polynomial.eval`, `rf_eval`).
-Each result coefficient becomes a single `Fraction` at the end, which is
-still exact and, `Fraction` being canonical, the same value.
+Everything in this module is computed over arbitrary-precision rationals;
+no floating point enters anywhere.  A polynomial has one stored form, a
+tuple of Python ints over one positive int denominator, with no trailing
+zero and no common factor of the denominator and the content of the ints
+(the content and primitive part of Knuth, TAOCP Vol. 2, 4.6.1).  That form
+is unique, so equal fields are equal polynomials.  Every operation, from
+products, sums, shifts and division to the gcd and point values, works on
+the ints and reduces its result to that form; ``Polynomial.coeffs`` is
+only a read-only ``Fraction`` view.
 
 Rational functions are kept in a canonical form (gcd-reduced, monic
 denominator), so equality of canonical forms is equality as functions.
@@ -16,8 +18,8 @@ exact zero and identity testing of shift weights.  Since the operands of
 algorithms, Knuth, TAOCP Vol. 2, 4.5.1): a sum takes gcd(den, den) and,
 only when that is not 1, a second gcd with the numerator; a product
 cancels gcd(num_a, den_b) and gcd(num_b, den_a) crosswise and needs no
-final gcd; no gcd is taken when a factor is constant, nor by `scale` or
-`rf_shift`, which keep coprimality and a monic denominator.
+final gcd; no polynomial gcd is taken when a factor is constant, nor by
+`scale` or `rf_shift`, which keep coprimality and a monic denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Sequence, Union
+from math import lcm as _int_lcm
+from typing import Iterable, Union
 
 #: Scalar type used everywhere: reduced fraction, positive denominator,
 #: sign carried by the numerator.  `fractions.Fraction` guarantees both.
@@ -60,24 +63,27 @@ def as_rational(x: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Univariate polynomial; ``coeffs[i]`` multiplies z**i, no trailing zeros."""
+    """Univariate polynomial sum(ints[i] z^i) / den in its canonical form:
+    no trailing zero in ``ints``, den > 0 and gcd(den, content) = 1, so
+    equal fields are equal polynomials.  Only this module calls the raw
+    constructor; results are reduced to the form by :func:`_reduced`."""
 
-    coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    den: int
 
     @staticmethod
     def from_coeffs(cs: Iterable[RationalLike]) -> "Polynomial":
-        coeffs = [as_rational(c) for c in cs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return Polynomial(tuple(coeffs))
+        qs = [as_rational(c) for c in cs]
+        den = _int_lcm(*[q.denominator for q in qs])
+        return _reduced([q.numerator * (den // q.denominator) for q in qs], den)
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return Polynomial((), 1)
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((Fraction(1),))
+        return Polynomial((1,), 1)
 
     @staticmethod
     def constant(c: RationalLike) -> "Polynomial":
@@ -86,45 +92,54 @@ class Polynomial:
     @staticmethod
     def z_plus(c: RationalLike = 0) -> "Polynomial":
         """The monic linear polynomial z + c."""
-        return Polynomial.from_coeffs([c, 1])
+        return Polynomial.linear_product([c])
 
     @staticmethod
     def linear_product(cs: Iterable[RationalLike]) -> "Polynomial":
-        """The product of the monic linear factors (z + c), c in ``cs``."""
-        out = [1]
+        """The product of the monic linear factors (z + c), c in ``cs``:
+        with c = a/b each factor is (b z + a) / b."""
+        out, den = [1], 1
         for c in cs:
+            a, b = c.numerator, c.denominator
             out.append(0)
             for i in range(len(out) - 1, 0, -1):
-                out[i] = out[i - 1] + c * out[i]
-            out[0] *= c
-        return Polynomial.from_coeffs(out)
+                out[i] = b * out[i - 1] + a * out[i]
+            out[0] *= a
+            den *= b
+        return _reduced(out, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as fractions, lowest degree first: a read-only view."""
+        return tuple([Fraction(c, self.den) for c in self.ints])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        den = _int_lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.ints]
+        b = [c * (den // other.den) for c in other.ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.from_coeffs(out)
+            a[i] += c
+        return _reduced(a, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple([-c for c in self.coeffs]))
+        return Polynomial(tuple([-c for c in self.ints]), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -132,15 +147,13 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        a, la = _scaled_ints(self)
-        b, lb = _scaled_ints(other)
+        a, b = self.ints, other.ints
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        # the leading product is nonzero, so there is nothing to strip
-        return _from_scaled_ints(out, la * lb)
+        return _reduced(out, self.den * other.den)
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = as_rational(c)
@@ -148,102 +161,91 @@ class Polynomial:
             return Polynomial.zero()
         if c == 1:
             return self
-        return Polynomial(tuple([a * c for a in self.coeffs]))
+        return _reduced([x * c.numerator for x in self.ints], self.den * c.denominator)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact field division with remainder; ``other`` must be nonzero."""
+        """Exact field division with remainder; ``other`` must be nonzero.
+        Pseudo-division on ints: a step scales remainder and quotient by
+        lc / gcd(lc, top) for the divisor's leading int lc, so its quotient
+        int is exact; the product s of those factors joins the denominators."""
         if other.is_zero:
             raise ZeroDenominatorError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d, lc = other.degree, other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
+        b, d = other.ints, other.degree
+        lc = b[-1]
+        r = list(self.ints)
+        q = [0] * max(0, len(r) - d)
+        s = 1
+        for i in range(len(r) - 1, d - 1, -1):
+            c = r[i]
+            if c == 0:
                 continue
-            f = rem[i] / lc
+            g = _int_gcd(c, lc)
+            m, f = lc // g, c // g
+            if m != 1:
+                r = [x * m for x in r]
+                q = [x * m for x in q]
+                s *= m
             q[i - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= f * c
-        return Polynomial.from_coeffs(q), Polynomial.from_coeffs(rem)
+            for j, y in enumerate(b):
+                r[i - d + j] -= f * y
+        den = s * self.den
+        return _reduced([x * other.den for x in q], den), _reduced(r, den)
 
     def eval(self, point: RationalLike) -> Fraction:
-        num, den = _eval_ints(self, as_rational(point))
-        return Fraction(num, den)
+        point = as_rational(point)
+        return Fraction(*self.eval_pair(point.numerator, point.denominator))
 
-    def scaled_ints(self) -> tuple[list[int], int]:
-        """(ints, L): L the lcm of the coefficient denominators and
-        ints[i] = L * coeffs[i], so the polynomial is sum(ints[i] z^i) / L."""
-        return _scaled_ints(self)
+    def eval_pair(self, u: int, v: int) -> tuple[int, int]:
+        """The value at u/v as an integer pair (num, den), den > 0 when
+        v > 0, not reduced: with deg the degree it is
+        sum(ints[i] u^i v^(deg-i)) / (den v^deg), one Horner pass on ints."""
+        if not self.ints:
+            return 0, 1
+        acc, vpow = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * u + c * vpow
+            vpow *= v
+        return acc, self.den * (vpow // v)
 
     def shift(self, h: RationalLike) -> "Polynomial":
-        """Return p(z + h)."""
+        """Return p(z + h).  With h = a/b, the Taylor shift by the integer a
+        (repeated synthetic division) of b^deg p(w/b), whose ints are
+        ints[i] b^(deg-i), is b^deg p((w+a)/b); w = bz then scales int i by b^i."""
         h = as_rational(h)
         if h == 0 or self.is_zero:
             return self
-        # Taylor shift by repeated synthetic division, on ints when h is one.
-        a, lcm = _scaled_ints(self)
-        step = h.numerator if h.denominator == 1 else h
-        n = len(a)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                a[j] += step * a[j + 1]
-        return _from_scaled_ints(a, lcm)
+        a, b = h.numerator, h.denominator
+        deg = self.degree
+        t = [c * b ** (deg - i) for i, c in enumerate(self.ints)]
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                t[j] += a * t[j + 1]
+        return _reduced([c * b ** i for i, c in enumerate(t)], self.den * b ** deg)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return _reduced(list(self.ints), self.ints[-1])
 
 
-def _scaled_ints(p: Polynomial) -> tuple[list[int], int]:
-    """(ints, L): L the lcm of the coefficient denominators, ints[i] = L*c_i."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    return [c.numerator * (lcm // c.denominator) for c in p.coeffs], lcm
-
-
-def _from_scaled_ints(ints: Sequence, lcm: int) -> Polynomial:
-    """The polynomial with coefficients ints[i] / lcm; the top one is nonzero."""
-    if lcm == 1:
-        return Polynomial(tuple([Fraction(c) for c in ints]))
-    return Polynomial(tuple([Fraction(c, lcm) for c in ints]))
-
-
-def eval_scaled(ints: Sequence[int], lcm: int, u: int, v: int) -> tuple[int, int]:
-    """sum(ints[i] (u/v)^i) / lcm as an integer pair (num, den) with den > 0
-    when v > 0, not reduced: with deg = len(ints) - 1 it is
-    sum(ints[i] u^i v^(deg-i)) / (lcm v^deg), one Horner pass on ints.
-    ``ints, lcm`` is the form :meth:`Polynomial.scaled_ints` gives."""
+def _reduced(ints: list[int], den: int) -> Polynomial:
+    """The canonical form of sum(ints[i] z^i) / den, den nonzero: trailing
+    zeros stripped, the sign moved to the ints, gcd(den, content) divided out."""
+    while ints and ints[-1] == 0:
+        ints.pop()
     if not ints:
-        return 0, 1
-    acc, vpow = 0, 1
-    for c in reversed(ints):
-        acc = acc * u + c * vpow
-        vpow *= v
-    return acc, lcm * (vpow // v)
+        return Polynomial.zero()
+    if den < 0:
+        ints, den = [-c for c in ints], -den
+    g = _int_gcd(den, *ints)
+    if g != 1:
+        ints, den = [c // g for c in ints], den // g
+    return Polynomial(tuple(ints), den)
 
 
-def _eval_ints(p: Polynomial, point: Fraction) -> tuple[int, int]:
-    """p(point) as an integer pair (num, den) with den > 0, not reduced."""
-    return eval_scaled(*_scaled_ints(p), point.numerator, point.denominator)
-
-
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
-def _to_int_primitive(p: Polynomial) -> list[int]:
-    """Integer coefficient list of the primitive part (content stripped)."""
-    if p.is_zero:
-        return []
-    ints, _ = _scaled_ints(p)
-    g = _int_content(ints)
+def _primitive(ints: list[int]) -> list[int]:
+    """The integer coefficients divided by their content."""
+    g = _int_gcd(*ints)
     return [c // g for c in ints]
 
 
@@ -275,16 +277,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    u, v = _to_int_primitive(a), _to_int_primitive(b)
+    u, v = _primitive(a.ints), _primitive(b.ints)
     if len(u) < len(v):
         u, v = v, u
     while v:
         r = _int_prem(u, v)
         if r:
-            g = _int_content(r)
-            r = [c // g for c in r]
+            r = _primitive(r)
         u, v = v, r
-    return _from_scaled_ints(u, u[-1])  # monic; Fraction moves the sign up
+    return _reduced(u, u[-1])  # monic
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ class RationalFunction:
             raise ValueError(f"{self} is not constant")
         if self.is_zero:
             return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.leading / self.den.leading
 
     # operator sugar mirrors rf_arith
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -436,10 +437,11 @@ def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunct
 def rf_eval(a: RationalFunction, point: RationalLike) -> Fraction:
     """Exact value a(point); raises :class:`PoleError` at a pole."""
     point = as_rational(point)
-    d_num, d_den = _eval_ints(a.den, point)
+    u, v = point.numerator, point.denominator
+    d_num, d_den = a.den.eval_pair(u, v)
     if d_num == 0:
         raise PoleError(point)
-    n_num, n_den = _eval_ints(a.num, point)
+    n_num, n_den = a.num.eval_pair(u, v)
     return Fraction(n_num * d_den, n_den * d_num)
 
 
@@ -467,8 +469,9 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts: list[str] = []
+    coeffs = p.coeffs
     for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
+        c = coeffs[i]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -28,16 +28,15 @@ interval arithmetic: :func:`working_precision` is the one precision scope,
 certified check that two weight expressions are proportional at sample
 points.  The commutant solver uses none of them: it is exact throughout.
 
-Each check turns both sides into a plan once, before its first precision
-pass: per term, the lcm-scaled integer coefficients of the coefficient's
-numerator and denominator and the (two_delta, offset) atoms.  At a sample
-u/v each coefficient value is the Horner pass on ints of
-:func:`~bergshift.exact_algebra.eval_scaled`, reduced to lowest terms, and
-each Gamma argument (u/v + offset)/two_delta is a reduced
-integer pair, whose pole test reads the pair: denominator 1 and numerator
-at most 0.  The pole test is part of evaluation: the enclosure of a
-weight at a pole of a normalized term is None, found while walking the
-same terms, so no sample is inspected twice.
+At a sample u/v each term is read straight from its own polynomials:
+the value of the coefficient's numerator and denominator is the integer
+Horner pass of :meth:`~bergshift.exact_algebra.Polynomial.eval_pair` on
+their stored ints, reduced to lowest terms, and each Gamma argument
+(u/v + offset)/two_delta is a reduced integer pair, whose pole test reads
+the pair: denominator 1 and numerator at most 0.  The pole test is part
+of evaluation: the enclosure of a weight at a pole of a normalized term
+is None, found while walking the same terms, so no sample is inspected
+twice.
 
 Each precision pass computes every interval once: one memo, created inside
 the pass's :func:`working_precision` block and shared by both sides of a
@@ -61,7 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
@@ -89,7 +88,6 @@ from .exact_algebra import (
     RationalFunction,
     RationalLike,
     as_rational,
-    eval_scaled,
     format_rational_function,
     rf_eval,
     rf_normalize,
@@ -437,23 +435,6 @@ def _has_zero(x) -> bool:
     return mpf_le(x[0], fzero) and mpf_le(fzero, x[1])
 
 
-class _TermPlan(NamedTuple):
-    """One term of a weight on ints: the coefficient as lcm-scaled integer
-    numerator and denominator coefficients over their lcms, and its atoms."""
-
-    num: list[int]
-    num_lcm: int
-    den: list[int]
-    den_lcm: int
-    gamma_num: tuple[GammaAtom, ...]
-    gamma_den: tuple[GammaAtom, ...]
-
-
-def _plan(w: WeightExpr) -> list[_TermPlan]:
-    return [_TermPlan(*c.num.scaled_ints(), *c.den.scaled_ints(), g.num, g.den)
-            for c, g in w.terms]
-
-
 def _lowest(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms.  A coefficient value is reduced before it is
     enclosed: the enclosure of an unreduced quotient whose parts exceed the
@@ -510,24 +491,24 @@ class _IntervalMemo:
         return x
 
 
-def _interval_at(plan: list[_TermPlan], u: int, v: int, memo: _IntervalMemo):
-    """Raw enclosure of the planned weight at z0 = u/v, or None when z0 is a
-    pole of some normalized term: a zero coefficient denominator, or a
-    numerator Gamma atom at a nonpositive integer.  Denominator atoms there
-    only make the term vanish."""
+def _interval_at(w: WeightExpr, u: int, v: int, memo: _IntervalMemo):
+    """Raw enclosure of w at z0 = u/v, or None when z0 is a pole of some
+    normalized term: a zero coefficient denominator, or a numerator Gamma
+    atom at a nonpositive integer.  Denominator atoms there only make the
+    term vanish."""
     bits = memo.bits
     total = memo.integer(0)
-    for num, num_lcm, den, den_lcm, gamma_num, gamma_den in plan:
-        d = _lowest(*eval_scaled(den, den_lcm, u, v))
+    for c, g in w.terms:
+        d = _lowest(*c.den.eval_pair(u, v))
         if d[0] == 0:
             return None
-        num_args = _gamma_args(gamma_num, u, v)
+        num_args = _gamma_args(g.num, u, v)
         if num_args is None:
             return None
-        den_args = _gamma_args(gamma_den, u, v)
+        den_args = _gamma_args(g.den, u, v)
         if den_args is None:
             continue  # reciprocal Gamma vanishes: the term contributes 0
-        term = mpi_div(memo.rational(_lowest(*eval_scaled(num, num_lcm, u, v))), memo.rational(d), bits)
+        term = mpi_div(memo.rational(_lowest(*c.num.eval_pair(u, v))), memo.rational(d), bits)
         for a in num_args:
             term = mpi_mul(term, memo.gamma(a), bits)
         for a in den_args:
@@ -543,9 +524,8 @@ def eval_ball(w: WeightExpr, z0: RationalLike, precision_bits: int = 200) -> Bal
     hits a pole of any normalized term.
     """
     z0 = as_rational(z0)
-    plan = _plan(w)
     with working_precision(precision_bits):
-        x = _interval_at(plan, z0.numerator, z0.denominator, _IntervalMemo(precision_bits))
+        x = _interval_at(w, z0.numerator, z0.denominator, _IntervalMemo(precision_bits))
         if x is None:
             raise PoleError(z0)
         return _ball(x, precision_bits)
@@ -589,7 +569,6 @@ def ball_ratio(
     constant is the first ratio; otherwise the precision is doubled, up to
     four times, before the verdict is ``inconclusive``.
     """
-    lplan, rplan = _plan(left), _plan(right)
     points = [(z, z.numerator, z.denominator) for z in zs]
     bits = precision_bits
     for _ in range(5):  # initial try plus four doublings
@@ -601,8 +580,8 @@ def ball_ratio(
             quality = mp.mpf(2) ** (-max(16, bits // 4))
             memo = _IntervalMemo(bits)
             for z, u, v in points:
-                riv = _interval_at(rplan, u, v, memo)
-                liv = None if riv is None else _interval_at(lplan, u, v, memo)
+                riv = _interval_at(right, u, v, memo)
+                liv = None if riv is None else _interval_at(left, u, v, memo)
                 if liv is None:
                     skipped.append(z)
                     continue

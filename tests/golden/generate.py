@@ -148,7 +148,7 @@ def command_argvs() -> list[list[str]]:
         ["mellin", "--symbol", "2*r+3*r^4"],
         ["mellin", "--symbol", "1"],
         ["mellin", "--symbol=-r^3/2+7"],
-        ["mellin", "--symbol", "-r^3/2+7"],  # read as an option: a usage error
+        ["mellin", "--symbol", "-r^3/2+7"],  # the same value as the joined spelling
         ["rationality", "--a", "2", "--b", "4", "--c", "0", "--d", "6", "--delta", "1"],
         ["rationality", "--a", "2", "--b", "3", "--c", "0", "--d", "5", "--delta", "2"],
         ["rationality", "--a", "1", "--b", "5", "--c", "3", "--d", "3", "--delta", "2"],

@@ -1,6 +1,11 @@
-"""The gcd-aware arithmetic and the root-multiset cofactors against the
-routines they replaced, kept here as oracles.
+"""The integer polynomial form, the gcd-aware arithmetic and the
+root-multiset cofactors against the routines they replaced, kept here as
+oracles.
 
+* The ``fraction_*`` routines are the ``Polynomial`` operations on
+  ``Fraction`` coefficient lists: sum, product, Taylor shift, division
+  with remainder and Horner evaluation.  Every result must also be in the
+  canonical integer form.
 * ``normalize_everything_arith`` forms the plain num/den of a sum, product
   or quotient and hands it to ``rf_normalize``, which takes the full gcd.
 * ``expand_then_gcd_canonicalize`` multiplies out every functional-equation
@@ -11,8 +16,9 @@ result exactly, not just an equal function.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergshift.exact_algebra import Polynomial, RationalFunction, rf_arith, rf_normalize, rf_shift
@@ -25,6 +31,66 @@ from bergshift.gamma_ratio import (
 )
 
 OPS = ("add", "sub", "mul", "div")
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return _strip(out)
+
+
+def fraction_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def fraction_shift(a, h):
+    out, n = list(a), len(a)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += h * out[j + 1]
+    return _strip(out)
+
+
+def fraction_divmod(a, b):
+    rem = list(a)
+    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    d, lc = len(b) - 1, b[-1]
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i] == 0:
+            continue
+        f = rem[i] / lc
+        q[i - d] = f
+        for j, c in enumerate(b):
+            rem[i - d + j] -= f * c
+    return _strip(q), _strip(rem)
+
+
+def fraction_horner(a, z):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * z + c
+    return acc
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
 
 
 def normalize_everything_arith(a, b, op):
@@ -79,6 +145,43 @@ def polys(draw, nonzero=False):
     if not nonzero and draw(st.integers(0, 9)) == 0:
         return Polynomial.zero()
     return p
+
+
+#: Shifts and points with denominators up to 5; integers among them.
+SHIFTS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+PLAIN = st.lists(COEFFS, max_size=5).map(Polynomial.from_coeffs)
+ZERO = Polynomial.zero()
+LINEAR = Polynomial.from_coeffs([Fraction(1, 3), Fraction(-2, 5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(PLAIN, polys()), st.one_of(PLAIN, polys()), SHIFTS, SHIFTS)
+@example(ZERO, ZERO, Fraction(1, 2), Fraction(0))
+@example(ZERO, LINEAR, Fraction(-3, 4), Fraction(2, 3))
+@example(LINEAR, ZERO, Fraction(2), Fraction(-1, 5))
+def test_polynomial_ops_equal_the_fraction_routines(a, b, h, z):
+    ca, cb = a.coeffs, b.coeffs
+    results = {
+        "from_coeffs": (a, _strip(ca)),
+        "add": (a + b, fraction_add(ca, cb)),
+        "sub": (a - b, fraction_add(ca, [-c for c in cb])),
+        "mul": (a * b, fraction_mul(ca, cb)),
+        "shift": (a.shift(h), fraction_shift(ca, h)),
+        "integer shift": (a.shift(int(h)), fraction_shift(ca, int(h))),
+        "scale": (a.scale(h), tuple([c * h for c in ca]) if h else ()),
+        "monic": (a.monic(), tuple([c / ca[-1] for c in ca]) if ca else ()),
+    }
+    if not b.is_zero:
+        q, r = a.divmod(b)
+        fq, fr = fraction_divmod(ca, cb)
+        results["quotient"], results["remainder"] = (q, fq), (r, fr)
+        # an exact division: (a * b) / b = a with remainder 0
+        q, r = (a * b).divmod(b)
+        results["exact quotient"], results["exact remainder"] = (q, ca), (r, ())
+    for name, (got, expected) in results.items():
+        assert got.coeffs == expected, name
+        assert_canonical(got)
+    assert a.eval(z) == fraction_horner(ca, z)
 
 
 @st.composite

@@ -245,6 +245,26 @@ class TestUsageErrors:
         assert dispatch(argv + ["--precision-bits", "1"]) == EXIT_NEGATIVE
 
 
+class TestNegativeSymbol:
+    """A symbol that starts with a single ``-`` is the value of ``--symbol``,
+    whether it is joined to the flag or given as the next argument."""
+
+    @pytest.mark.parametrize("command", [["mellin"], ["weight", "--p", "1"]])
+    @pytest.mark.parametrize("symbol", ["-r^3/2+7", "-r", "-r^x"])
+    def test_both_spellings_give_the_same_output(self, command, symbol, capsys):
+        joined = dispatch(command + [f"--symbol={symbol}"])
+        joined_out = capsys.readouterr()
+        separate = dispatch(command + ["--symbol", symbol])
+        separate_out = capsys.readouterr()
+        assert (separate, separate_out.out, separate_out.err) == (
+            joined, joined_out.out, joined_out.err)
+        assert joined == (EXIT_USAGE if symbol.endswith("x") else EXIT_OK)
+
+    def test_a_flag_after_symbol_is_still_a_missing_value(self, capsys):
+        assert dispatch(["weight", "--p", "1", "--symbol", "--p"]) == EXIT_USAGE
+        assert "argument --symbol: expected one argument" in capsys.readouterr().err
+
+
 class TestDeepNesting:
     DEEP = "(" * 3000 + "1" + ")" * 3000
 

@@ -16,7 +16,10 @@
   so no second Gamma evaluation path can come back;
 * ``solver`` imports only ``exact_algebra`` and ``gamma_ratio`` from the
   package: it decides from its own parameters, not through the operator
-  algebra or the symbol layer.
+  algebra or the symbol layer;
+* only ``exact_algebra`` calls the raw ``Polynomial(...)`` constructor, so
+  the canonical form that polynomial equality rests on is built in one
+  place.
 """
 
 import ast
@@ -174,3 +177,18 @@ def test_solver_imports_only_exact_algebra_and_gamma_ratio():
         elif isinstance(node, ast.Import) and _is_package_import(node):
             imported |= {alias.name.partition(".")[2] for alias in node.names}
     assert imported <= SOLVER_IMPORTS, sorted(imported - SOLVER_IMPORTS)
+
+
+def _calls_polynomial(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "Polynomial") or (
+        isinstance(f, ast.Attribute) and f.attr == "Polynomial")
+
+
+def test_raw_polynomial_constructor_only_in_exact_algebra():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules() if mod != "exact_algebra"
+           for node in ast.walk(tree) if _calls_polynomial(node)]
+    assert bad == []
