@@ -30,10 +30,12 @@ from .gamma_ratio import (
     GammaRatioExpr,
     WeightExpr,
     canonicalize,
+    dissimilar,
     eval_ball,
     is_rational_divisibility,
     power_weight,
     rationality_oracle,
+    separating_term,
 )
 from .identities import IdentityReport, SCENARIOS, build_sides, verify_identity
 from .mellin import (

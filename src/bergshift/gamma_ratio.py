@@ -7,9 +7,12 @@ functional equation Gamma(x + 1) = x * Gamma(x) lets any offset be lowered
 by two_delta at the cost of a linear factor (z + offset - two_delta) /
 two_delta; applying it until every offset sits in [0, two_delta) and then
 cancelling identical atoms yields a confluent canonical form.  An
-expression is a rational function exactly when nothing survives that
-reduction, which turns rationality into a decidable syntactic check and
-powers the exact zero-testing of shift weights.
+expression whose atoms share one two_delta is a rational function exactly
+when nothing survives that reduction, which turns rationality into a
+decidable syntactic check and powers the exact zero-testing of shift
+weights.  Across scales Gauss's multiplication theorem relates atoms that
+the reduction keeps apart: Gamma(z/2) Gamma((z+1)/2) / Gamma(z) is
+2^(1-z) sqrt(pi), and a quotient of such products can be a constant.
 
 The rational cofactor of the reduction is kept as two multisets of
 cofactor roots: the constants c of its linear factors (z + c), one
@@ -21,12 +24,23 @@ multiplied out; :func:`power_weight` costs O(m/p) factors whatever n is.
 reduced atoms.
 
 A weight expression is a finite sum of (rational function) x (Gamma ratio)
-terms in the global variable z = 2k + 2.  All certified numerics of the
-package live here and return balls (midpoint, radius) backed by mpmath
-interval arithmetic: :func:`working_precision` is the one precision scope,
-:func:`eval_ball` encloses one value, and :func:`ball_ratio` is the one
-certified check that two weight expressions are proportional at sample
-points.  The commutant solver uses none of them: it is exact throughout.
+terms in the global variable z = 2k + 2.  Two Gamma ratios are similar
+when their quotient is a rational function; :func:`dissimilar` shows the
+opposite exactly, from the net pole count of the quotient at each residue
+and the prime part of its exponential factor, read sparsely so that
+neither costs the lcm of the scales.  Dissimilar terms are linearly
+independent over C(z), so :func:`separating_term` refutes
+left = c * right for every constant c from the terms alone, and
+:func:`bergshift.shift_algebra.is_zero` certifies a nonzero weight the
+same way.  No sample is evaluated for either.
+
+All certified numerics of the package live here and return balls
+(midpoint, radius) backed by mpmath interval arithmetic:
+:func:`working_precision` is the one precision scope, :func:`eval_ball`
+encloses one value, and :func:`ball_ratio` is the one certified check that
+two weight expressions are proportional at sample points, for the sides
+that no term separates.  The commutant solver uses none of them: it is
+exact throughout.
 
 At a sample u/v each term is read straight from its own polynomials:
 the value of the coefficient's numerator and denominator is the integer
@@ -365,6 +379,119 @@ def power_weight(m: int, p: int, n: int) -> WeightExpr:
     coeff = rf_normalize(Polynomial.z_plus(2 * m), Polynomial.z_plus(0))
     gamma = GammaRatioExpr.of(2 * p, [2 * m, p + n], [0, 2 * m + p + n])
     return WeightExpr.build([(coeff, gamma)])
+
+
+# ---------------------------------------------------------------------------
+# structural separation
+
+
+def _coprime_base(values: Iterable[int]) -> set[int]:
+    """Pairwise coprime integers > 1 of which every value is a product of
+    powers: split two members by their gcd until no two share a factor."""
+    base = {v for v in values if v > 1}
+    while True:
+        pair = next(((a, b) for a in base for b in base if a < b and gcd(a, b) > 1), None)
+        if pair is None:
+            return base
+        a, b = pair
+        g = gcd(a, b)
+        base -= {a, b}
+        base |= {x for x in (g, a // g, b // g) if x > 1}
+
+
+def _valuation(b: int, v: int) -> int:
+    e = 0
+    while v % b == 0:
+        v //= b
+        e += 1
+    return e
+
+
+def _exponential_base_is_one(net: dict[int, int]) -> bool:
+    """Whether the prime part sum of +-v_q(delta)/delta over the atoms
+    vanishes for every prime q, with ``net`` the numerator-minus-denominator
+    atom count per scale delta.  It is tested on a coprime base of the
+    scales: for a prime q dividing the base member b, v_q(delta) =
+    v_b(delta) v_q(b), so the sums for q and for b vanish together."""
+    return all(sum(Fraction(k * _valuation(b, td), td) for td, k in net.items()) == 0
+               for b in _coprime_base(net))
+
+
+def _count_escapes(f: dict[int, int], other: dict[int, int], classes: int, g: int) -> bool:
+    """Whether some residue x in the support of f, with every y = x mod g
+    of the other scale, has a nonzero net count f(x) + other(y).  There
+    are ``classes`` such y; when fewer of them carry a count, one has
+    other(y) = 0."""
+    for x, k in f.items():
+        partners = [y for y in other if (y - x) % g == 0]
+        if len(partners) < classes or any(k + other[y] for y in partners):
+            return True
+    return False
+
+
+def dissimilar(g: GammaRatioExpr, h: GammaRatioExpr) -> bool:
+    """True only when g/h is not a rational function of z; False means
+    "not shown".
+
+    Let q = g/h have atoms Gamma((z + a)/delta).  For large integers t,
+    q's pole order at z = -t is the net count, numerator minus denominator,
+    of the atoms with t = a mod delta, a periodic function of t.  By Gauss's
+    multiplication theorem, once every count is zero q is a constant times
+    a rational function times b^z, where log b = -sum +-log(delta)/delta;
+    b = 1 exactly when the prime part sum +-v_q(delta)/delta is zero for
+    every prime q.  So q is rational iff every count is zero and b = 1.
+
+    The counts are read sparsely: with f_delta the counts of one scale,
+    the count at t is f_1(t mod delta_1) + f_2(t mod delta_2), and by the
+    Chinese remainder theorem every pair of residues x = y mod
+    gcd(delta_1, delta_2) occurs.  That settles one or two scales in time
+    quadratic in the atoms, whatever lcm(delta_1, delta_2) is.  With three
+    or more scales carrying counts only the prime part is tested.
+    """
+    counts: dict[int, Counter] = {}
+    for sign, atoms in ((1, g.num + h.den), (-1, g.den + h.num)):
+        for td, off in atoms:
+            counts.setdefault(td, Counter())[off % td] += sign
+    support = {td: f for td, c in counts.items() if (f := {x: k for x, k in c.items() if k})}
+    if len(support) == 1:
+        return True
+    if len(support) == 2:
+        (d1, f1), (d2, f2) = support.items()
+        common = gcd(d1, d2)
+        if _count_escapes(f1, f2, d2 // common, common) or _count_escapes(f2, f1, d1 // common, common):
+            return True
+    return not _exponential_base_is_one({td: sum(c.values()) for td, c in counts.items()})
+
+
+def separating_term(left: WeightExpr, right: WeightExpr) -> Optional[tuple[str, GammaRatioExpr]]:
+    """A term that refutes left = c * right for every constant c, as
+    (side, Gamma part), or None when none is shown.
+
+    The Gamma parts are hypergeometric terms for the shift z -> z + M, M
+    the lcm of their two_deltas, and pairwise dissimilar ones (quotient not
+    rational) are linearly independent over C(z) (Petkovsek, Wilf and
+    Zeilberger, A = B, 1996).  So a left term dissimilar to every other
+    term of both sides survives in left - c * right for every c.  A right
+    term alone in the same way refutes every c except 0, so it refutes only
+    when the left side is certainly not zero: when some left term is
+    dissimilar to all other left terms.  Both tests use :func:`dissimilar`,
+    so a term it cannot separate is never named.
+    """
+    gammas = [g for _, g in left.terms] + [g for _, g in right.terms]
+    split = len(left.terms)
+
+    def alone(i: int, stop: int) -> bool:
+        return all(dissimilar(gammas[i], gammas[j]) for j in range(stop) if j != i)
+
+    for i in range(split):
+        if alone(i, len(gammas)):
+            return "left", gammas[i]
+    if not any(alone(i, split) for i in range(split)):
+        return None
+    for i in range(split, len(gammas)):
+        if alone(i, len(gammas)):
+            return "right", gammas[i]
+    return None
 
 
 # ---------------------------------------------------------------------------

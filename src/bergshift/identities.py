@@ -14,16 +14,21 @@ then decided:
 * ``functional`` - the single-function form H(z) F(z + 2 alpha) = F(z)
   with alpha = s - p, valid under the degree balance l + p = m + s.
 
-Verdicts are exact whenever both sides reduce to rational functions;
-otherwise the certified ratio check :func:`gamma_ratio.ball_ratio` decides,
-with the working precision doubled up to four times before giving up as
-inconclusive.  A ball-path ``not_proportional`` is certified by its
-witnesses; a ball-path ``proportional`` means the sides agree up to one
-constant at the listed samples, which is not a proof of the identity.
-Proportionality cannot be refuted at a single point, so a check needs at
-least two samples; the sample count and the working precision are bounded
-above by :data:`MAX_SAMPLES` and :data:`MAX_PRECISION_BITS`, and both are
-checked before anything is evaluated.
+Verdicts are exact whenever both sides reduce to rational functions.
+Otherwise a term that :func:`gamma_ratio.separating_term` names, one whose
+quotient with every other term is not rational, refutes the identity for
+every z and every constant; such a report is exact and lists no samples.
+Only sides that no term separates go to the certified ratio check
+:func:`gamma_ratio.ball_ratio`, with the working precision doubled up to
+four times before giving up as inconclusive, so the sample count and the
+precision shape that path alone.  A ball-path ``not_proportional`` is
+certified by its witnesses; a ball-path ``proportional`` means the sides
+agree up to one constant at the listed samples, which is not a proof of
+the identity.  Proportionality cannot be refuted at a single point, so a
+check needs at least two samples; the sample count is bounded above by
+:data:`MAX_SAMPLES` and the working precision lies in 1 ..
+:data:`MAX_PRECISION_BITS`, and both are checked before anything is
+evaluated.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .gamma_ratio import (
     WeightExpr,
     ball_ratio,
     power_weight,
+    separating_term,
 )
 from .mellin import RadialSymbol
 from .shift_algebra import ShiftSum, commutator, quasihomogeneous_operator
@@ -198,6 +204,14 @@ def _exact_proportionality(
             "exact quotient of the two sides is not constant")
 
 
+def _separation_note(side: str, gamma: GammaRatioExpr) -> str:
+    note = (f"the {side} term with Gamma part {gamma} has no term on either side "
+            "whose quotient with it is rational")
+    if side == "right":
+        note += ", and the left side is not zero"
+    return note + ", so no constant c gives left = c * right"
+
+
 def verify_identity(
     scenario: str,
     p: int,
@@ -209,16 +223,23 @@ def verify_identity(
     sample_zs: Optional[Sequence[Fraction]] = None,
     precision_bits: int = 200,
 ) -> IdentityReport:
-    """Check left = constant * right pointwise for one scenario instance.
+    """Decide left = constant * right for one scenario instance.
+
+    Rational sides are decided exactly.  Otherwise a term that
+    :func:`gamma_ratio.separating_term` names refutes the identity for
+    every z and every constant, with no sample evaluated; only when no term
+    separates does :func:`gamma_ratio.ball_ratio` check the samples.
 
     Raises ValueError, before any evaluation, for fewer than 2 or more than
-    :data:`MAX_SAMPLES` samples, for ``precision_bits`` above
+    :data:`MAX_SAMPLES` samples, for ``precision_bits`` below 1 or above
     :data:`MAX_PRECISION_BITS`, for n or d above
     :data:`bergshift.solver.MAX_EXPONENT` and for m or l above
     :data:`bergshift.solver.MAX_ROOT_DEGREE`.
     """
     samples = [as_rational(z) for z in (sample_zs if sample_zs is not None else default_samples())]
     _check_sample_count(len(samples))
+    if precision_bits < 1:
+        raise ValueError("precision_bits must be positive")
     if precision_bits > MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits {precision_bits} exceeds "
                          f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
@@ -236,6 +257,14 @@ def verify_identity(
             exact=True, both_sides_zero=both_zero, samples=tuple(rows),
             witnesses=tuple(witnesses), skipped_poles=(),
             precision_bits=precision_bits, note=note)
+
+    separated = separating_term(left, right)
+    if separated is not None:
+        side, gamma = separated
+        return IdentityReport(
+            scenario=scenario, params=params, verdict="not_proportional", constant=None,
+            exact=True, both_sides_zero=False, samples=(), witnesses=(), skipped_poles=(),
+            precision_bits=precision_bits, note=_separation_note(side, gamma))
 
     check = ball_ratio(left, right, samples, precision_bits)
     note = ""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import lcm
 from typing import Iterable
 
 import mpmath
@@ -202,9 +202,10 @@ def check_digits(digits: int) -> None:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
 
 
-#: Largest power N of r in the integrand of :func:`bergman_quadrature_oracle`.
-#: Its cuts 1 - 2^-j, j <= log2(N + 1), stay apart at the lowest working
-#: precision, 16 digits (53 bits), and r^N costs little more than r^2.
+#: Largest power N' of t = r^(1/Q) in the integrand of
+#: :func:`bergman_quadrature_oracle`.  Its cuts 1 - 2^-j,
+#: j <= log2(N' + 1), stay apart at the lowest working precision, 16 digits
+#: (53 bits), and t^N' costs little more than t^2.
 MAX_POWER = 2**40
 
 
@@ -224,32 +225,40 @@ def bergman_quadrature_oracle(
     computed by adaptive quadrature, independent of the Mellin route.  The
     result carries the quadrature error estimate scaled by the same factor.
 
-    With N the largest exponent, r^N has its mass within about 1/N of
-    r = 1, where the nodes of [0, 1] and its halves would miss it and agree
-    on about 0.  So [0, 1] is cut at 1 - 2^-j for j = 1..J, with
-    J = ceil(log2(N + 1)), and each of the J + 1 panels is integrated to
-    1/(J + 1) of the tolerance.  One integrand evaluation costs one power
-    per term, so the quadrature's work budget counts the terms.
+    The substitution r = t^Q, with Q the lcm of the denominators of phi's
+    exponents, turns the integrand into Q * sum c t^(Q E + Q - 1), E the
+    exponents 2k + p + 1 + e, whose powers are integers: no fractional
+    power is evaluated, and no power has a branch point at 0 for the
+    panels to chase.  With Q = 1 it is the integrand in r itself.
+
+    With N' = Q (N + 1) - 1 the largest power of t, t^N' has its mass
+    within about 1/N' of t = 1, where the nodes of [0, 1] and its halves
+    would miss it and agree on about 0.  So [0, 1] is cut at 1 - 2^-j for
+    j = 1..J, with J = ceil(log2(N' + 1)), and each of the J + 1 panels is
+    integrated to 1/(J + 1) of the tolerance.  One integrand evaluation
+    costs one power per term, so the quadrature's work budget counts the
+    terms.
     """
     if p < 0 or k < 0:
         raise ValueError("p and k must be nonnegative")
     check_digits(digits)
-    N = 2 * k + p + 1 + max((e for _, e in phi.terms), default=0)
+    Q = lcm(*[e.denominator for _, e in phi.terms])
+    N = int(Q * (2 * k + p + 2 + max((e for _, e in phi.terms), default=0))) - 1
     if N > MAX_POWER:
-        raise ValueError("the largest power of r, 2k + p + 1 + exponent, must be at most 2^40")
+        raise ValueError("the largest power of t = r^(1/Q) in the integrand, Q(2k + p + 2 + exponent) - 1 "
+                         "with Q the lcm of the exponent denominators, must be at most 2^40")
     with mp.workdps(digits + 15):
-        exps = [(mp.mpf(c.numerator) / c.denominator, 2 * k + p + 1 + mp.mpf(e.numerator) / e.denominator)
-                for c, e in phi.terms]
+        terms = [(mp.mpf((Q * c).numerator) / (Q * c).denominator, int(Q * (2 * k + p + 2 + e)) - 1)
+                 for c, e in phi.terms]
 
-        def integrand(r):
+        def integrand(t):
             total = mp.mpf(0)
-            for c, e in exps:
-                total += c * r**e
+            for c, n in terms:
+                total += c * t**n
             return total
 
-        # 2^J >= N + 1 exactly when 2^J > ceil(N)
-        J = ceil(N).bit_length()
+        J = N.bit_length()  # 2^J >= N + 1
         cuts = [1 - mp.mpf(2) ** -j for j in range(J + 1)] + [mp.mpf(1)]
-        value, err = integrate_adaptive(integrand, cuts, mp.mpf(10) ** (-digits), cost=max(1, len(exps)))
+        value, err = integrate_adaptive(integrand, cuts, mp.mpf(10) ** (-digits), cost=max(1, len(terms)))
         factor = 2 * (k + p + 1)
         return QuadratureResult(factor * value, factor * err)

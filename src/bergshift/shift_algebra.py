@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .exact_algebra import PoleError, RationalLike, as_rational
-from .gamma_ratio import BallValue, WeightExpr, eval_ball, power_weight
+from .gamma_ratio import BallValue, WeightExpr, eval_ball, power_weight, separating_term
 from .mellin import RadialSymbol, toeplitz_weight
 
 
@@ -160,14 +160,15 @@ def is_zero(w: WeightExpr, precision_bits: int = 200) -> ZeroVerdict:
     Zero is returned only with proof: the normalized form is empty after
     full Gamma cancellation (and a weight vanishing on the whole sample
     sequence vanishes identically, so the converse direction is complete
-    for weights whose Gamma content cancels).  NonZero needs a certified
-    evaluation bounded away from zero.  Anything else is Unknown.
+    for weights whose Gamma content cancels).  NonZero is exact when a term
+    has no other term of w whose quotient with it is rational
+    (:func:`gamma_ratio.separating_term` against zero), which covers every
+    nonzero rational weight; otherwise it needs a certified evaluation
+    bounded away from zero.  Anything else is Unknown.
     """
     if w.is_zero:
         return ZeroVerdict.ZERO
-    rf = w.as_rational()
-    if rf is not None:
-        # Canonical nonzero rational function: nonzero as a function.
+    if separating_term(w, WeightExpr.zero()) is not None:
         return ZeroVerdict.NONZERO
     for k in range(_NONZERO_SAMPLES):
         try:

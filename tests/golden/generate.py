@@ -17,8 +17,9 @@ sha256 of its stdout and of its stderr and its exit code.
 
 * a fixed-seed sample of the ``identity-check`` grid (3 scenarios, six
   (p, s) pairs, n in 1..3, d in {1, 3}, m in 1..4, l = m + s - p, 20
-  samples), the ball path at 50 samples and 53, 400 and 1000 bits, the
-  ball path at a low starting precision and its bounds,
+  samples); instances refuted by a separating term at 50 samples and
+  53, 400 and 1000 bits and at a low starting precision; the ball path,
+  where no term separates the sides, at the same precisions; the bounds,
 * ``apply``, ``commutator``, ``weight``, ``mellin``, ``rationality``,
   ``root-verify`` and ``oracle-quadrature``, with text output,
 * ``--help`` and the usage errors.
@@ -111,13 +112,18 @@ def command_argvs() -> list[list[str]]:
     rng = random.Random(SEED)
     argvs = [_identity(*inst, "--samples", "20") for inst in rng.sample(grid, IDENTITY_SAMPLES)]
     functional = ("functional", 1, 2, 2, 3, 2, 3)
-    # The ball path at 50 samples and the precisions that pin its rounding,
-    # and a start at 8 bits that doubles twice.
-    ball = [("commutator", 2, 3, 1, 1, 1, 2), ("factored", 1, 2, 1, 3, 2, 3), functional]
+    # Refuted by a separating term whatever the samples and the precision:
+    # these took the ball path before the structural test.
+    separated = [("commutator", 2, 3, 1, 1, 1, 2), ("factored", 1, 2, 1, 3, 2, 3), functional]
     argvs += [_identity(*inst, "--samples", "50", "--precision-bits", str(bits))
-              for inst in ball for bits in (53, 400, 1000)]
+              for inst in separated for bits in (53, 400, 1000)]
     argvs.append(_identity("commutator", 1, 2, 1, 3, 2, 3, "--samples", "50",
                            "--precision-bits", "8"))
+    # The ball path: both sides carry the same two similar Gamma parts, so no
+    # term separates them.  50 samples at the precisions that pin its
+    # rounding, and a start at 8 bits that doubles once.
+    argvs += [_identity("functional", 2, 4, 1, 4, 1, 3, "--samples", "50", "--precision-bits", bits)
+              for bits in ("53", "400", "1000", "8")]
     argvs += [
         _identity(*functional, "--samples", "5", "--precision-bits", "1"),
         _identity("commutator", 1, 2, 2, 3, 1, 2),

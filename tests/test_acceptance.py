@@ -13,6 +13,7 @@ from mpmath import mp
 
 import bergshift as bs
 from bergshift.cli import dispatch
+from bergshift.gamma_ratio import ball_ratio
 
 
 class _Criterion:
@@ -156,11 +157,16 @@ def test_c09_functional_identity():
                                   precision_bits=200)
         assert good.verdict == "proportional"
         assert good.both_sides_zero  # exact form of ratio constancy
+        zs = [Fraction(2 * k + 2) for k in range(50)]
         bad = bs.verify_identity("functional", 1, 2, 2, 3, m=2, l=3,
-                                 sample_zs=[Fraction(2 * k + 2) for k in range(50)],
-                                 precision_bits=200)
+                                 sample_zs=zs, precision_bits=200)
         assert bad.verdict == "not_proportional"
-        assert bad.witnesses
+        assert bad.exact and not bad.witnesses  # refuted structurally
+        assert bad.note.startswith("the left term with Gamma part ")
+        # the certified ball check refutes the same sides with witnesses
+        check = ball_ratio(*bs.build_sides("functional", 1, 2, 2, 3, 2, 3), zs, 200)
+        assert check.verdict == "not_proportional"
+        assert check.witnesses
 
 
 def test_c10_algebra_property_suite():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from bergshift.cli import (
     weight_from_jsonable,
 )
 from bergshift.exact_algebra import MAX_NESTING_DEPTH, parse_rational
-from bergshift.gamma_ratio import power_weight
+from bergshift.gamma_ratio import ball_ratio, power_weight
 from bergshift.mellin import RadialSymbol, toeplitz_weight
 
 
@@ -103,7 +104,15 @@ class TestVerdictCommands:
                             "--p", "1", "--s", "2", "--n", "2", "--d", "3",
                             "--m", "2", "--l", "3", "--samples", "12")
         assert code == EXIT_NEGATIVE
-        assert payload["witnesses"]
+        # refuted structurally: exact, with no sample evaluated
+        assert payload["exact"] is True and payload["constant"] is None
+        assert payload["witnesses"] == payload["samples"] == payload["skipped_poles"] == []
+        assert payload["note"].startswith("the left term with Gamma part gamma(")
+        # the certified ball check refutes the same sides with witnesses
+        check = ball_ratio(*identities.build_sides("functional", 1, 2, 2, 3, 2, 3),
+                           identities.default_samples(12), 200)
+        assert check.verdict == "not_proportional"
+        assert check.witnesses
 
     def test_scan_clean(self, capsys):
         code, payload = run(capsys, "scan", "--p", "1", "--s", "2", "--n", "2",
@@ -239,6 +248,8 @@ class TestUsageErrors:
         assert dispatch(["weight", "--p", "1", "--symbol", "r", "--bogus"]) == EXIT_USAGE
 
     def test_nonpositive_precision_on_ball_path(self, capsys):
+        # the instance is refuted structurally, so no precision scope is
+        # entered: 0 bits must be rejected before the sides are decided
         argv = ["identity-check", "--id", "functional", "--p", "1", "--s", "2", "--n", "2",
                 "--d", "3", "--m", "2", "--l", "3", "--samples", "5"]
         assert dispatch(argv + ["--precision-bits", "0"]) == EXIT_USAGE
@@ -382,6 +393,21 @@ class TestIdentityCheckBounds:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"precision_bits {bits} exceeds MAX_PRECISION_BITS = {identities.MAX_PRECISION_BITS}" in err
+
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    def test_precision_below_one_rejected(self, bits, capsys, no_evaluation):
+        code = dispatch(self.ARGV + ["--samples", "5", "--precision-bits", bits])
+        assert code == EXIT_USAGE
+        assert "precision_bits must be positive" in capsys.readouterr().err
+
+    def test_huge_degrees_refuted_sparsely(self, capsys):
+        # lcm(2p, 2s) is about 4e12: the pole counts are read on their support
+        start = time.perf_counter()
+        code, payload = run(capsys, "identity-check", "--id", "commutator", "--p", "999983",
+                            "--s", "1000003", "--n", "2", "--d", "3", "--m", "2", "--l", "22")
+        assert time.perf_counter() - start < 0.1
+        assert code == EXIT_NEGATIVE
+        assert payload["verdict"] == "not_proportional" and payload["exact"] is True
 
     def test_limits_themselves_accepted(self, capsys):
         code, payload = run(capsys, "identity-check", "--id", "functional", "--p", "1",

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import iv, mp
@@ -18,10 +19,12 @@ from bergshift.gamma_ratio import (
     WeightExpr,
     ball_ratio,
     canonicalize,
+    dissimilar,
     eval_ball,
     is_rational_divisibility,
     power_weight,
     rationality_oracle,
+    separating_term,
 )
 from bergshift.identities import build_sides
 
@@ -338,3 +341,135 @@ def test_mixed_scale_products_stay_closed():
     prod = a * b
     assert set(prod.num) == {(2, 1), (4, 3)}
     assert (a * a.inverse()).is_one
+
+
+# ---------------------------------------------------------------------------
+# structural separation
+
+
+def gq(num, den=()):
+    return GammaRatioExpr(tuple(sorted(num)), tuple(sorted(den)))
+
+
+def gw(*terms):
+    """Weight expression from (coefficient, Gamma part) pairs."""
+    return WeightExpr.build([(RationalFunction.one().scale(c), g) for c, g in terms])
+
+
+# Gamma(z/4) Gamma((z+2)/4) Gamma((z+1)/2) / (Gamma(z/2) Gamma((z+1)/4) Gamma((z+3)/4)),
+# which is sqrt(2) for every z by Legendre duplication.
+SQRT2 = gq([(4, 0), (4, 2), (2, 1)], [(2, 0), (4, 1), (4, 3)])
+# G = Gamma(z/4) Gamma((z+2)/4) / Gamma(z/2) and H = Gamma((z+1)/4) Gamma((z+3)/4)
+# / Gamma((z+1)/2): G = 2^(1-z/2) sqrt(pi) and H = 2^(1/2-z/2) sqrt(pi), so
+# G^2 - 2 H^2 vanishes identically.
+G = gq([(4, 0), (4, 2)], [(2, 0)])
+H = gq([(4, 1), (4, 3)], [(2, 1)])
+
+
+def _prime_exponents(v):
+    out, q = Counter(), 2
+    while v > 1:
+        while v % q == 0:
+            out[q] += 1
+            v //= q
+        q += 1
+    return out
+
+
+def rational_quotient_oracle(g, h):
+    """Whether g/h is a rational function, from the dense key: the net
+    pole count at every residue mod the lcm of the scales, and the prime
+    part sum of +-v_q(delta)/delta for each prime q, by trial division."""
+    atoms = [(1, a) for a in g.num + h.den] + [(-1, a) for a in g.den + h.num]
+    M = 1
+    for _, (td, _) in atoms:
+        M = M * td // gcd(M, td)
+    counts = [0] * M
+    prime_part = Counter()
+    for sign, (td, off) in atoms:
+        for t in range(M):
+            if (t - off) % td == 0:
+                counts[t] += sign
+        for q, e in _prime_exponents(td).items():
+            prime_part[q] += Fraction(sign * e, td)
+    return not any(counts) and not any(prime_part.values())
+
+
+def random_pair(rng, scales):
+    """Two Gamma quotients over the given scales whose quotient is often
+    rational or a constant times b^z: the second is the first with offsets
+    raised by multiples of their scale, and Gauss multiplication blocks
+    Gamma((z+a)/delta) against prod_k Gamma((z+a+k delta)/(e delta)) go on
+    either side, with one atom sometimes added to one of them."""
+    def atoms():
+        return [(td, rng.randrange(2 * td)) for td in rng.choices(scales, k=rng.randint(0, 3))]
+
+    g_num, g_den = atoms(), atoms()
+    h_num = [(td, off + td * rng.randint(0, 2)) for td, off in g_num]
+    h_den = [(td, off + td * rng.randint(0, 2)) for td, off in g_den]
+    blocks = [(td, big // td) for td in scales for big in scales if big > td and big % td == 0]
+    for _ in range(rng.randint(0, 3) if blocks else 0):
+        td, e = rng.choice(blocks)
+        a = rng.randrange(td * e)
+        g_side, h_side = rng.choice([(g_num, h_num), (g_den, h_den)])
+        g_side.append((td, a))
+        h_side.extend((td * e, a + k * td) for k in range(e))
+    if rng.random() < 0.3:
+        rng.choice([g_num, g_den, h_num, h_den]).extend(atoms()[:1])
+    return gq(g_num, g_den), gq(h_num, h_den)
+
+
+class TestDissimilar:
+    def test_duplication_differs_only_in_the_prime_part(self):
+        # Gamma(z/2) Gamma((z+1)/2) = 2^(1-z) sqrt(pi) Gamma(z): the counts agree
+        assert dissimilar(gq([(2, 0), (2, 1)]), gq([(1, 0)]))
+        assert dissimilar(gq([(1, 0)]), gq([(2, 0), (2, 1)]))
+
+    def test_counts_alone_separate(self):
+        # no prime part: one scale, and two scales with equal net atoms per prime
+        assert dissimilar(gq([(2, 0)], [(2, 1)]), GammaRatioExpr.one())
+        assert dissimilar(gq([(4, 0), (4, 1)], [(2, 0), (2, 1)]), GammaRatioExpr.one())
+        assert dissimilar(gq([(6, 1)], [(4, 3)]), gq([(6, 5)], [(4, 1)]))
+
+    def test_constant_quotients_are_not_separated(self):
+        assert not dissimilar(SQRT2, GammaRatioExpr.one())
+        assert not dissimilar(G * G, H * H)
+        assert not dissimilar(G, G)
+        # equal up to the functional equation: Gamma((z+7)/3) = rational * Gamma((z+1)/3)
+        assert not dissimilar(gq([(3, 7)], [(5, 2)]), gq([(3, 1)], [(5, 12)]))
+
+    def test_huge_scales_are_read_sparsely(self):
+        p, s = 999983, 1000003
+        assert dissimilar(gq([(2 * p, 4)], [(2 * s, 1)]), GammaRatioExpr.one())
+        assert not dissimilar(gq([(2 * p, 4), (2 * s, 1)]), gq([(2 * p, 2 * p + 4), (2 * s, 1)]))
+
+    @pytest.mark.parametrize("scales", [(1,), (4,), (2, 4), (1, 3), (2, 6), (4, 6), (3, 5),
+                                        (2, 3, 6), (2, 4, 8)])
+    def test_against_the_dense_key(self, scales):
+        rng = random.Random(sum(scales))
+        for _ in range(150):
+            g, h = random_pair(rng, scales)
+            rational = rational_quotient_oracle(g, h)
+            if len(scales) <= 2:
+                assert dissimilar(g, h) is not rational, (g, h)
+            elif dissimilar(g, h):  # more scales: sound, but may not show it
+                assert not rational, (g, h)
+
+
+class TestSeparatingTerm:
+    def test_single_dissimilar_terms_refute_from_the_left(self):
+        assert separating_term(gw((1, G)), WeightExpr.one()) == ("left", G)
+        assert separating_term(gw((1, G)), gw((1, H))) is None  # G / H = sqrt(2)
+
+    def test_sqrt2_is_not_separated_from_one(self):
+        assert separating_term(gw((1, SQRT2)), WeightExpr.one()) is None
+        assert separating_term(WeightExpr.one(), gw((1, SQRT2))) is None
+
+    def test_a_right_term_refutes_only_a_nonzero_left(self):
+        a, b = gq([(2, 0)], [(2, 1)]), gq([(3, 0)], [(3, 1)])
+        assert separating_term(gw((1, a)), gw((1, a), (1, b))) == ("right", b)
+        assert separating_term(WeightExpr.zero(), gw((1, b))) is None
+        # G^2 - 2 H^2 is zero with no term of its own alone: c = 0 fits
+        vanishing = gw((1, G * G), (-2, H * H))
+        assert separating_term(vanishing, WeightExpr.one()) is None
+        assert separating_term(WeightExpr.one(), vanishing) == ("left", GammaRatioExpr.one())

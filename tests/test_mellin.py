@@ -180,6 +180,18 @@ class TestOracle:
         res = bergman_quadrature_oracle(1, phi, 2)
         assert abs(res.value - mp.mpf(exact.numerator) / exact.denominator) <= 1e-10
 
+    @pytest.mark.parametrize("p, text", [(0, "r^1/2"), (1, "r^1/2"), (0, "r^3/2"), (2, "r^7/3"),
+                                         (0, "2*r^1/2+r^5/3"), (3, "r^1/2-1/3*r^5")])
+    def test_fractional_exponents_at_the_ground_state(self, p, text):
+        # r = t^Q with Q the lcm of the exponent denominators leaves integer powers of t
+        phi = parse_symbol(text)
+        exact = toeplitz_weight(p, phi).eval_exact(Fraction(2))
+        res = bergman_quadrature_oracle(p, phi, 0)
+        with mp.workdps(40):
+            error = abs(res.value - mp.mpf(exact.numerator) / exact.denominator)
+            assert error <= 1e-20
+            assert error <= res.error_estimate + mp.mpf(10) ** -25
+
     def test_reported_error_bound_is_honest(self):
         res = bergman_quadrature_oracle(3, parse_symbol("r^7"), 20)
         exact = toeplitz_weight(3, RadialSymbol.monomial(7)).eval_exact(Fraction(42))
@@ -199,6 +211,20 @@ class TestQuadratureLimits:
         monkeypatch.setattr(mellin, "integrate_adaptive", None)
         with pytest.raises(ValueError, match="2\\^40"):
             bergman_quadrature_oracle(1, parse_symbol("r^(1/2)"), MAX_POWER // 2 - 1, 25)
+
+    def test_the_bound_reads_the_power_of_t(self, monkeypatch):
+        # r^(1/2) r^(2k + 2) with Q = 2: the largest power of t is 2(2k + 7/2) - 1 = 4k + 6
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(mellin, "integrate_adaptive", reached)
+        with pytest.raises(Reached):  # 2^40 - 2
+            bergman_quadrature_oracle(1, parse_symbol("r^(1/2)"), MAX_POWER // 4 - 2, 25)
+        with pytest.raises(ValueError, match="2\\^40"):  # 2^40 + 2
+            bergman_quadrature_oracle(1, parse_symbol("r^(1/2)"), MAX_POWER // 4 - 1, 25)
 
     def test_a_piece_left_without_panels_has_an_infinite_estimate(self, monkeypatch):
         # the first piece spends the whole budget of 3 panels and converges

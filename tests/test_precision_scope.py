@@ -76,17 +76,26 @@ def test_eval_ball_exception(failing_gamma):
     assert restored()
 
 
+# No term separates the two sides of this instance, so it takes the ball path.
+BALL_PATH = ("functional", 2, 4, 1, 4, 1, 3)
+
+
 def test_verify_identity_ball_path():
-    rep = verify_identity("functional", 1, 2, 2, 3, m=2, l=3,
-                          sample_zs=[Fraction(2 * k + 2) for k in range(6)])
+    rep = verify_identity(*BALL_PATH, sample_zs=[Fraction(2 * k + 2) for k in range(6)])
     assert not rep.exact
     assert restored()
 
 
 def test_verify_identity_ball_path_exception(failing_gamma):
     with pytest.raises(RuntimeError):
-        verify_identity("functional", 1, 2, 2, 3, m=2, l=3,
-                        sample_zs=[Fraction(2 * k + 2) for k in range(6)])
+        verify_identity(*BALL_PATH, sample_zs=[Fraction(2 * k + 2) for k in range(6)])
+    assert restored()
+
+
+def test_verify_identity_structural_refutation_sets_no_precision(failing_gamma):
+    rep = verify_identity("functional", 1, 2, 2, 3, m=2, l=3,
+                          sample_zs=[Fraction(2 * k + 2) for k in range(6)])
+    assert rep.exact and rep.verdict == "not_proportional"
     assert restored()
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bergshift.exact_algebra import PoleError, Polynomial, rf_normalize
-from bergshift.gamma_ratio import BallValue, WeightExpr, power_weight
+from bergshift import shift_algebra
+from bergshift.gamma_ratio import BallValue, GammaRatioExpr, WeightExpr, power_weight, separating_term
 from bergshift.mellin import RadialSymbol, toeplitz_weight
 from bergshift.shift_algebra import (
     EqualityVerdict,
@@ -230,7 +231,33 @@ def test_apply_gamma_bearing_pole_raises_at_the_point():
     assert exc.value.point == 4
 
 
+# Gamma(z/4) Gamma((z+2)/4) Gamma((z+1)/2) / (Gamma(z/2) Gamma((z+1)/4) Gamma((z+3)/4)),
+# which is sqrt(2) for every z by Legendre duplication: it and 1 are similar terms.
+SQRT2 = WeightExpr.build([(rf((1,)), GammaRatioExpr(((2, 1), (4, 0), (4, 2)),
+                                                    ((2, 0), (4, 1), (4, 3))))])
+
+
 def test_is_zero_skips_pole_samples():
-    # z = 2, the first sample, is a pole; the next sample certifies NONZERO
-    w = WeightExpr.from_rational(rf((1,), (-2, 1))) * power_weight(1, 2, 3)
+    # z = 2, the first sample, is a pole; the next sample certifies NONZERO.
+    # The terms sqrt(2)/(z-2) and 1 are similar, so only sampling decides.
+    w = WeightExpr.from_rational(rf((1,), (-2, 1))) * SQRT2 + WeightExpr.one()
+    assert separating_term(w, WeightExpr.zero()) is None
     assert is_zero(w) is ZeroVerdict.NONZERO
+
+
+def test_is_zero_nonzero_from_a_lone_term_evaluates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated a weight with a lone term")
+    monkeypatch.setattr(shift_algebra, "eval_ball", refuse)
+    assert is_zero(power_weight(1, 2, 3)) is ZeroVerdict.NONZERO
+    # Gamma(z/2) Gamma((z+1)/2) / Gamma(z) = 2^(1-z) sqrt(pi) is no constant
+    duplication = WeightExpr.build([(rf((1,)), GammaRatioExpr(((2, 0), (2, 1)), ((1, 0),)))])
+    assert is_zero(duplication - WeightExpr.one()) is ZeroVerdict.NONZERO
+    assert is_zero(commutator(T(1, 2), T(2, 3)).weight_at(3)) is ZeroVerdict.NONZERO
+
+
+def test_is_zero_leaves_similar_terms_to_sampling():
+    # sqrt(2) - 1 is certified by a ball; sqrt(2)^2 - 2 vanishes, which
+    # neither the normal form nor a ball can show
+    assert is_zero(SQRT2 - WeightExpr.one()) is ZeroVerdict.NONZERO
+    assert is_zero(SQRT2 * SQRT2 - WeightExpr.one().scale(2)) is ZeroVerdict.UNKNOWN
