@@ -75,7 +75,6 @@ from .solver import (
     monomial_weight,
     nullspace,
     scan,
-    vector_in_nullspace,
     verify_theorem,
 )
 

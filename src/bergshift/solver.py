@@ -17,20 +17,22 @@ the unknowns F_0..F_K, G_0..G_K.
 Rows (1) and (2) are first-order recurrences with leading coefficients
 Phi(z_k), Psi(z_k) > 0: they pin each F[k >= p] to an exact multiple of
 F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`nullspace`
-generates row k of (3) in the p + s parameters F[0..p-1], G[0..s-1]
-straight from the problem, extending the pins only as far as the rows
-read them, and eliminates the rows lazily; each lifted basis vector is
-re-verified against every row of the explicit expansion
-:func:`build_system`.  The module decides from (p, s, n, d) what it can
-prove: whether the reference pair commutes (:func:`commuting_pair`), each
-cell's floor, and a root match on the p + s entries that the pins
-determine.  A larger K only appends rows, so dim(K) cannot
-increase in K, and it never drops below :func:`_proved_floor`: the
-elimination stops once the rank leaves only the floor.  A count at the
-floor is therefore settled: it holds at every K' >= K and in the
-untruncated system.  A count above the floor is only an upper bound, and
-the verdict on it is inconclusive.  The module is exact throughout: it
-evaluates no ball.
+generates row k of (3) in the p + s parameters theta = (F[0..p-1],
+G[0..s-1]) straight from the problem, extending the pins only as far as
+the rows read them, eliminates the rows lazily and reports its basis as
+theta vectors.  Nothing is lifted to F_0..F_K, G_0..G_K at run time, and
+nothing is re-multiplied: the explicit expansion :func:`build_system` is
+the tests' oracle, which lift theta through their own samples and
+re-multiply.  The module decides from (p, s, n, d) what it can prove:
+whether the reference pair commutes (:func:`commuting_pair`), each cell's
+floor, and a root match on theta.  A larger K only appends rows, so
+dim(K) cannot increase in K, and it never drops below
+:func:`_proved_floor`: the elimination stops once the rank leaves only
+the floor, so K caps the rows read and does not set the cost of a
+settled cell.  A count at the floor is therefore settled: it holds at
+every K' >= K and in the untruncated system.  A count above the floor is
+only an upper bound, and the verdict on it is inconclusive.  The module
+is exact throughout: it evaluates no ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -121,7 +123,10 @@ class ExactLinearSystem:
 
 def build_system(prob: CommutantProblem) -> ExactLinearSystem:
     """Expand the three equation families at every index that fits below K,
-    in the unknowns F_0..F_K (columns 0..K) and G_0..G_K (K+1..2K+1)."""
+    in the unknowns F_0..F_K (columns 0..K) and G_0..G_K (K+1..2K+1).
+
+    No solver path calls it: it is the explicit system that the tests
+    re-multiply a lifted basis against."""
     p, s, n, d, m, l, K = prob.p, prob.s, prob.n, prob.d, prob.m, prob.l, prob.K
     phi = monomial_weight(p, n)
     psi = monomial_weight(s, d)
@@ -193,9 +198,11 @@ class _Pins:
 
     F[k] = f[k] * F[k mod p] with f[k + p] = f[k] * Phi(z_{k+m}) / Phi(z_k),
     and G[k] = g[k] * G[k mod s] with g[k + s] = g[k] * Psi(z_{k+l}) / Psi(z_k);
-    every sample is positive, so every pin exists.  The samples come from
-    the formulas, not from :func:`build_system`'s rational functions, so
-    the re-multiplication of a lifted vector checks one against the other.
+    every sample is positive, so every pin exists.  The pins reach only as
+    far as the rows of (3) that :func:`_mixed_rows` yields, never to K.
+    The samples come from the formulas, not from :func:`build_system`'s
+    rational functions, so a test that lifts a basis vector through its
+    own samples and re-multiplies it checks one against the other.
     """
 
     def __init__(self, prob: CommutantProblem):
@@ -230,26 +237,18 @@ def _mixed_rows(pins: _Pins) -> Iterator[tuple[tuple[int, Fraction], ...]]:
                (k % p, -psi[k + m] * f[k]), (p + k % s, -phi[k + l] * g[k]))
 
 
-def vector_in_nullspace(sys: ExactLinearSystem, vec: Sequence[Fraction]) -> bool:
-    """Exact re-multiplication check A.v = 0.
-
-    Each row sum is accumulated on ints as an unreduced num/den with
-    den > 0, so the row vanishes exactly when num is 0.
-    """
-    for row in sys.rows:
-        num, den = 0, 1
-        for j, c in row.coeffs:
-            x = vec[j]
-            q = c.denominator * x.denominator
-            num = num * q + c.numerator * x.numerator * den
-            den *= q
-        if num:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class NullspaceReport:
+    """One cell's nullspace at K, in the p + s parameters theta.
+
+    Each basis vector is theta: entries 0..p-1 are F[0..p-1] and entries
+    p..p+s-1 are G[0..s-1].  Rows (1) and (2) pin every other F[k] and
+    G[k] to these, so theta is the whole solution.  Each vector is divided
+    by its first nonzero entry; at dimension 1 with a root match it is
+    divided by the matched constant instead, and ``proportionality``
+    reads 1.
+    """
+
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
     floor: int
@@ -287,51 +286,42 @@ def _proved_floor(prob: CommutantProblem) -> int:
 
 
 def nullspace(prob: CommutantProblem) -> NullspaceReport:
-    """Exact nullspace of the cell at K, and the cell's proved floor.
+    """Exact nullspace of the cell at K, as theta vectors, and the cell's
+    proved floor.
 
     The rows of (3) through K - s decide dim(K).  Their elimination stops
     once the rank leaves only :func:`_proved_floor`: the count is then
     settled, the same at every K' >= K and untruncated.  A count above the
     floor reads every row through K - s and bounds the untruncated one
-    from above only.  Each basis vector is lifted to F_0..F_K, G_0..G_K
-    and re-multiplied against ``build_system(prob)``; a cell of dimension
-    0 builds nothing.
+    from above only.  No pin or sample past the last row eliminated is
+    read, and the basis is reported in theta (see
+    :class:`NullspaceReport`), so a settled cell costs the same at every K.
     """
-    p, s, K = prob.p, prob.s, prob.K
+    p, s = prob.p, prob.s
     width, floor = p + s, _proved_floor(prob)
-    pins = _Pins(prob)
-    thetas = _eliminate(islice(_mixed_rows(pins), K - s + 1), width, width - floor)
-    dim = len(thetas)
+    thetas = _eliminate(islice(_mixed_rows(_Pins(prob)), prob.K - s + 1), width, width - floor)
     basis: list[tuple[Fraction, ...]] = []
-    if thetas:
-        pins.extend(K)
-        system = build_system(prob)
     for theta in thetas:
-        vec = ([pins.f[k] * theta[k % p] for k in range(K + 1)]
-               + [pins.g[k] * theta[p + k % s] for k in range(K + 1)])
-        lead = next(v for v in vec if v != 0)
-        vec = tuple([v / lead for v in vec])
-        if not vector_in_nullspace(system, vec):
-            raise ArithmeticError("computed vector fails exact re-multiplication")
-        basis.append(vec)
+        lead = next(v for v in theta if v != 0)
+        basis.append(tuple([v / lead for v in theta]))
     shared = None
-    if dim == 1:
-        vec = basis[0]
+    if len(basis) == 1:
+        theta = basis[0]
         # F and c * w_m, w_m = power_weight(m, p, n), both satisfy row (1):
         # w_m(z+2p) Phi(z) = Phi(z+2m) w_m(z), as w_p = Phi and R^m, R^p are
         # powers of one root.  Its leading samples Phi(z_k) are positive, so
-        # the two agree at every k once they agree at k < p; so does G with
-        # row (2) at k < s.
-        f_const = match_root_power(vec[:p], prob.m, p, prob.n)
-        g_const = match_root_power(vec[K + 1 : K + 1 + s], prob.l, s, prob.d)
+        # the two agree at every k once they agree at k < p, which is
+        # theta[:p]; so does G with row (2) at k < s, which is theta[p:].
+        f_const = match_root_power(theta[:p], prob.m, p, prob.n)
+        g_const = match_root_power(theta[p:], prob.l, s, prob.d)
         if f_const is not None and f_const == g_const and f_const != 0:
-            # Present the basis in the matched normalization, where the
-            # vector is exactly the reference sample pair and the shared
-            # constant reads 1.
+            # Present the basis in the matched normalization, where theta
+            # is exactly the reference samples and the shared constant
+            # reads 1.
             shared = Fraction(1)
-            basis = [tuple([x / f_const for x in vec])]
+            basis = [tuple([x / f_const for x in theta])]
     return NullspaceReport(
-        dimension=dim,
+        dimension=len(basis),
         basis=tuple(basis),
         floor=floor,
         proportionality=shared,

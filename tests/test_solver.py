@@ -20,9 +20,9 @@ from bergshift.solver import (
     monomial_weight,
     nullspace,
     scan,
-    vector_in_nullspace,
     verify_theorem,
 )
+from commutant_lift import fraction_sum_in_nullspace, lift
 
 
 def reference_vector(prob):
@@ -74,7 +74,7 @@ class TestBuildSystem:
     def test_reference_vector_satisfies_system(self):
         for p, s, n, d in ((1, 2, 2, 3), (1, 3, 4, 2), (2, 3, 1, 5), (2, 4, 3, 5)):
             prob = CommutantProblem(p=p, s=s, n=n, d=d, m=p, l=s, K=25)
-            assert vector_in_nullspace(build_system(prob), reference_vector(prob))
+            assert fraction_sum_in_nullspace(build_system(prob), reference_vector(prob))
 
 
 class TestNullspace:
@@ -87,8 +87,11 @@ class TestNullspace:
         rep = nullspace(prob)
         assert (rep.dimension, rep.floor) == (1, 1)
         assert rep.proportionality == Fraction(1)
-        # normalized basis is exactly the reference samples
-        assert rep.basis[0] == reference_vector(prob)
+        # the normalized theta is the reference samples at k < p and k < s,
+        # and lifts to the whole reference pair
+        ref = reference_vector(prob)
+        assert rep.basis[0] == ref[:1] + ref[31:33]
+        assert lift(prob, rep.basis[0]) == ref
 
     def test_excluded_pair_dimension_zero(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=2, l=3, K=30)
@@ -98,8 +101,8 @@ class TestNullspace:
     def test_basis_vectors_verified_exactly(self):
         prob = CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=20)
         sys_ = build_system(prob)
-        for vec in nullspace(prob).basis:
-            assert vector_in_nullspace(sys_, vec)
+        for theta in nullspace(prob).basis:
+            assert fraction_sum_in_nullspace(sys_, lift(prob, theta))
 
     def test_dimension_monotone_in_truncation(self):
         dims = []
@@ -113,7 +116,7 @@ class TestNullspace:
         prob = CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=30)
         rep = nullspace(prob)
         assert (rep.dimension, rep.floor) == (2, 2)
-        assert vector_in_nullspace(build_system(prob), reference_vector(prob))
+        assert fraction_sum_in_nullspace(build_system(prob), reference_vector(prob))
 
 
 class TestMatchRootPower:
@@ -136,8 +139,9 @@ class TestMatchRootPower:
     def test_pinned_prefix_decides_the_whole_vector(self):
         """On every cell of dimension 1, including cells above their floor,
         matching the first p entries of F and s of G gives what matching all
-        K + 1 of each gives, and the solver reports that full-vector match.
-        Every m is read at the smallest truncations, m <= 8 at K = 30."""
+        K + 1 of each in the lifted vector gives, and the solver reports that
+        full-vector match.  Every m is read at the smallest truncations,
+        m <= 8 at K = 30."""
         cells = above = 0
         for s in range(2, 5):
             for p in range(1, s):
@@ -146,16 +150,18 @@ class TestMatchRootPower:
                         for K in (s, s + 1, s + 2, 30):
                             for m in range(1, min(K - s + p, 8) + 1):
                                 l = m + s - p
-                                rep = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K))
+                                prob = CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=l, K=K)
+                                rep = nullspace(prob)
                                 if rep.dimension != 1:
                                     continue
                                 cells += 1
                                 above += rep.floor == 0
-                                v = rep.basis[0]
+                                theta = rep.basis[0]
+                                v = lift(prob, theta)
                                 f = match_root_power(v[: K + 1], m, p, n)
                                 g = match_root_power(v[K + 1 :], l, s, d)
-                                assert match_root_power(v[:p], m, p, n) == f
-                                assert match_root_power(v[K + 1 : K + 1 + s], l, s, d) == g
+                                assert match_root_power(theta[:p], m, p, n) == f
+                                assert match_root_power(theta[p:], l, s, d) == g
                                 matched = f is not None and f == g and f != 0
                                 assert rep.proportionality == (Fraction(1) if matched else None)
                                 if matched:
@@ -262,8 +268,6 @@ def test_elimination_against_reference():
     """Random sparse systems: the elimination kernel's dimension must match
     a dense Fraction Gauss-Jordan rank, and every basis vector re-multiplies
     to zero."""
-    import random
-    from bergshift.solver import LinearEquation
 
     def reference_rank(rows, ncols):
         mat = [[Fraction(0)] * ncols for _ in rows]
@@ -300,16 +304,10 @@ def test_elimination_against_reference():
         basis = solver._eliminate([r.coeffs for r in rows], ncols, ncols)
         assert len(basis) == ncols - reference_rank(rows, ncols)
         for v in basis:
-            assert vector_in_nullspace(sys_, v)
+            assert fraction_sum_in_nullspace(sys_, v)
 
 
-def fraction_sum_in_nullspace(sys_, vec):
-    """A.v = 0 by plain Fraction row sums: the check the integer test replaces."""
-    return all(sum((c * vec[j] for j, c in row.coeffs), Fraction(0)) == 0
-               for row in sys_.rows)
-
-
-class TestVectorInNullspace:
+class TestLift:
     PROBLEMS = (
         CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=40),
         CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=40),
@@ -318,35 +316,29 @@ class TestVectorInNullspace:
     )
 
     @pytest.mark.parametrize("prob", PROBLEMS)
-    def test_agrees_with_fraction_sums(self, prob):
+    def test_lifted_theta_solves_the_system_and_perturbations_do_not(self, prob):
+        """Every theta has p + s entries and lifts to a vector of the
+        nullspace; at (m, l) = (p, s) the reference samples' theta lifts to
+        the reference pair.  Moving any single entry of a lifted vector
+        leaves the nullspace, so the oracle is not vacuous."""
         rng = random.Random(prob.p * 100 + prob.n)
         sys_ = build_system(prob)
-        vectors = list(nullspace(prob).basis)
+        thetas = list(nullspace(prob).basis)
+        assert all(len(theta) == prob.p + prob.s for theta in thetas)
+        vectors = [lift(prob, theta) for theta in thetas]
         if (prob.m, prob.l) == (prob.p, prob.s):
-            vectors.append(reference_vector(prob))
+            ref = reference_vector(prob)
+            theta = ref[: prob.p] + ref[prob.K + 1 : prob.K + 1 + prob.s]
+            assert lift(prob, theta) == ref
+            vectors.append(ref)
         assert vectors
         for vec in vectors:
-            assert vector_in_nullspace(sys_, vec)
+            assert len(vec) == sys_.num_unknowns
             assert fraction_sum_in_nullspace(sys_, vec)
             for _ in range(20):
                 bad = list(vec)
                 bad[rng.randrange(len(bad))] += rng.choice((1, -1)) * Fraction(1, rng.randint(1, 10**6))
                 assert not fraction_sum_in_nullspace(sys_, bad)
-                assert not vector_in_nullspace(sys_, bad)
-
-    def test_agrees_on_random_systems(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            ncols = rng.randint(1, 8)
-            rows = tuple(
-                LinearEquation(tuple((j, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
-                                     for j in rng.sample(range(ncols), rng.randint(1, ncols))))
-                for _ in range(rng.randint(0, 6)))
-            sys_ = ExactLinearSystem(rows, ncols)
-            candidates = solver._eliminate([r.coeffs for r in rows], ncols, ncols)
-            candidates.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)])
-            for vec in candidates:
-                assert vector_in_nullspace(sys_, vec) == fraction_sum_in_nullspace(sys_, vec)
 
 
 @pytest.fixture
@@ -415,12 +407,28 @@ class TestProvedFloor:
         assert (rep.dimension, rep.floor) == (2, 1)
         assert rows_read == [K - 2 + 1]
 
-    def test_verify_theorem_builds_only_the_matching_system(self, built_truncations):
-        # Seven cells at K = 60: only the (1, 2) cell has a basis to
-        # re-multiply.
-        rep = verify_theorem(1, 2, 2, 3, bound=8, K=60)
-        assert rep.status == "pass"
-        assert built_truncations == [60]
+    @pytest.mark.parametrize("p, s, n, d", [(1, 2, 2, 3), (2, 4, 3, 5), (1, 2, 3, 6)])
+    def test_verify_theorem_cost_does_not_depend_on_truncation(
+            self, monkeypatch, rows_read, built_truncations, p, s, n, d):
+        # Every cell settles at its floor, so at every K each cell reads the
+        # same rows of (3), extends its pins no further than they need, and
+        # builds no explicit system.
+        extents = []
+        extend = solver._Pins.extend
+
+        def spy(pins, i):
+            extents.append(i)
+            extend(pins, i)
+
+        monkeypatch.setattr(solver._Pins, "extend", spy)
+        reads = []
+        for K in (60, 240, 1000):
+            rows_read.clear()
+            extents.clear()
+            assert verify_theorem(p, s, n, d, bound=8, K=K).status == "pass"
+            reads.append((list(rows_read), list(extents)))
+        assert reads[0] == reads[1] == reads[2]
+        assert built_truncations == []
 
 
 class TestInputBounds:

@@ -6,6 +6,8 @@ F_k, G_k interleaved columns and first-nonzero pivoting.  It is kept here
 only as an independent oracle, at truncations small enough for it.
 `class_sample_vectors` is the floor the solver proves at (m, l) = (p, s),
 built from the weight functions rather than from the recurrences.
+The solver reports theta, the p + s parameters; `lift` extends it to the
+2(K+1) unknowns of `build_system`, where it is re-multiplied.
 """
 
 import dataclasses
@@ -26,8 +28,8 @@ from bergshift.solver import (
     build_system,
     monomial_weight,
     nullspace,
-    vector_in_nullspace,
 )
+from commutant_lift import fraction_sum_in_nullspace, lift
 
 
 def _interleaved_columns(K):
@@ -178,17 +180,18 @@ def test_nullspace_matches_bareiss_on_grid(chunk):
         if rep.dimension == rep.floor:
             assert bigger == rep.dimension, prob
         sys_ = build_system(prob)
-        assert all(vector_in_nullspace(sys_, vec) for vec in rep.basis), prob
+        lifted = [lift(prob, theta) for theta in rep.basis]
+        assert all(fraction_sum_in_nullspace(sys_, vec) for vec in lifted), prob
         if rep.dimension == 1:
-            assert lead_normalized(rep.basis[0]) == oracle[0], prob
+            assert lead_normalized(lifted[0]) == oracle[0], prob
         if (prob.m, prob.l) == (prob.p, prob.s):
             # The lemma under the floor at (p, s): the g class vectors solve
             # every row, and at the floor they span the whole nullspace.
             classes = class_sample_vectors(prob)
-            assert all(vector_in_nullspace(sys_, vec) for vec in classes), prob
+            assert all(fraction_sum_in_nullspace(sys_, vec) for vec in classes), prob
             assert rank(classes, sys_.num_unknowns) == gcd(prob.p, prob.s), prob
             if rep.dimension == rep.floor == len(classes):
-                assert rank(classes + list(rep.basis), sys_.num_unknowns) == rep.dimension, prob
+                assert rank(classes + lifted, sys_.num_unknowns) == rep.dimension, prob
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,7 +227,7 @@ def test_built_system_eliminated_whole_matches_bareiss(prob):
     sys_ = build_system(prob)
     basis = eliminated_whole(sys_)
     assert basis == bareiss_basis(sys_)
-    assert all(vector_in_nullspace(sys_, vec) for vec in basis)
+    assert all(fraction_sum_in_nullspace(sys_, vec) for vec in basis)
     assert len(basis) == nullspace(prob).dimension
 
 

@@ -17,6 +17,8 @@
 * ``solver`` imports only ``exact_algebra`` and ``gamma_ratio`` from the
   package: it decides from its own parameters, not through the operator
   algebra or the symbol layer;
+* no package module calls ``solver.build_system``: the explicit expansion
+  is the tests' oracle, so no solver path costs time linear in K;
 * only ``exact_algebra`` calls the raw ``Polynomial(...)`` constructor, so
   the canonical form that polynomial equality rests on is built in one
   place.
@@ -179,16 +181,23 @@ def test_solver_imports_only_exact_algebra_and_gamma_ratio():
     assert imported <= SOLVER_IMPORTS, sorted(imported - SOLVER_IMPORTS)
 
 
-def _calls_polynomial(node) -> bool:
+def _calls(node, name: str) -> bool:
     if not isinstance(node, ast.Call):
         return False
     f = node.func
-    return (isinstance(f, ast.Name) and f.id == "Polynomial") or (
-        isinstance(f, ast.Attribute) and f.attr == "Polynomial")
+    return (isinstance(f, ast.Name) and f.id == name) or (
+        isinstance(f, ast.Attribute) and f.attr == name)
+
+
+def test_build_system_is_called_by_no_package_module():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules()
+           for node in ast.walk(tree) if _calls(node, "build_system")]
+    assert bad == []
 
 
 def test_raw_polynomial_constructor_only_in_exact_algebra():
     bad = [f"{mod}:{node.lineno}"
            for mod, tree in _modules() if mod != "exact_algebra"
-           for node in ast.walk(tree) if _calls_polynomial(node)]
+           for node in ast.walk(tree) if _calls(node, "Polynomial")]
     assert bad == []
