@@ -28,11 +28,13 @@ from .exact_algebra import (
 from .gamma_ratio import (
     BallValue,
     GammaRatioExpr,
+    PartMatch,
     WeightExpr,
     canonicalize,
     dissimilar,
     eval_ball,
     is_rational_divisibility,
+    match_parts,
     power_weight,
     rationality_oracle,
     separating_term,

@@ -32,39 +32,27 @@ neither costs the lcm of the scales.  Dissimilar terms are linearly
 independent over C(z), so :func:`separating_term` refutes
 left = c * right for every constant c from the terms alone, and
 :func:`bergshift.shift_algebra.is_zero` certifies a nonzero weight the
-same way.  No sample is evaluated for either.
+same way.  When the distinct Gamma parts of both sides are pairwise
+dissimilar, left - c * right = sum_G (L_G - c R_G) G vanishes exactly when
+every coefficient does, so :func:`match_parts` decides left = c * right
+from the coefficients L_G and R_G.  No sample is evaluated for any of
+them.
 
 All certified numerics of the package live here and return balls
 (midpoint, radius) backed by mpmath interval arithmetic:
-:func:`working_precision` is the one precision scope, :func:`eval_ball`
-encloses one value, and :func:`ball_ratio` is the one certified check that
-two weight expressions are proportional at sample points, for the sides
-that no term separates.  The commutant solver uses none of them: it is
-exact throughout.
-
-At a sample u/v each term is read straight from its own polynomials:
-the value of the coefficient's numerator and denominator is the integer
-Horner pass of :meth:`~bergshift.exact_algebra.Polynomial.eval_pair` on
-their stored ints, reduced to lowest terms, and each Gamma argument
-(u/v + offset)/two_delta is a reduced integer pair, whose pole test reads
-the pair: denominator 1 and numerator at most 0.  The pole test is part
-of evaluation: the enclosure of a weight at a pole of a normalized term
-is None, found while walking the same terms, so no sample is inspected
-twice.
-
-Each precision pass computes every interval once: one memo, created inside
-the pass's :func:`working_precision` block and shared by both sides of a
-ratio check, holds the enclosure of each integer, each rational and each
-Gamma argument, as mpmath's raw interval tuples (lower, upper).  A memo
-never outlives its pass, so no interval crosses a precision doubling.  The
-kernel calls the ``mpmath.libmp`` interval primitives that the ``iv``
-context calls underneath, on the same operands, in the same order and at
-the same precision, and encloses an integer with the same floor and
-ceiling roundings; only the wrapper objects are gone.  So every interval,
-ball and printed radius is the one the ``iv`` objects give, bit for bit;
-``tests/test_ball_kernel_oracle.py`` keeps that ``iv`` evaluation as the
-oracle.  Gamma values come from ``iv.gamma`` at each argument, never from
-the recurrence Gamma(x + 1) = x Gamma(x), which would change the radii.
+:func:`working_precision` is the one precision scope, and :func:`eval_ball`
+encloses one value, for :func:`bergshift.shift_algebra.apply_to_basis` and
+:func:`bergshift.shift_algebra.is_zero`.  It walks the normalized terms on
+mpmath's ``iv`` objects: each coefficient's numerator and denominator
+values, exact fractions, are enclosed as quotients of integer intervals,
+and each Gamma argument (z0 + offset)/two_delta is enclosed the same way
+and passed to ``iv.gamma``, once per distinct argument.  Gamma values
+never come from the recurrence Gamma(x + 1) = x Gamma(x), which would
+change the radii.  The pole test reads the exact arguments: a zero
+coefficient denominator or a numerator atom at a nonpositive integer is a
+pole, and a denominator atom there makes its term vanish.  The commutant
+solver and the identity checks use none of this: they are exact
+throughout.
 """
 
 from __future__ import annotations
@@ -74,27 +62,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_gt,
-    mpf_le,
-    mpf_shift,
-    mpf_sub,
-    mpi_add,
-    mpi_div,
-    mpi_mul,
-    mpi_sub,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    round_up,
-)
 
 from .exact_algebra import (
     Polynomial,
@@ -494,6 +465,51 @@ def separating_term(left: WeightExpr, right: WeightExpr) -> Optional[tuple[str, 
     return None
 
 
+@dataclass(frozen=True)
+class PartMatch:
+    """Outcome of :func:`match_parts`.  ``parts`` names the Gamma parts
+    behind the verdict: the part whose coefficients admit no constant, or
+    the two parts whose coefficients need different constants, for
+    ``not_proportional``; the pair not shown dissimilar for
+    ``inconclusive``; none for ``proportional``."""
+
+    verdict: str  # proportional | not_proportional | inconclusive
+    constant: Optional[Fraction]
+    parts: tuple[GammaRatioExpr, ...]
+
+
+def match_parts(left: WeightExpr, right: WeightExpr) -> PartMatch:
+    """Decide left = c * right, for one constant c, part by part.
+
+    With L_G and R_G the coefficients of the Gamma part G on each side (0
+    when G is missing), left - c * right = sum_G (L_G - c R_G) G.  When the
+    distinct parts of both sides are pairwise :func:`dissimilar`, they are
+    linearly independent over C(z), as in :func:`separating_term`, so the
+    sum vanishes iff L_G = c R_G for every G: the verdict is exact.  A pair
+    of distinct parts that :func:`dissimilar` does not show apart leaves
+    the question open, and the verdict is ``inconclusive``.  Both sides
+    zero give the constant 0.
+    """
+    parts = list(dict.fromkeys([g for _, g in left.terms + right.terms]))
+    for i, g in enumerate(parts):
+        for h in parts[i + 1:]:
+            if not dissimilar(g, h):
+                return PartMatch("inconclusive", None, (g, h))
+    left_coeff = {g: c for c, g in left.terms}
+    right_coeff = {g: c for c, g in right.terms}
+    constant, first = None, None
+    for g in parts:
+        r = right_coeff.get(g)
+        q = None if r is None else left_coeff.get(g, RationalFunction.zero()) / r
+        if q is None or not q.is_constant:
+            return PartMatch("not_proportional", None, (g,))
+        if constant is None:
+            constant, first = q.constant_value(), g
+        elif q.constant_value() != constant:
+            return PartMatch("not_proportional", None, (first, g))
+    return PartMatch("proportional", Fraction(0) if constant is None else constant, ())
+
+
 # ---------------------------------------------------------------------------
 # certified evaluation
 
@@ -538,202 +554,65 @@ class BallValue:
         return f"[{mpmath.nstr(self.mid, 20)} +/- {mpmath.nstr(self.rad, 5)}]"
 
 
-# A raw interval is mpmath's endpoint pair (lower, upper) of mpf tuples;
-# the libmp primitives below are what the ``iv`` context calls underneath.
-_EXACT_ZERO = (fzero, fzero)
+def _ball(x) -> BallValue:
+    """The ball of the interval x, at the working precision."""
+    a = mp.convert(x.a)
+    b = mp.convert(x.b)
+    mid = (a + b) / 2
+    rad = max(mp.fsub(b, mid, rounding="u"), mp.fsub(mid, a, rounding="u"))
+    return BallValue(mid, max(rad, mp.mpf(0)))
 
 
-def _ball(x, bits: int) -> BallValue:
-    """The ball of the raw interval x, rounded as the mpmath real context
-    rounds (a + b)/2 and the two upward differences at ``bits``."""
-    a, b = x
-    mid = mpf_shift(mpf_add(a, b, bits, round_nearest), -1)
-    rad = mpf_sub(b, mid, bits, round_up)
-    other = mpf_sub(mid, a, bits, round_up)
-    if mpf_gt(other, rad):
-        rad = other
-    if mpf_gt(fzero, rad):
-        rad = fzero
-    return BallValue(mp.make_mpf(mid), mp.make_mpf(rad))
+def _is_gamma_pole(arg: Fraction) -> bool:
+    return arg <= 0 and arg.denominator == 1
 
 
-def _has_zero(x) -> bool:
-    """``0 in x``, read off the endpoints as mpmath's interval ``in`` does."""
-    return mpf_le(x[0], fzero) and mpf_le(fzero, x[1])
+def _enclose(q: Fraction):
+    """The interval of q as the quotient of its integer enclosures."""
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _lowest(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms.  A coefficient value is reduced before it is
-    enclosed: the enclosure of an unreduced quotient whose parts exceed the
-    precision rounds differently."""
-    g = gcd(num, den)
-    return num // g, den // g
+class _GammaMemo:
+    """``iv.gamma`` per argument, each computed once.  Valid only at the
+    precision it was filled at, so a memo lives inside one
+    :func:`working_precision` block."""
 
+    def __init__(self):
+        self._values: dict[Fraction, object] = {}
 
-def _gamma_args(atoms: tuple[GammaAtom, ...], u: int, v: int) -> Optional[list[tuple[int, int]]]:
-    """The arguments (u/v + offset)/two_delta in lowest terms (num, den), or
-    None when one is a nonpositive integer, a pole of Gamma."""
-    out = []
-    for td, off in atoms:
-        num, den = _lowest(u + off * v, v * td)
-        if den == 1 and num <= 0:
-            return None
-        out.append((num, den))
-    return out
-
-
-class _IntervalMemo:
-    """Raw intervals of one precision pass, each computed once: the
-    enclosure per integer, num/den per rational (num, den) in lowest terms,
-    ``iv.gamma`` per argument.  Valid only at the precision ``bits`` it was
-    filled at, so every memo lives inside one :func:`working_precision`
-    block, where ``iv.gamma`` works at the same precision.  The field is
-    ``bits``: only the scope assigns a ``.prec``."""
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self._ints: dict[int, tuple] = {}
-        self._rationals: dict[tuple[int, int], tuple] = {}
-        self._gammas: dict[tuple[int, int], tuple] = {}
-
-    def integer(self, k: int):
-        x = self._ints.get(k)
+    def gamma(self, arg: Fraction):
+        x = self._values.get(arg)
         if x is None:
-            lower = from_int(k, self.bits, round_floor)
-            # at most ``bits`` bits: exact, so both roundings agree
-            upper = lower if k.bit_length() <= self.bits else from_int(k, self.bits, round_ceiling)
-            x = self._ints[k] = (lower, upper)
+            x = self._values[arg] = iv.gamma(_enclose(arg))
         return x
-
-    def rational(self, q: tuple[int, int]):
-        x = self._rationals.get(q)
-        if x is None:
-            x = self._rationals[q] = mpi_div(self.integer(q[0]), self.integer(q[1]), self.bits)
-        return x
-
-    def gamma(self, arg: tuple[int, int]):
-        x = self._gammas.get(arg)
-        if x is None:
-            x = self._gammas[arg] = iv.gamma(iv.make_mpf(self.rational(arg)))._mpi_
-        return x
-
-
-def _interval_at(w: WeightExpr, u: int, v: int, memo: _IntervalMemo):
-    """Raw enclosure of w at z0 = u/v, or None when z0 is a pole of some
-    normalized term: a zero coefficient denominator, or a numerator Gamma
-    atom at a nonpositive integer.  Denominator atoms there only make the
-    term vanish."""
-    bits = memo.bits
-    total = memo.integer(0)
-    for c, g in w.terms:
-        d = _lowest(*c.den.eval_pair(u, v))
-        if d[0] == 0:
-            return None
-        num_args = _gamma_args(g.num, u, v)
-        if num_args is None:
-            return None
-        den_args = _gamma_args(g.den, u, v)
-        if den_args is None:
-            continue  # reciprocal Gamma vanishes: the term contributes 0
-        term = mpi_div(memo.rational(_lowest(*c.num.eval_pair(u, v))), memo.rational(d), bits)
-        for a in num_args:
-            term = mpi_mul(term, memo.gamma(a), bits)
-        for a in den_args:
-            term = mpi_div(term, memo.gamma(a), bits)
-        total = mpi_add(total, term, bits)
-    return total
 
 
 def eval_ball(w: WeightExpr, z0: RationalLike, precision_bits: int = 200) -> BallValue:
     """Certified enclosure of w(z0) at the requested working precision.
 
     Radius shrinks as precision grows; raises :class:`PoleError` when z0
-    hits a pole of any normalized term.
+    hits a pole of any normalized term: a zero coefficient denominator, or
+    a numerator Gamma atom at a nonpositive integer.  Denominator atoms
+    there only make the term vanish.
     """
     z0 = as_rational(z0)
     with working_precision(precision_bits):
-        x = _interval_at(w, z0.numerator, z0.denominator, _IntervalMemo(precision_bits))
-        if x is None:
-            raise PoleError(z0)
-        return _ball(x, precision_bits)
-
-
-@dataclass(frozen=True)
-class SampleRow:
-    z: Fraction
-    left: Union[Fraction, BallValue]
-    right: Union[Fraction, BallValue]
-    ratio: Union[Fraction, BallValue, None]
-
-
-@dataclass(frozen=True)
-class RatioCheck:
-    """Outcome of :func:`ball_ratio`.  A ``not_proportional`` verdict is
-    certified by its witness pair; ``proportional`` is consistency with one
-    constant at the evaluated samples, not a proof of the identity."""
-
-    verdict: str  # proportional | not_proportional | inconclusive
-    constant: Optional[BallValue]
-    rows: tuple[SampleRow, ...]
-    witnesses: tuple[tuple[Fraction, Fraction], ...]
-    skipped_poles: tuple[Fraction, ...]
-    precision_bits: int
-
-
-def ball_ratio(
-    left: WeightExpr,
-    right: WeightExpr,
-    zs: Sequence[Fraction],
-    precision_bits: int = 200,
-) -> RatioCheck:
-    """Certified check of left(z) = c * right(z) at the sample points ``zs``.
-
-    Samples at a pole of either side are skipped.  Two samples with
-    disjoint ratio enclosures refute proportionality.  A sample is
-    unresolved when its ratio enclosure is loose, or when the right
-    enclosure contains zero and the two sides are not both exactly zero.
-    With no sample unresolved the verdict is ``proportional`` and the
-    constant is the first ratio; otherwise the precision is doubled, up to
-    four times, before the verdict is ``inconclusive``.
-    """
-    points = [(z, z.numerator, z.denominator) for z in zs]
-    bits = precision_bits
-    for _ in range(5):  # initial try plus four doublings
-        with working_precision(bits):
-            rows: list[SampleRow] = []
-            skipped: list[Fraction] = []
-            ratio_ivs: list[tuple[Fraction, tuple]] = []
-            unresolved = False
-            quality = mp.mpf(2) ** (-max(16, bits // 4))
-            memo = _IntervalMemo(bits)
-            for z, u, v in points:
-                riv = _interval_at(right, u, v, memo)
-                liv = None if riv is None else _interval_at(left, u, v, memo)
-                if liv is None:
-                    skipped.append(z)
-                    continue
-                lball = _ball(liv, bits)
-                rball = _ball(riv, bits)
-                if _has_zero(riv):
-                    rows.append(SampleRow(z, lball, rball, None))
-                    if liv != _EXACT_ZERO or riv != _EXACT_ZERO:
-                        unresolved = True
-                    continue
-                q = mpi_div(liv, riv, bits)
-                qball = _ball(q, bits)
-                rows.append(SampleRow(z, lball, rball, qball))
-                if qball.rad > quality * max(abs(qball.mid), mp.mpf(1)):
-                    unresolved = True
-                ratio_ivs.append((z, q))
-            witness = next(((za, zb) for j, (za, qa) in enumerate(ratio_ivs)
-                            for zb, qb in ratio_ivs[j + 1:]
-                            if not _has_zero(mpi_sub(qa, qb, bits))), None)
-            if witness is not None:
-                return RatioCheck("not_proportional", None, tuple(rows), (witness,),
-                                  tuple(skipped), bits)
-            if not unresolved:
-                # with no ratio at all, every sample had both sides exactly zero
-                const = _ball(ratio_ivs[0][1], bits) if ratio_ivs else None
-                return RatioCheck("proportional", const, tuple(rows), (), tuple(skipped), bits)
-        bits *= 2
-    return RatioCheck("inconclusive", None, tuple(rows), (), tuple(skipped), bits // 2)
+        memo = _GammaMemo()
+        total = iv.mpf(0)
+        for c, g in w.terms:
+            den = c.den.eval(z0)
+            if den == 0:
+                raise PoleError(z0)
+            num_args = [(z0 + off) / td for td, off in g.num]
+            if any(_is_gamma_pole(a) for a in num_args):
+                raise PoleError(z0)
+            den_args = [(z0 + off) / td for td, off in g.den]
+            if any(_is_gamma_pole(a) for a in den_args):
+                continue  # reciprocal Gamma vanishes: the term contributes 0
+            term = _enclose(c.num.eval(z0)) / _enclose(den)
+            for a in num_args:
+                term *= memo.gamma(a)
+            for a in den_args:
+                term /= memo.gamma(a)
+            total += term
+        return _ball(total)

@@ -14,28 +14,43 @@ then decided:
 * ``functional`` - the single-function form H(z) F(z + 2 alpha) = F(z)
   with alpha = s - p, valid under the degree balance l + p = m + s.
 
-Verdicts are exact whenever both sides reduce to rational functions.
-Otherwise a term that :func:`gamma_ratio.separating_term` names, one whose
-quotient with every other term is not rational, refutes the identity for
-every z and every constant; such a report is exact and lists no samples.
-Only sides that no term separates go to the certified ratio check
-:func:`gamma_ratio.ball_ratio`, with the working precision doubled up to
-four times before giving up as inconclusive, so the sample count and the
-precision shape that path alone.  A ball-path ``not_proportional`` is
-certified by its witnesses; a ball-path ``proportional`` means the sides
-agree up to one constant at the listed samples, which is not a proof of
-the identity.  Proportionality cannot be refuted at a single point, so a
-check needs at least two samples; the sample count is bounded above by
+Every verdict is exact, and no sample is evaluated for a Gamma-bearing
+side.  Sides that both reduce to rational functions are compared as
+rational functions.  Otherwise a term that
+:func:`gamma_ratio.separating_term` names, one whose quotient with every
+other term is not rational, refutes the identity for every z and every
+constant.  What is left is decided by :func:`gamma_ratio.match_parts`:
+the distinct Gamma parts of both sides are pairwise dissimilar, hence
+linearly independent over C(z), and left = c * right holds iff the
+coefficients of each part agree up to the one constant c.
+
+That the parts are always pairwise dissimilar on :func:`build_sides`
+sides is a pole-mass count.  Every Gamma part of a side is at one scale,
+two_delta = 2p or 2s, and after reduction it has 0 or 4 atoms: the part
+[a, b]/[c, d] of a root power reduces to nothing as soon as one
+numerator atom cancels a denominator atom.  At one scale two
+reduced parts are similar only when they are equal.  At scales 2p and 2s,
+p != s, let L = lcm(2p, 2s): read at residues mod L, a reduced part with k
+atoms at scale delta has net pole counts whose absolute values sum to
+k * L / delta, and 4L/2p != 4L/2s, so the quotient of the two parts has
+poles that do not cancel.  :func:`gamma_ratio.dissimilar` reads the
+counts completely for one or two scales, so it shows every such pair,
+and the ``inconclusive`` verdict, which names a pair it does not show, is
+not reached.
+
+Proportionality cannot be refuted at a single point, so a check needs at
+least two samples; the sample count is bounded above by
 :data:`MAX_SAMPLES` and the working precision lies in 1 ..
 :data:`MAX_PRECISION_BITS`, and both are checked before anything is
-evaluated.
+built.  Only the rational comparison evaluates the samples, exactly; the
+precision is echoed in the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact_algebra import (
     PoleError,
@@ -46,11 +61,10 @@ from .exact_algebra import (
     rf_normalize,
 )
 from .gamma_ratio import (
-    BallValue,
     GammaRatioExpr,
-    SampleRow,
+    PartMatch,
     WeightExpr,
-    ball_ratio,
+    match_parts,
     power_weight,
     separating_term,
 )
@@ -63,9 +77,20 @@ SCENARIOS = ("commutator", "factored", "functional")
 #: Most sample points one check evaluates.
 MAX_SAMPLES = 1000
 
-#: Highest requested working precision, in bits, of the certified ratio
-#: check; the check may double it up to four times.
+#: Highest working precision, in bits, a check accepts; it is echoed in
+#: the report.
 MAX_PRECISION_BITS = 4096
+
+
+@dataclass(frozen=True)
+class SampleRow:
+    """Exact values of both sides and their ratio at z; None at a pole, and
+    no ratio where the right side is 0."""
+
+    z: Fraction
+    left: Optional[Fraction]
+    right: Optional[Fraction]
+    ratio: Optional[Fraction]
 
 
 @dataclass(frozen=True)
@@ -73,7 +98,7 @@ class IdentityReport:
     scenario: str
     params: dict
     verdict: str  # proportional | not_proportional | inconclusive
-    constant: Union[Fraction, BallValue, None]
+    constant: Optional[Fraction]
     exact: bool
     both_sides_zero: bool
     samples: tuple[SampleRow, ...]
@@ -212,6 +237,23 @@ def _separation_note(side: str, gamma: GammaRatioExpr) -> str:
     return note + ", so no constant c gives left = c * right"
 
 
+def _match_note(match: PartMatch) -> str:
+    if match.verdict == "inconclusive":
+        g, h = match.parts
+        return (f"the Gamma parts {g} and {h} are not shown dissimilar, "
+                "so their coefficients do not decide the identity")
+    if match.verdict == "proportional":
+        return ("the Gamma parts of both sides are pairwise dissimilar, and the left "
+                "coefficient of each is the constant times the right one")
+    if len(match.parts) == 1:
+        why = f"the left coefficient of Gamma part {match.parts[0]} is not a constant times the right one"
+    else:
+        why = (f"the coefficients of Gamma parts {match.parts[0]} and {match.parts[1]} "
+               "need different constants")
+    return ("the Gamma parts of both sides are pairwise dissimilar, and " + why
+            + ", so no constant c gives left = c * right")
+
+
 def verify_identity(
     scenario: str,
     p: int,
@@ -227,8 +269,9 @@ def verify_identity(
 
     Rational sides are decided exactly.  Otherwise a term that
     :func:`gamma_ratio.separating_term` names refutes the identity for
-    every z and every constant, with no sample evaluated; only when no term
-    separates does :func:`gamma_ratio.ball_ratio` check the samples.
+    every z and every constant, and when no term separates,
+    :func:`gamma_ratio.match_parts` decides it from the coefficients of
+    each Gamma part.  No sample is evaluated for either.
 
     Raises ValueError, before any evaluation, for fewer than 2 or more than
     :data:`MAX_SAMPLES` samples, for ``precision_bits`` below 1 or above
@@ -266,15 +309,8 @@ def verify_identity(
             exact=True, both_sides_zero=False, samples=(), witnesses=(), skipped_poles=(),
             precision_bits=precision_bits, note=_separation_note(side, gamma))
 
-    check = ball_ratio(left, right, samples, precision_bits)
-    note = ""
-    if check.verdict == "proportional" and check.constant is None:
-        note = "both sides indistinguishable from zero at every sample"
-    elif check.verdict == "inconclusive":
-        note = "ball radii too large after four precision doublings"
+    match = match_parts(left, right)
     return IdentityReport(
-        scenario=scenario, params=params, verdict=check.verdict,
-        constant=check.constant, exact=False, both_sides_zero=False,
-        samples=check.rows, witnesses=check.witnesses,
-        skipped_poles=check.skipped_poles, precision_bits=check.precision_bits,
-        note=note)
+        scenario=scenario, params=params, verdict=match.verdict, constant=match.constant,
+        exact=True, both_sides_zero=False, samples=(), witnesses=(), skipped_poles=(),
+        precision_bits=precision_bits, note=_match_note(match))

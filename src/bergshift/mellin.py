@@ -140,10 +140,18 @@ class _SymbolParser(TokenCursor):
         return exp
 
 
+#: Most terms :func:`parse_symbol` reads.  The work of an operator built
+#: from a symbol grows steeply in its length, about as its sixth power
+#: for ``commutator`` when the exponents have distinct denominators.
+MAX_SYMBOL_TERMS = 32
+
+
 def parse_symbol(text: str) -> RadialSymbol:
     """Parse the symbol grammar: term (("+"|"-") term)*, where a term is
     `[coeff "*"] "r" ["^" exponent]` or a bare rational constant, with
-    rational coeff/exponent written as `int` or `int/int`.
+    rational coeff/exponent written as `int` or `int/int`.  A symbol of
+    more than :data:`MAX_SYMBOL_TERMS` terms is a syntax error at the sign
+    that starts the first term past the bound.
     """
     parser = _SymbolParser(text, "r")
     if not parser.tokens:
@@ -158,6 +166,8 @@ def parse_symbol(text: str) -> RadialSymbol:
         kind, _, at = parser.take()
         if kind not in ("+", "-"):
             raise ExprSyntaxError(text, at, "expected + or - between terms")
+        if len(terms) == MAX_SYMBOL_TERMS:
+            raise ExprSyntaxError(text, at, f"more than MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS} terms")
         terms.append(parser.parse_term(-1 if kind == "-" else 1))
     return RadialSymbol.build(terms)
 

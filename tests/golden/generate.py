@@ -18,8 +18,9 @@ sha256 of its stdout and of its stderr and its exit code.
 * a fixed-seed sample of the ``identity-check`` grid (3 scenarios, six
   (p, s) pairs, n in 1..3, d in {1, 3}, m in 1..4, l = m + s - p, 20
   samples); instances refuted by a separating term at 50 samples and
-  53, 400 and 1000 bits and at a low starting precision; the ball path,
-  where no term separates the sides, at the same precisions; the bounds,
+  53, 400 and 1000 bits and at a low starting precision; an instance
+  where no term separates the sides and the Gamma parts are matched, at
+  the same precisions, which it only echoes; the bounds,
 * ``apply``, ``commutator``, ``weight``, ``mellin``, ``rationality``,
   ``root-verify`` and ``oracle-quadrature``, with text output,
 * ``--help`` and the usage errors.
@@ -119,9 +120,8 @@ def command_argvs() -> list[list[str]]:
               for inst in separated for bits in (53, 400, 1000)]
     argvs.append(_identity("commutator", 1, 2, 1, 3, 2, 3, "--samples", "50",
                            "--precision-bits", "8"))
-    # The ball path: both sides carry the same two similar Gamma parts, so no
-    # term separates them.  50 samples at the precisions that pin its
-    # rounding, and a start at 8 bits that doubles once.
+    # Both sides carry the same two Gamma parts, so no term separates them,
+    # and matching the parts decides; the precision is only echoed.
     argvs += [_identity("functional", 2, 4, 1, 4, 1, 3, "--samples", "50", "--precision-bits", bits)
               for bits in ("53", "400", "1000", "8")]
     argvs += [

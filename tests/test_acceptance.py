@@ -13,7 +13,7 @@ from mpmath import mp
 
 import bergshift as bs
 from bergshift.cli import dispatch
-from bergshift.gamma_ratio import ball_ratio
+from iv_oracle import ball_ratio
 
 
 class _Criterion:
@@ -163,7 +163,7 @@ def test_c09_functional_identity():
         assert bad.verdict == "not_proportional"
         assert bad.exact and not bad.witnesses  # refuted structurally
         assert bad.note.startswith("the left term with Gamma part ")
-        # the certified ball check refutes the same sides with witnesses
+        # the iv-object ball oracle refutes the same sides with witnesses
         check = ball_ratio(*bs.build_sides("functional", 1, 2, 2, 3, 2, 3), zs, 200)
         assert check.verdict == "not_proportional"
         assert check.witnesses

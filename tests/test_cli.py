@@ -24,8 +24,9 @@ from bergshift.cli import (
     weight_from_jsonable,
 )
 from bergshift.exact_algebra import MAX_NESTING_DEPTH, parse_rational
-from bergshift.gamma_ratio import ball_ratio, power_weight
+from bergshift.gamma_ratio import power_weight
 from bergshift.mellin import RadialSymbol, toeplitz_weight
+from iv_oracle import ball_ratio
 
 
 def run(capsys, *argv):
@@ -108,11 +109,25 @@ class TestVerdictCommands:
         assert payload["exact"] is True and payload["constant"] is None
         assert payload["witnesses"] == payload["samples"] == payload["skipped_poles"] == []
         assert payload["note"].startswith("the left term with Gamma part gamma(")
-        # the certified ball check refutes the same sides with witnesses
+        # the iv-object ball oracle refutes the same sides with witnesses
         check = ball_ratio(*identities.build_sides("functional", 1, 2, 2, 3, 2, 3),
                            identities.default_samples(12), 200)
         assert check.verdict == "not_proportional"
         assert check.witnesses
+
+    @pytest.mark.parametrize("bits", ["8", "1000"])
+    def test_identity_check_matched_parts(self, bits, capsys):
+        # no term separates the sides: the Gamma parts are matched, exactly,
+        # and the requested precision is echoed
+        code, payload = run(capsys, "identity-check", "--id", "functional",
+                            "--p", "2", "--s", "4", "--n", "1", "--d", "4",
+                            "--m", "1", "--l", "3", "--samples", "50", "--precision-bits", bits)
+        assert code == EXIT_NEGATIVE
+        assert payload["verdict"] == "not_proportional"
+        assert payload["exact"] is True and payload["constant"] is None
+        assert payload["precision_bits"] == int(bits)
+        assert payload["witnesses"] == payload["samples"] == payload["skipped_poles"] == []
+        assert payload["note"].startswith("the Gamma parts of both sides are pairwise dissimilar")
 
     def test_scan_clean(self, capsys):
         code, payload = run(capsys, "scan", "--p", "1", "--s", "2", "--n", "2",
@@ -296,6 +311,29 @@ class TestDeepNesting:
                             "(" * depth + "1" + ")" * depth + "*r^2")
         assert code == EXIT_OK
         assert payload["weight"] == "(z+2)/(z+3)"
+
+
+class TestSymbolLength:
+    LONG = "+".join(["r"] + [f"r^{i}" for i in range(2, mellin.MAX_SYMBOL_TERMS + 2)])
+
+    @pytest.mark.parametrize("argv", [
+        ["weight", "--p", "1", "--symbol", LONG],
+        ["mellin", "--symbol", LONG],
+        ["oracle-quadrature", "--p", "1", "--symbol", LONG, "--k", "0"],
+        ["apply", "--term", "1:" + LONG, "--k", "0"],
+        ["commutator", "--a", "1:r", "--b", "2:" + LONG],
+    ])
+    def test_a_symbol_past_the_bound_is_a_usage_error(self, argv, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than MAX_SYMBOL_TERMS = {mellin.MAX_SYMBOL_TERMS} terms" in captured.err
+
+    def test_a_symbol_at_the_bound_is_accepted(self, capsys):
+        text = self.LONG.rpartition("+")[0]
+        code, payload = run(capsys, "mellin", "--symbol", text)
+        assert code == EXIT_OK
+        assert payload["symbol"] == text
 
 
 class TestParserReuse:

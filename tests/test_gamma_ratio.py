@@ -17,16 +17,17 @@ from bergshift.exact_algebra import (
 from bergshift.gamma_ratio import (
     GammaRatioExpr,
     WeightExpr,
-    ball_ratio,
     canonicalize,
     dissimilar,
     eval_ball,
     is_rational_divisibility,
+    match_parts,
     power_weight,
     rationality_oracle,
     separating_term,
 )
 from bergshift.identities import build_sides
+from iv_oracle import ball_ratio
 
 
 def rf(num, den=(1,)):
@@ -216,6 +217,9 @@ class TestEvalBall:
 
 
 class TestBallRatio:
+    """The iv-object ratio check of ``tests/iv_oracle.py``, the oracle of the
+    exact identity verdicts."""
+
     ZS = [Fraction(2 * k + 2) for k in range(8)]
 
     def test_scaled_gamma_weight_is_proportional(self):
@@ -246,10 +250,10 @@ class TestBallRatio:
         assert check.verdict == "proportional"
 
 
-class TestIntervalMemo:
-    """``ball_ratio`` shares one interval memo per precision pass between its
-    two sides and folds the pole test into evaluation; ``eval_ball``, with
-    a fresh memo per call, is the oracle."""
+class TestGammaMemo:
+    """``eval_ball`` evaluates ``iv.gamma`` once per distinct argument; the
+    oracle's rows, one memo per precision pass shared by both sides, equal
+    it bit for bit."""
 
     ZS = [Fraction(2 * k + 2) for k in range(8)]
     # (scenario, p, s, n, d, m, l, bits, passes): each keeps Gamma content
@@ -281,9 +285,8 @@ class TestIntervalMemo:
                 assert (ball.mid._mpf_, ball.rad._mpf_) == (oracle.mid._mpf_, oracle.rad._mpf_)
 
     @pytest.mark.parametrize("instance", INSTANCES)
-    def test_one_gamma_call_per_distinct_argument_per_pass(self, instance, monkeypatch):
-        *args, bits, passes = instance
-        left, right = build_sides(*args)
+    def test_one_gamma_call_per_distinct_argument(self, instance, monkeypatch):
+        *args, bits, _ = instance
         calls = Counter()
         gamma = iv.gamma
 
@@ -291,25 +294,23 @@ class TestIntervalMemo:
             calls[iv.prec, x.a, x.b] += 1
             return gamma(x)
 
-        monkeypatch.setattr(iv, "gamma", spy)
-        check = ball_ratio(left, right, self.ZS, bits)
-        assert self.pass_count(check, bits) == passes
-        assert set(calls.values()) == {1}
-
         def at_pole(arg):
             return arg <= 0 and arg.denominator == 1
 
-        # Every pass evaluates each argument of each Gamma atom once, except
-        # in terms that vanish because a denominator atom sits at a pole.
-        arguments = {(z + off) / td
-                     for z in self.ZS
-                     for side in (left, right)
-                     for _, g in side.terms
-                     if not any(at_pole((z + off) / td) for td, off in g.den)
-                     for td, off in g.num + g.den}
-        per_pass = Counter(prec for prec, _, _ in calls)
-        assert sorted(per_pass) == [bits << k for k in range(passes)]
-        assert set(per_pass.values()) == {len(arguments)}
+        monkeypatch.setattr(iv, "gamma", spy)
+        for side in build_sides(*args):
+            for z in self.ZS:
+                calls.clear()
+                eval_ball(side, z, bits)
+                assert set(calls.values()) <= {1}
+                assert {prec for prec, _, _ in calls} <= {bits}
+                # each argument of each Gamma atom, except in terms that
+                # vanish because a denominator atom sits at a pole
+                arguments = {(z + off) / td
+                             for _, g in side.terms
+                             if not any(at_pole((z + off) / td) for td, off in g.den)
+                             for td, off in g.num + g.den}
+                assert len(calls) == len(arguments)
 
     def test_skipped_poles_match_poles_at(self):
         zs = [Fraction(z) for z in (0, -2, -4, -1, -3, -6)] + [
@@ -332,6 +333,55 @@ class TestIntervalMemo:
                             eval_ball(side, z)
                     else:
                         eval_ball(side, z)
+
+
+class TestMatchParts:
+    G = power_weight(1, 2, 3).terms[0][1]   # scale 4
+    H = power_weight(2, 3, 1).terms[0][1]   # scale 6
+
+    @staticmethod
+    def weight(*terms):
+        return WeightExpr.build([(rf(num, den), g) for num, den, g in terms])
+
+    def test_proportional_part_by_part(self):
+        left = self.weight(((3, 6), (1, 1), self.G), ((3,), (2,), self.H), ((6,), (1,), GammaRatioExpr.one()))
+        right = self.weight(((1, 2), (1, 1), self.G), ((1,), (2,), self.H), ((2,), (1,), GammaRatioExpr.one()))
+        match = match_parts(left, right)
+        assert (match.verdict, match.constant, match.parts) == ("proportional", 3, ())
+
+    def test_a_coefficient_quotient_that_is_not_constant(self):
+        left = self.weight(((1,), (1,), self.G), ((0, 1), (1,), self.H))
+        right = self.weight(((1,), (1,), self.G), ((1,), (1,), self.H))
+        match = match_parts(left, right)
+        assert (match.verdict, match.constant, match.parts) == ("not_proportional", None, (self.H,))
+
+    def test_two_parts_that_need_different_constants(self):
+        left = self.weight(((2,), (1,), self.G), ((3,), (1,), self.H))
+        right = self.weight(((1,), (1,), self.G), ((1,), (1,), self.H))
+        match = match_parts(left, right)
+        assert (match.verdict, match.constant, match.parts) == (
+            "not_proportional", None, (self.G, self.H))
+
+    def test_a_part_missing_on_one_side(self):
+        both = self.weight(((1,), (1,), self.G), ((1,), (1,), self.H))
+        only_g = self.weight(((1,), (1,), self.G))
+        assert match_parts(both, only_g).parts == (self.H,)
+        assert match_parts(only_g, both).verdict == "not_proportional"
+
+    def test_a_zero_side(self):
+        w = self.weight(((1,), (1,), self.G))
+        assert (match_parts(WeightExpr.zero(), w).verdict, match_parts(WeightExpr.zero(), w).constant) == (
+            "proportional", 0)
+        assert match_parts(w, WeightExpr.zero()).verdict == "not_proportional"
+        assert match_parts(WeightExpr.zero(), WeightExpr.zero()).constant == 0
+
+    def test_parts_not_shown_dissimilar_are_inconclusive(self):
+        # sqrt(2) * 1 against 1: similar parts, so no coefficient decides
+        left = WeightExpr.build([(RationalFunction.one(), SQRT2)])
+        match = match_parts(left, WeightExpr.one())
+        assert (match.verdict, match.constant) == ("inconclusive", None)
+        assert set(match.parts) == {SQRT2, GammaRatioExpr.one()}
+        assert match_parts(left, left).verdict == "proportional"
 
 
 def test_mixed_scale_products_stay_closed():

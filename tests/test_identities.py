@@ -1,18 +1,20 @@
 """Pointwise proportionality checks of the closed-form weight identities."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from bergshift.exact_algebra import Polynomial, rf_normalize
-from bergshift.gamma_ratio import BallValue, ball_ratio, separating_term
+from bergshift.gamma_ratio import BallValue, GammaRatioExpr, canonicalize, dissimilar, separating_term
 from bergshift.identities import (
     _exact_proportionality,
     build_sides,
     default_samples,
     verify_identity,
 )
+from iv_oracle import ball_ratio
 
 
 def assert_structural_refutation(rep, precision_bits=200):
@@ -26,8 +28,7 @@ def assert_structural_refutation(rep, precision_bits=200):
 
 
 def ball_check(scenario, p, s, n, d, m, l, zs=None, precision_bits=200):
-    """The certified ball check on the same sides, which the structural
-    refutation skips."""
+    """The iv-object ball oracle on the same sides."""
     return ball_ratio(*build_sides(scenario, p, s, n, d, m, l),
                       zs if zs is not None else default_samples(), precision_bits)
 
@@ -101,15 +102,23 @@ class TestFunctionalScenario:
         for z1, z2 in check.witnesses:
             assert z1 in zs and z2 in zs
 
-    def test_similar_terms_go_to_the_ball_check(self):
+    def test_unseparated_sides_are_matched_part_by_part(self):
         # with d = s = 2p both sides carry the Gamma parts 1 and
-        # Gamma((z+2)/4) Gamma((z+3)/4) / (Gamma(z/4) Gamma((z+1)/4)): no term separates
+        # Gamma((z+2)/4) Gamma((z+3)/4) / (Gamma(z/4) Gamma((z+1)/4)): no term
+        # separates, and the coefficients of the part 1 decide
         left, right = build_sides("functional", 2, 4, 1, 4, 1, 3)
         assert separating_term(left, right) is None
-        rep = verify_identity("functional", 2, 4, 1, 4, m=1, l=3)
+        rep = verify_identity("functional", 2, 4, 1, 4, m=1, l=3, precision_bits=53)
         assert rep.verdict == "not_proportional"
-        assert not rep.exact
-        assert rep.witnesses and len(rep.samples) == 50
+        assert rep.exact and rep.constant is None and not rep.both_sides_zero
+        assert rep.samples == rep.witnesses == rep.skipped_poles == ()
+        assert rep.precision_bits == 53
+        assert rep.note == (
+            "the Gamma parts of both sides are pairwise dissimilar, and the left coefficient "
+            "of Gamma part 1 is not a constant times the right one, so no constant c gives "
+            "left = c * right")
+        check = ball_check("functional", 2, 4, 1, 4, 1, 3)
+        assert check.verdict == "not_proportional" and check.witnesses
 
     def test_requires_degree_balance(self):
         with pytest.raises(ValueError):
@@ -187,3 +196,90 @@ def test_structural_refutations_agree_with_the_ball_check():
         assert check.verdict == "not_proportional", inst
         assert check.witnesses, inst
     assert checked == 80
+
+
+# ---------------------------------------------------------------------------
+# completeness of the part matching on build_sides sides
+
+
+def _part_grid():
+    """All three scenarios, p < s <= 6, n, d <= 4, m <= 4, and the d = s
+    functional instances with (p, s) in {(2, 4), (2, 6), (3, 6)}, n <= 7,
+    m <= 8: these hold all 76 instances of the grid p < s <= 10,
+    n, d <= 7, m <= 8 that no term separates."""
+    grid = [(scenario, p, s, n, d, m, m + s - p)
+            for scenario in ("commutator", "factored", "functional")
+            for s in range(2, 7) for p in range(1, s)
+            if scenario != "factored" or s == 2 * p
+            for n in range(1, 5) for d in range(1, 5) for m in range(1, 5)]
+    grid += [("functional", p, s, n, s, m, m + s - p)
+             for p, s in ((2, 4), (2, 6), (3, 6)) for n in range(1, 8) for m in range(1, 9)]
+    return list(dict.fromkeys(grid))
+
+
+PART_GRID = _part_grid()
+
+
+@functools.lru_cache(maxsize=None)
+def _sides(inst):
+    return build_sides(*inst)
+
+
+def test_build_sides_parts_are_single_scale_with_0_or_4_atoms():
+    for inst in PART_GRID:
+        p, s = inst[1:3]
+        for side in _sides(inst):
+            for _, g in side.terms:
+                atoms = g.num + g.den
+                assert len(atoms) in (0, 4), (inst, str(g))
+                assert len({td for td, _ in atoms}) <= 1, (inst, str(g))
+                assert {td for td, _ in atoms} <= {2 * p, 2 * s}, (inst, str(g))
+
+
+def test_distinct_parts_of_both_sides_are_pairwise_dissimilar():
+    matched = 0
+    for inst in PART_GRID:
+        left, right = _sides(inst)
+        parts = list(dict.fromkeys([g for _, g in left.terms + right.terms]))
+        assert all(dissimilar(g, h) for i, g in enumerate(parts) for h in parts[i + 1:]), inst
+        rep = verify_identity(*inst, sample_zs=default_samples(4))
+        assert rep.exact and rep.verdict != "inconclusive", inst
+        matched += rep.note.startswith("the Gamma parts of both sides")
+    assert matched == 76
+
+
+def test_reduced_four_atom_parts_at_two_scales_are_never_similar():
+    # the pole-mass count: read mod L = lcm(2p, 2s), a reduced k-atom part at
+    # scale delta has net counts of total mass k L / delta, and 4L/2p != 4L/2s
+    rng = random.Random(18)
+    for _ in range(400):
+        p = rng.randint(1, 12)
+        s = rng.choice([x for x in range(1, 25) if x != p])
+        parts = []
+        for td in (2 * p, 2 * s):
+            while True:
+                a, b, c, d = (rng.randrange(td) for _ in range(4))
+                _, g = canonicalize(GammaRatioExpr.of(td, [a, b], [c, d]))
+                if len(g.num + g.den) == 4:
+                    parts.append(g)
+                    break
+        assert dissimilar(*parts), (p, s, str(parts[0]), str(parts[1]))
+        assert dissimilar(parts[0], GammaRatioExpr.one())
+
+
+@pytest.mark.parametrize("bits", (1, 8, 53, 200, 1000))
+def test_matched_verdicts_agree_with_the_ball_oracle(bits):
+    # the oracle refutes each matched instance by witnesses at 200 bits and up;
+    # at lower starting precisions it may give up, and it never disagrees
+    decided = 0
+    for inst in PART_GRID:
+        if inst[0] != "functional" or inst[4] != inst[2]:
+            continue
+        left, right = _sides(inst)
+        if separating_term(left, right) is not None or (left.is_rational and right.is_rational):
+            continue
+        check = ball_ratio(left, right, default_samples(8), bits)
+        if check.verdict != "inconclusive":
+            decided += 1
+            assert check.verdict == verify_identity(*inst).verdict, inst
+    assert decided == 76 or bits < 200

@@ -19,6 +19,7 @@ from bergshift import mellin, quadrature
 from bergshift.mellin import (
     MAX_DIGITS,
     MAX_POWER,
+    MAX_SYMBOL_TERMS,
     RadialSymbol,
     bergman_quadrature_oracle,
     format_symbol,
@@ -98,6 +99,25 @@ class TestParse:
             assert exc.value.position == position
             assert str(exc.value).startswith(
                 f"nesting deeper than MAX_NESTING_DEPTH = {MAX_NESTING_DEPTH} at position")
+
+    def test_terms_up_to_the_bound_parse(self):
+        text = "-" + "+".join(f"{i}*r^{i}" for i in range(1, MAX_SYMBOL_TERMS + 1))
+        sym = parse_symbol(text)
+        assert len(sym.terms) == MAX_SYMBOL_TERMS
+        assert sym.terms[0] == (Fraction(-1), Fraction(1))
+
+    @pytest.mark.parametrize("extra", [1, 2, 1000])
+    def test_terms_past_the_bound_name_it(self, extra):
+        # the sign that starts term MAX_SYMBOL_TERMS + 1 is the offending position,
+        # whether or not the terms would merge
+        for term in ("r", "r^{i}/3"):
+            terms = [term.format(i=i) for i in range(MAX_SYMBOL_TERMS + extra)]
+            text = "-".join(terms)
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_symbol(text)
+            assert exc.value.position == len("-".join(terms[:MAX_SYMBOL_TERMS]))
+            assert str(exc.value).startswith(
+                f"more than MAX_SYMBOL_TERMS = {MAX_SYMBOL_TERMS} terms at position")
 
     def test_format_round_trip(self):
         for text in ("r^3", "2*r+3*r^4", "1", "-1/2*r+r^7/2", "5/3"):

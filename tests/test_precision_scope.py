@@ -76,19 +76,13 @@ def test_eval_ball_exception(failing_gamma):
     assert restored()
 
 
-# No term separates the two sides of this instance, so it takes the ball path.
-BALL_PATH = ("functional", 2, 4, 1, 4, 1, 3)
+# No term separates the two sides of this instance: its Gamma parts are matched.
+MATCHED = ("functional", 2, 4, 1, 4, 1, 3)
 
 
-def test_verify_identity_ball_path():
-    rep = verify_identity(*BALL_PATH, sample_zs=[Fraction(2 * k + 2) for k in range(6)])
-    assert not rep.exact
-    assert restored()
-
-
-def test_verify_identity_ball_path_exception(failing_gamma):
-    with pytest.raises(RuntimeError):
-        verify_identity(*BALL_PATH, sample_zs=[Fraction(2 * k + 2) for k in range(6)])
+def test_verify_identity_matched_parts_evaluate_no_gamma(failing_gamma):
+    rep = verify_identity(*MATCHED, sample_zs=[Fraction(2 * k + 2) for k in range(6)])
+    assert rep.exact and rep.verdict == "not_proportional"
     assert restored()
 
 

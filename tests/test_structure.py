@@ -7,11 +7,15 @@
 * only ``gamma_ratio`` uses the interval context ``iv``, imports from
   ``mpmath.libmp`` or binds an ``mpi_*`` name, so a second certified path
   cannot come back through the raw interval primitives;
+* no module defines ``ball_ratio`` or ``RatioCheck`` or imports from
+  ``mpmath.libmp``: identities are decided exactly, and the sampled ratio
+  check on ``iv`` objects is the tests' oracle (``tests/iv_oracle.py``);
 * no ``assert`` statement carries control flow;
 * no ``tuple(<generator expression>)``: on hot paths the generator frames
   fragment the small-object allocator and raise peak memory, so tuples are
   built from lists;
-* ``solver`` binds no certified-numerics name: it is exact throughout;
+* ``solver`` and ``identities`` bind no certified-numerics name: they are
+  exact throughout;
 * ``iv.gamma`` appears once, in the memoized lookup of one precision pass,
   so no second Gamma evaluation path can come back;
 * ``solver`` imports only ``exact_algebra`` and ``gamma_ratio`` from the
@@ -31,8 +35,8 @@ import bergshift
 
 PACKAGE = Path(bergshift.__file__).parent
 SCOPE = ("gamma_ratio", "working_precision")
-CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "working_precision"}
-GAMMA_SITE = ("gamma_ratio", "_IntervalMemo", "gamma")
+CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "BallValue", "working_precision"}
+GAMMA_SITE = ("gamma_ratio", "_GammaMemo", "gamma")
 SOLVER_IMPORTS = {"exact_algebra", "gamma_ratio"}
 
 
@@ -140,14 +144,32 @@ def test_no_tuple_of_generator():
     assert bad == []
 
 
+def _certified_numerics_sites(mod: str) -> list[str]:
+    tree = dict(_modules())[mod]
+    return [f"{mod}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in CERTIFIED_NUMERICS)
+            or (isinstance(node, ast.Attribute) and node.attr in CERTIFIED_NUMERICS)
+            or (isinstance(node, ast.alias) and node.name.split(".")[0] in CERTIFIED_NUMERICS)
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")]
+
+
 def test_solver_binds_no_certified_numerics():
-    tree = dict(_modules())["solver"]
-    bad = [f"solver:{node.lineno}"
+    assert _certified_numerics_sites("solver") == []
+
+
+def test_identities_binds_no_certified_numerics():
+    assert _certified_numerics_sites("identities") == []
+
+
+def test_no_sampled_ratio_check_in_the_package():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules()
            for node in ast.walk(tree)
-           if (isinstance(node, ast.Name) and node.id in CERTIFIED_NUMERICS)
-           or (isinstance(node, ast.Attribute) and node.attr in CERTIFIED_NUMERICS)
-           or (isinstance(node, ast.alias) and node.name.split(".")[0] in CERTIFIED_NUMERICS)
-           or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")]
+           if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ("ball_ratio", "RatioCheck"))
+           or (isinstance(node, ast.ImportFrom) and "libmp" in (node.module or "").split("."))
+           or (isinstance(node, ast.Import) and any("libmp" in a.name.split(".") for a in node.names))]
     assert bad == []
 
 
