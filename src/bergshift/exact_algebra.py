@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 #: Scalar type used everywhere: reduced fraction, positive denominator,
 #: sign carried by the numerator.  `fractions.Fraction` guarantees both.
@@ -243,8 +243,8 @@ def _reduced(ints: list[int], den: int) -> Polynomial:
     return Polynomial(tuple(ints), den)
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    """The integer coefficients divided by their content."""
+def primitive_part(ints: Sequence[int]) -> list[int]:
+    """Integers, not all zero, divided by their content."""
     g = _int_gcd(*ints)
     return [c // g for c in ints]
 
@@ -277,13 +277,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    u, v = _primitive(a.ints), _primitive(b.ints)
+    u, v = primitive_part(a.ints), primitive_part(b.ints)
     if len(u) < len(v):
         u, v = v, u
     while v:
         r = _int_prem(u, v)
         if r:
-            r = _primitive(r)
+            r = primitive_part(r)
         u, v = v, r
     return _reduced(u, u[-1])  # monic
 

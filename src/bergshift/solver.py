@@ -20,7 +20,13 @@ F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`nullspace`
 generates row k of (3) in the p + s parameters theta = (F[0..p-1],
 G[0..s-1]) straight from the problem, extending the pins only as far as
 the rows read them, eliminates the rows lazily and reports its basis as
-theta vectors.  Nothing is lifted to F_0..F_K, G_0..G_K at run time, and
+theta vectors.  Pins, rows and elimination are all over the integers:
+the samples and pins are kept as numerator-denominator pairs, each row
+is scaled to integers, and the elimination is fraction-free on dense
+rows of width p + s, each reduced row divided by its content.  Only a
+cell left with a free column is back-substituted, still over the
+integers, to the unique reduced echelon form, and only its basis holds
+Fractions.  Nothing is lifted to F_0..F_K, G_0..G_K at run time, and
 nothing is re-multiplied: the explicit expansion :func:`build_system` is
 the tests' oracle, which lift theta through their own samples and
 re-multiply.  The module decides from (p, s, n, d) what it can prove:
@@ -52,10 +58,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact_algebra import Polynomial, RationalFunction, rf_eval, rf_normalize
+from .exact_algebra import (
+    Polynomial,
+    RationalFunction,
+    RationalLike,
+    primitive_part,
+    rf_eval,
+    rf_normalize,
+)
 from .gamma_ratio import power_weight
 
 
@@ -150,47 +163,67 @@ def build_system(prob: CommutantProblem) -> ExactLinearSystem:
     return ExactLinearSystem(tuple(rows), 2 * (K + 1))
 
 
-def _subtract(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
-    """target -= c * row, in place, dropping entries that become zero."""
-    for j, v in row.items():
-        x = target.get(j, 0) - c * v
-        if x:
-            target[j] = x
-        else:
-            target.pop(j, None)
+def _cleared(row: Iterable[tuple[int, RationalLike]], ncols: int) -> list[int]:
+    """A sparse row of ints or Fractions as a dense integer row: its entries
+    over the lcm of their denominators, repeated columns summed."""
+    entries = list(row)
+    den = lcm(*[c.denominator for _, c in entries])
+    dense = [0] * ncols
+    for j, c in entries:
+        dense[j] += c.numerator * (den // c.denominator)
+    return dense
 
 
-def _eliminate(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int,
+def _combine(r: list[int], col: int, prow: list[int]) -> list[int]:
+    """b * r - a * prow with a / b = r[col] / prow[col] in lowest terms: it
+    vanishes at col."""
+    a, b = r[col], prow[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return [b * x - a * y for x, y in zip(r, prow)]
+
+
+def _eliminate(rows: Iterable[Iterable[tuple[int, RationalLike]]], ncols: int,
                stop_rank: int) -> list[list[Fraction]]:
-    """Nullspace basis of sparse rational rows by exact Gauss-Jordan elimination.
+    """Nullspace basis of sparse rational rows, by fraction-free elimination
+    over the integers.
 
-    The pivot rows stay in reduced echelon form, so whatever the row order
-    the basis is canonical: 1 at its free column, 0 at the other free
-    columns.  Rows after the rank reaches ``stop_rank`` are not read.
+    Each row is cleared of its denominators once (:func:`_cleared`); a
+    scaled row has the same nullspace.  It is reduced against the pivot
+    rows in the order they were found, divided by its content, and pivots
+    at its first nonzero column.  Rows after the rank reaches ``stop_rank``
+    are not read.  Only when a free column is left are the pivot rows
+    back-substituted, still over the integers, into the reduced echelon
+    form.  That form is unique, so whatever the row order or scaling the
+    basis is canonical: 1 at its free column, 0 at the other free columns,
+    and one Fraction per entry.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row), in the order found
     for row in rows:
-        r: dict[int, Fraction] = {}
-        for j, c in row:
-            r[j] = r[j] + c if j in r else c
-        r = {j: c for j, c in r.items() if c}
-        for col, prow in pivots.items():
-            if col in r:
-                _subtract(r, r[col], prow)
-        if not r:
+        r = _cleared(row, ncols)
+        for col, prow in pivots:
+            if r[col]:
+                r = _combine(r, col, prow)
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is None:
             continue
-        col = min(r)
-        lead = r[col]
-        r = {j: v / lead for j, v in r.items()}
-        for prow in pivots.values():
-            if col in prow:
-                _subtract(prow, prow[col], r)
-        pivots[col] = r
+        pivots.append((col, primitive_part(r)))
         if len(pivots) == stop_rank:
             break
-    return [[-pivots[j].get(f, 0) if j in pivots else Fraction(int(j == f))
+    if len(pivots) == ncols:
+        return []
+    # Each pivot row is 0 before its pivot, so clearing the later pivot
+    # columns, last pivot first, leaves the reduced echelon form.
+    reduced: dict[int, list[int]] = {}
+    for col, r in sorted(pivots, reverse=True):
+        for later, prow in reduced.items():
+            if r[later]:
+                r = _combine(r, later, prow)
+        reduced[col] = primitive_part(r)
+    return [[Fraction(-reduced[j][f], reduced[j][j]) if j in reduced
+             else Fraction(int(j == f))
              for j in range(ncols)]
-            for f in range(ncols) if f not in pivots]
+            for f in range(ncols) if f not in reduced]
 
 
 class _Pins:
@@ -198,43 +231,71 @@ class _Pins:
 
     F[k] = f[k] * F[k mod p] with f[k + p] = f[k] * Phi(z_{k+m}) / Phi(z_k),
     and G[k] = g[k] * G[k mod s] with g[k + s] = g[k] * Psi(z_{k+l}) / Psi(z_k);
-    every sample is positive, so every pin exists.  The pins reach only as
-    far as the rows of (3) that :func:`_mixed_rows` yields, never to K.
-    The samples come from the formulas, not from :func:`build_system`'s
-    rational functions, so a test that lifts a basis vector through its
-    own samples and re-multiplies it checks one against the other.
+    every sample is positive, so every pin exists.  All of it is integers:
+    each sample is kept as its numerator and denominator, z + 2p over
+    z + p + n, and each pin as a (numerator, denominator) pair in lowest
+    terms.  The pins reach only as far as the rows of (3) that
+    :func:`_mixed_rows` yields, never to K.  The samples come from the
+    formulas, not from :func:`build_system`'s rational functions, so a
+    test that lifts a basis vector through its own samples and
+    re-multiplies it checks one against the other.
     """
 
     def __init__(self, prob: CommutantProblem):
         self.prob = prob
-        self.phi: list[Fraction] = []  # Phi(z_k)
-        self.psi: list[Fraction] = []  # Psi(z_k)
-        self.f, self.g = [Fraction(1)] * prob.p, [Fraction(1)] * prob.s
+        self.phi_num: list[int] = []  # Phi(z_k) = phi_num[k] / phi_den[k]
+        self.phi_den: list[int] = []
+        self.psi_num: list[int] = []  # Psi(z_k) = psi_num[k] / psi_den[k]
+        self.psi_den: list[int] = []
+        self.f: list[tuple[int, int]] = [(1, 1)] * prob.p
+        self.g: list[tuple[int, int]] = [(1, 1)] * prob.s
 
     def extend(self, i: int) -> None:
         """Pins through index i; they read samples through i + m - p."""
-        prob, phi, psi, f, g = self.prob, self.phi, self.psi, self.f, self.g
-        while len(phi) <= i + prob.m - prob.p:
-            z = 2 * len(phi) + 2
-            phi.append(Fraction(z + 2 * prob.p, z + prob.p + prob.n))
-            psi.append(Fraction(z + 2 * prob.s, z + prob.s + prob.d))
-        while len(f) <= i:
-            j = len(f) - prob.p
-            f.append(f[j] * phi[j + prob.m] / phi[j])
-        while len(g) <= i:
-            j = len(g) - prob.s
-            g.append(g[j] * psi[j + prob.l] / psi[j])
+        prob = self.prob
+        phi_num, phi_den, psi_num, psi_den = self.phi_num, self.phi_den, self.psi_num, self.psi_den
+        while len(phi_num) <= i + prob.m - prob.p:
+            z = 2 * len(phi_num) + 2
+            phi_num.append(z + 2 * prob.p)
+            phi_den.append(z + prob.p + prob.n)
+            psi_num.append(z + 2 * prob.s)
+            psi_den.append(z + prob.s + prob.d)
+        _extend_pins(self.f, i, prob.p, prob.m, phi_num, phi_den)
+        _extend_pins(self.g, i, prob.s, prob.l, psi_num, psi_den)
 
 
-def _mixed_rows(pins: _Pins) -> Iterator[tuple[tuple[int, Fraction], ...]]:
+def _extend_pins(pins: list[tuple[int, int]], i: int, step: int, shift: int,
+                 num: list[int], den: list[int]) -> None:
+    """pins[k + step] = pins[k] * w(z_{k+shift}) / w(z_k) through index i,
+    in lowest terms, for the samples w(z_k) = num[k] / den[k]."""
+    while len(pins) <= i:
+        j = len(pins) - step
+        a, b = pins[j]
+        a *= num[j + shift] * den[j]
+        b *= den[j + shift] * num[j]
+        c = gcd(a, b)
+        pins.append((a // c, b // c))
+
+
+def _mixed_rows(pins: _Pins) -> Iterator[tuple[tuple[int, int], ...]]:
     """Row k of (3), for k = 0, 1, ..., in the parameters F[0..p-1]
-    (columns 0..p-1) and G[0..s-1] (columns p..p+s-1)."""
+    (columns 0..p-1) and G[0..s-1] (columns p..p+s-1), as integers: its
+    four entries over the lcm of their denominators."""
     p, s, m, l = pins.prob.p, pins.prob.s, pins.prob.m, pins.prob.l
-    phi, psi, f, g = pins.phi, pins.psi, pins.f, pins.g
+    phi_num, phi_den, psi_num, psi_den = pins.phi_num, pins.phi_den, pins.psi_num, pins.psi_den
+    f, g = pins.f, pins.g
     for k in count():
         pins.extend(k + s)  # samples through k + s + m - p = k + l
-        yield (((k + s) % p, psi[k] * f[k + s]), (p + (k + p) % s, phi[k] * g[k + p]),
-               (k % p, -psi[k + m] * f[k]), (p + k % s, -phi[k + l] * g[k]))
+        # Psi(z_k) f[k+s], Phi(z_k) g[k+p], Psi(z_{k+m}) f[k], Phi(z_{k+l}) g[k]
+        (a, a_den), (b, b_den) = f[k + s], g[k + p]
+        (c, c_den), (e, e_den) = f[k], g[k]
+        a, a_den = a * psi_num[k], a_den * psi_den[k]
+        b, b_den = b * phi_num[k], b_den * phi_den[k]
+        c, c_den = c * psi_num[k + m], c_den * psi_den[k + m]
+        e, e_den = e * phi_num[k + l], e_den * phi_den[k + l]
+        den = lcm(a_den, b_den, c_den, e_den)
+        yield (((k + s) % p, a * (den // a_den)), (p + (k + p) % s, b * (den // b_den)),
+               (k % p, -c * (den // c_den)), (p + k % s, -e * (den // e_den)))
 
 
 @dataclass(frozen=True)
@@ -397,6 +458,8 @@ def _check_input(p: int, s: int, n: int, d: int, bound: int, K: int) -> None:
     if not 1 <= p < s:
         raise ValueError("need 1 <= p < s")
     check_exponents(n=n, d=d)
+    if K < 1:
+        raise ValueError(f"truncation K = {K} is below the limit 1")
     if K > MAX_TRUNCATION:
         raise ValueError(f"truncation K = {K} exceeds the limit {MAX_TRUNCATION}")
     if bound > K:
@@ -410,7 +473,7 @@ def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
     proved floor is flagged as a counterexample report.  A commuting
     reference pair is surfaced and the whole scan marked as outside the
     commutant hypotheses.  Raises
-    ValueError before any elimination if bound > K, K > MAX_TRUNCATION,
+    ValueError before any elimination if bound > K, K < 1, K > MAX_TRUNCATION,
     n or d > MAX_EXPONENT, or bound < s - p + 1, which admits no pair.
     """
     _check_input(p, s, n, d, bound, K)

@@ -10,7 +10,9 @@ sha256 of its stdout and of its stderr and its exit code.
 * every pure-shift pair (n = p, d = s), the instances outside the
   hypotheses,
 * the smallest truncations, where a count can lie above its proved floor,
-* K = 1000 on the acceptance instances, and
+* K = 1000 on the acceptance instances,
+* the large-integer regime, where the pin coefficients are largest
+  (n, d near 1000, K = 1000, bounds up to 60), and
 * the inputs that exit 64.
 
 ``commands_cli.jsonl`` holds every other subcommand:
@@ -82,14 +84,21 @@ def solver_argvs() -> list[list[str]]:
                 argvs.append(_argv(command, p, s, n, d, K, K))
     for p, s, n, d in ((1, 2, 2, 3), (2, 4, 3, 5), (1, 2, 3, 6), (3, 5, 2, 1), (1, 6, 4, 2)):
         argvs.append(_argv("verify-theorem", p, s, n, d, 8, 1000))
+    # Large integers: exponents near the limit and long pin products.
+    for p, s, n, d, bound, K in ((5, 6, 1000, 999, 60, 1000), (4, 10, 7, 1, 40, 1000),
+                                 (9, 10, 1, 1000, 20, 40)):
+        for command in ("verify-theorem", "scan"):
+            argvs.append(_argv(command, p, s, n, d, bound, K))
     argvs.append(["--output", "text"] + _argv("verify-theorem", 1, 2, 2, 3, 8, 40))
     argvs.append(["--output", "text"] + _argv("scan", 2, 4, 3, 5, 8, 40))
-    # Inputs that exit 64: bound > K, K > 1000, n or d > 1000, p >= s, and
-    # a scan bound below s - p + 1; verify-theorem fails that last one.
+    # Inputs that exit 64: bound > K, K > 1000, K < 1, n or d > 1000, p >= s,
+    # and a scan bound below s - p + 1; verify-theorem fails that last one.
     for command in ("verify-theorem", "scan"):
         argvs += [
             _argv(command, 1, 2, 2, 3, 41, 40),
             _argv(command, 1, 2, 2, 3, 8, 1001),
+            _argv(command, 1, 2, 2, 3, -3, -1),
+            _argv(command, 1, 2, 2, 3, 0, 0),
             _argv(command, 1, 2, 1001, 3, 8, 40),
             _argv(command, 1, 2, 2, 1001, 8, 40),
             _argv(command, 2, 2, 2, 3, 8, 40),

@@ -570,6 +570,17 @@ class TestSolverBounds:
         err = capsys.readouterr().err
         assert f"exceeds the limit {solver.MAX_TRUNCATION}" in err
 
+    @pytest.mark.parametrize("command", ["scan", "verify-theorem"])
+    @pytest.mark.parametrize("bound, K", [(-3, -1), (0, 0)])
+    def test_truncation_below_one_names_the_limit(self, command, bound, K, capsys,
+                                                  no_elimination):
+        code = dispatch([command, "--p", "1", "--s", "2", "--n", "2", "--d", "3",
+                         "--bound", str(bound), "--K", str(K)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"truncation K = {K} is below the limit 1" in captured.err
+
     def test_scan_without_admissible_pair_fails_fast(self, capsys, no_elimination, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("reference pair examined for a rejected input")

@@ -441,3 +441,9 @@ class TestInputBounds:
     def test_exponent_above_limit_raises(self, check, n, d):
         with pytest.raises(ValueError, match=f"exceeds the limit {solver.MAX_EXPONENT}"):
             check(1, 2, n, d, bound=8, K=40)
+
+    @pytest.mark.parametrize("check", [scan, verify_theorem])
+    @pytest.mark.parametrize("bound, K", [(-3, -1), (0, 0)])
+    def test_truncation_below_one_raises(self, check, bound, K):
+        with pytest.raises(ValueError, match=f"truncation K = {K} is below the limit 1"):
+            check(1, 2, 2, 3, bound=bound, K=K)

@@ -7,7 +7,10 @@ only as an independent oracle, at truncations small enough for it.
 `class_sample_vectors` is the floor the solver proves at (m, l) = (p, s),
 built from the weight functions rather than from the recurrences.
 The solver reports theta, the p + s parameters; `lift` extends it to the
-2(K+1) unknowns of `build_system`, where it is re-multiplied.
+2(K+1) unknowns of `build_system`, where it is re-multiplied.  The last
+tests run the integer elimination kernel `solver._eliminate` on its own:
+its basis does not depend on row scaling or order, it agrees with Bareiss
+on entries of 256 bits and more, and it reads no row past `stop_rank`.
 """
 
 import dataclasses
@@ -243,3 +246,102 @@ def test_system_without_problem_matches_bareiss_basis():
             rows.append(LinearEquation(coeffs))
         sys_ = ExactLinearSystem(tuple(rows), ncols)
         assert eliminated_whole(sys_) == bareiss_basis(sys_)
+
+
+def _random_rows(rng, ncols, nrows, entry):
+    """`nrows` sparse rows over `ncols` columns from `entry(rng)`, then a
+    few rational combinations of them, so some rows are dependent."""
+    rows = []
+    for _ in range(nrows):
+        support = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows.append(tuple((j, entry(rng)) for j in support))
+    for _ in range(rng.randint(0, 3)):
+        if not rows:
+            break
+        mixed = {}
+        for row in rng.sample(rows, rng.randint(1, len(rows))):
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            for j, v in row:
+                mixed[j] = mixed.get(j, 0) + c * v
+        rows.insert(rng.randint(0, len(rows)), tuple(mixed.items()))
+    return rows
+
+
+def _small(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def _huge(rng):
+    """A rational whose numerator and denominator have 257 to 320 bits."""
+    return Fraction(rng.choice((1, -1)) * (rng.getrandbits(320) | 1 << 256),
+                    rng.getrandbits(320) | 1 << 256)
+
+
+def _as_system(rows, ncols):
+    return ExactLinearSystem(tuple(LinearEquation(row) for row in rows), ncols)
+
+
+def test_row_scaling_and_order_leave_the_basis_unchanged():
+    """The reduced echelon form is unique: scaling every row by a nonzero
+    integer or rational, or shuffling the rows, gives the same basis,
+    entry for entry, as the rows as given."""
+    rng = random.Random(19)
+    problems = [CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=6),
+                CommutantProblem(p=2, s=4, n=3, d=5, m=2, l=4, K=8),
+                CommutantProblem(p=2, s=3, n=2, d=3, m=3, l=4, K=7)]
+    systems = [([row.coeffs for row in sys_.rows], sys_.num_unknowns)
+               for sys_ in map(build_system, problems)]
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        systems.append((_random_rows(rng, n, rng.randint(0, n + 2), _small), n))
+    nontrivial = 0
+    for rows, n in systems:
+        basis = solver._eliminate(rows, n, n)
+        nontrivial += 0 < len(basis) < n
+        for scale in (lambda: rng.choice((1, -1)) * rng.randint(1, 10**6),
+                      lambda: Fraction(rng.choice((1, -1)) * rng.randint(1, 10**6),
+                                       rng.randint(1, 10**6))):
+            factors = [scale() for _ in rows]
+            scaled = [[(j, c * k) for j, c in row] for row, k in zip(rows, factors)]
+            assert solver._eliminate(scaled, n, n) == basis
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert solver._eliminate(shuffled, n, n) == basis
+    assert nontrivial > 20
+
+
+def test_systems_with_huge_entries_match_bareiss_basis():
+    """Random systems whose entries have numerators and denominators of
+    256 bits or more, through the elimination kernel."""
+    rng = random.Random(256)
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        sys_ = _as_system(_random_rows(rng, ncols, rng.randint(0, ncols + 1), _huge), ncols)
+        assert eliminated_whole(sys_) == bareiss_basis(sys_)
+
+
+def test_rows_after_the_stop_rank_are_not_read():
+    """The kernel pulls rows from a generator and stops at the first row
+    that brings the rank to `stop_rank`; its basis is then the prefix's."""
+    rng = random.Random(7)
+    stopped = 0
+    for _ in range(60):
+        ncols = rng.randint(1, 8)
+        rows = _random_rows(rng, ncols, rng.randint(1, ncols + 3), _small)
+        stop_rank = rng.randint(1, ncols)
+        read = []
+
+        def spy():
+            for i, row in enumerate(rows):
+                read.append(i)
+                yield row
+
+        basis = solver._eliminate(spy(), ncols, stop_rank)
+        ranks = [ncols - len(bareiss_basis(_as_system(rows[: i + 1], ncols)))
+                 for i in range(len(rows))]
+        expected = next((i + 1 for i, r in enumerate(ranks) if r == stop_rank), len(rows))
+        stopped += expected < len(rows)
+        assert len(read) == expected
+        prefix = _as_system(rows[:expected], ncols)
+        assert [lead_normalized(vec) for vec in basis] == bareiss_basis(prefix)
+    assert stopped > 10

@@ -23,6 +23,11 @@
   algebra or the symbol layer;
 * no package module calls ``solver.build_system``: the explicit expansion
   is the tests' oracle, so no solver path costs time linear in K;
+* the commutant kernel is integer until the basis: the pins
+  (``solver._Pins``, ``_extend_pins``), the rows of (3)
+  (``_mixed_rows``) and the elimination helpers construct no
+  ``Fraction`` and divide only with ``//``, and in ``_eliminate`` only
+  the returned basis expression does either;
 * only ``exact_algebra`` calls the raw ``Polynomial(...)`` constructor, so
   the canonical form that polynomial equality rests on is built in one
   place.
@@ -38,6 +43,7 @@ SCOPE = ("gamma_ratio", "working_precision")
 CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "BallValue", "working_precision"}
 GAMMA_SITE = ("gamma_ratio", "_GammaMemo", "gamma")
 SOLVER_IMPORTS = {"exact_algebra", "gamma_ratio"}
+INTEGER_KERNEL = {"_Pins", "_extend_pins", "_mixed_rows", "_cleared", "_combine", "_eliminate"}
 
 
 def _modules():
@@ -215,6 +221,26 @@ def test_build_system_is_called_by_no_package_module():
     bad = [f"{mod}:{node.lineno}"
            for mod, tree in _modules()
            for node in ast.walk(tree) if _calls(node, "build_system")]
+    assert bad == []
+
+
+def _makes_rationals(node) -> bool:
+    """A Fraction constructed, or a true division."""
+    return _calls(node, "Fraction") or (
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+
+
+def test_commutant_kernel_is_integer_until_the_basis():
+    tree = dict(_modules())["solver"]
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert INTEGER_KERNEL <= set(defs), sorted(INTEGER_KERNEL - set(defs))
+    basis = defs["_eliminate"].body[-1]
+    assert isinstance(basis, ast.Return)
+    assert any(_calls(node, "Fraction") for node in ast.walk(basis))
+    allowed = {id(node) for node in ast.walk(basis)}
+    bad = [f"solver.{name}:{node.lineno}"
+           for name in sorted(INTEGER_KERNEL)
+           for node in ast.walk(defs[name]) if _makes_rationals(node) and id(node) not in allowed]
     assert bad == []
 
 
