@@ -20,6 +20,10 @@ only when that is not 1, a second gcd with the numerator; a product
 cancels gcd(num_a, den_b) and gcd(num_b, den_a) crosswise and needs no
 final gcd; no polynomial gcd is taken when a factor is constant, nor by
 `scale` or `rf_shift`, which keep coprimality and a monic denominator.
+A gcd with a linear operand, the common case for the cofactors of the
+Gamma functional equation, is one root test: the other operand is
+evaluated at the root by one Horner pass on its ints.  Only operands of
+degree 2 and more run the primitive pseudo-remainder sequence.
 """
 
 from __future__ import annotations
@@ -268,15 +272,24 @@ def _int_prem(u: list[int], v: list[int]) -> list[int]:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the primitive (fraction-free) Euclidean algorithm.
+    """Monic gcd.
 
-    Working on integer primitive parts keeps intermediate coefficients from
-    blowing up, with no floating error anywhere.
+    When an operand is linear, b1 z + b0, the gcd is that operand made
+    monic if the other vanishes at -b0/b1 and 1 otherwise: one Horner pass
+    on the ints decides it.  Otherwise the primitive (fraction-free)
+    Euclidean algorithm runs on the integer primitive parts, which keeps
+    intermediate coefficients from blowing up, with no floating error
+    anywhere.
     """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    if b.degree == 1:
+        a, b = b, a
+    if a.degree == 1:
+        b0, b1 = a.ints
+        return a.monic() if b.eval_pair(-b0, b1)[0] == 0 else Polynomial.one()
     u, v = primitive_part(a.ints), primitive_part(b.ints)
     if len(u) < len(v):
         u, v = v, u

@@ -185,16 +185,37 @@ def _reduce_atoms(atoms: Iterable[GammaAtom]) -> tuple[list[GammaAtom], Counter,
     return reduced, roots, scale
 
 
+def _is_reduced(g: GammaRatioExpr) -> bool:
+    """Whether g is its own reduced part: every offset in [0, two_delta),
+    num and den sorted, and no atom in both."""
+    num, den = g.num, g.den
+    for atoms in (num, den):
+        prev = (0, 0)  # below every atom
+        for atom in atoms:
+            if atom[1] >= atom[0] or atom < prev:
+                return False
+            prev = atom
+    return not num or not den or set(num).isdisjoint(den)
+
+
+_ONE = RationalFunction.one()
+
+
 def canonicalize(g: GammaRatioExpr) -> tuple[RationalFunction, GammaRatioExpr]:
     """Split g into (rational cofactor, fully reduced Gamma part).
 
     Value preserving: cofactor * reduced equals g as a function.  In the
-    reduced part every offset lies in [0, two_delta) and no atom appears in
-    both numerator and denominator, so no further functional-equation or
-    cancellation step applies.  The cofactor is canonical as built: the
-    root multisets are cancelled first, and the surviving factors are
-    distinct, hence coprime, and monic.
+    reduced part every offset lies in [0, two_delta), num and den are
+    sorted and no atom appears in both numerator and denominator, so no
+    further functional-equation or cancellation step applies.  A part
+    already in that form, as every Gamma part of a built
+    :class:`WeightExpr` is, is returned as it is with the cofactor 1.
+    Otherwise the cofactor is canonical as built: the root multisets are
+    cancelled first, and the surviving factors are distinct, hence coprime,
+    and monic.
     """
+    if _is_reduced(g):
+        return _ONE, g
     num, num_roots, num_scale = _reduce_atoms(g.num)
     den, den_roots, den_scale = _reduce_atoms(g.den)
     top = Polynomial.linear_product((num_roots - den_roots).elements())
@@ -244,10 +265,18 @@ class WeightExpr:
 
     @staticmethod
     def build(terms: Iterable[tuple[RationalFunction, GammaRatioExpr]]) -> "WeightExpr":
+        """The normalized sum of (canonical coefficient, Gamma part) terms.
+
+        Each Gamma part goes through :func:`canonicalize`, and its
+        coefficient is multiplied by the cofactor only when that is not 1.
+        A part that is already reduced, such as a part of another built
+        expression, has the cofactor 1, so adding built expressions
+        reduces nothing and multiplies nothing."""
         merged: dict[GammaRatioExpr, RationalFunction] = {}
         for coeff, gamma in terms:
             cofactor, reduced = canonicalize(gamma)
-            coeff = coeff * cofactor
+            if cofactor != _ONE:
+                coeff = coeff * cofactor
             if coeff.is_zero:
                 continue
             prev = merged.get(reduced)

@@ -460,6 +460,8 @@ def _check_input(p: int, s: int, n: int, d: int, bound: int, K: int) -> None:
     check_exponents(n=n, d=d)
     if K < 1:
         raise ValueError(f"truncation K = {K} is below the limit 1")
+    if K < s:
+        raise ValueError(f"truncation K = {K} is below s = {s}")
     if K > MAX_TRUNCATION:
         raise ValueError(f"truncation K = {K} exceeds the limit {MAX_TRUNCATION}")
     if bound > K:
@@ -473,8 +475,9 @@ def scan(p: int, s: int, n: int, d: int, bound: int, K: int) -> ScanReport:
     proved floor is flagged as a counterexample report.  A commuting
     reference pair is surfaced and the whole scan marked as outside the
     commutant hypotheses.  Raises
-    ValueError before any elimination if bound > K, K < 1, K > MAX_TRUNCATION,
-    n or d > MAX_EXPONENT, or bound < s - p + 1, which admits no pair.
+    ValueError before any elimination if bound > K, K < 1, K < s,
+    K > MAX_TRUNCATION, n or d > MAX_EXPONENT, or bound < s - p + 1, which
+    admits no pair.
     """
     _check_input(p, s, n, d, bound, K)
     if bound < s - p + 1:

@@ -25,6 +25,10 @@ sha256 of its stdout and of its stderr and its exit code.
   the same precisions, which it only echoes; the bounds,
 * ``apply``, ``commutator``, ``weight``, ``mellin``, ``rationality``,
   ``root-verify`` and ``oracle-quadrature``, with text output,
+* the algebra-heavy paths: ``commutator`` and ``weight`` on multi-term
+  symbols with fractional exponents, among them two 8-term symbols whose
+  exponent denominators are distinct primes, and ``root-verify`` on
+  Gamma-bearing roots,
 * ``--help`` and the usage errors.
 
 Regenerate a corpus only with a change that alters the JSON or the exit
@@ -91,14 +95,17 @@ def solver_argvs() -> list[list[str]]:
             argvs.append(_argv(command, p, s, n, d, bound, K))
     argvs.append(["--output", "text"] + _argv("verify-theorem", 1, 2, 2, 3, 8, 40))
     argvs.append(["--output", "text"] + _argv("scan", 2, 4, 3, 5, 8, 40))
-    # Inputs that exit 64: bound > K, K > 1000, K < 1, n or d > 1000, p >= s,
-    # and a scan bound below s - p + 1; verify-theorem fails that last one.
+    # Inputs that exit 64: bound > K, K > 1000, K < 1, K < s, n or d > 1000,
+    # p >= s, and a scan bound below s - p + 1; verify-theorem fails that
+    # last one when K >= s.
     for command in ("verify-theorem", "scan"):
         argvs += [
             _argv(command, 1, 2, 2, 3, 41, 40),
             _argv(command, 1, 2, 2, 3, 8, 1001),
             _argv(command, 1, 2, 2, 3, -3, -1),
             _argv(command, 1, 2, 2, 3, 0, 0),
+            _argv(command, 3, 5, 1, 1, 3, 3),
+            _argv(command, 3, 5, 1, 1, 1, 4),
             _argv(command, 1, 2, 1001, 3, 8, 40),
             _argv(command, 1, 2, 2, 1001, 8, 40),
             _argv(command, 2, 2, 2, 3, 8, 40),
@@ -180,6 +187,23 @@ def command_argvs() -> list[list[str]]:
          "--tolerance", "0"],
         ["oracle-quadrature", "--p", "1", "--symbol", "r^2", "--k", "0",
          "--tolerance", "0"],
+    ]
+    # The algebra-heavy paths: multi-term symbols with fractional exponents,
+    # Gamma-bearing roots, and two 8-term symbols whose exponent
+    # denominators are distinct primes.
+    a8 = "r^1/3+2*r^2/5-r^3/7+3/2*r^4/11+r^5/13-2*r^6/17+r^7/19+5*r^8/23"
+    b8 = "-r^1/29+r^2/31+4*r^3/37-r^4/41+1/3*r^5/43+r^6/47-7*r^7/53+r^8/59"
+    argvs += [
+        ["commutator", "--a", "2:r^1/2+3*r^5/3", "--b", "3:r^2/5-1/2*r^7/4"],
+        ["commutator", "--a", "1:r^1/3-r^2/3+r", "--a", "3:2*r^3/2",
+         "--b", "2:r^5/7+1/4*r^9/7"],
+        ["commutator", "--a", "3:" + a8, "--b", "5:" + b8],
+        ["weight", "--p", "4", "--symbol", "r^1/3+2*r^5/7-1/2*r^11/5"],
+        ["weight", "--p", "2", "--symbol", a8],
+        ["root-verify", "--p", "4", "--n", "3"],
+        ["root-verify", "--p", "5", "--n", "7"],
+        ["root-verify", "--p", "2", "--n", "9"],
+        ["root-verify", "--p", "12", "--n", "5"],
     ]
     # --help and the usage errors
     argvs += [

@@ -10,24 +10,43 @@ oracles.
   or quotient and hands it to ``rf_normalize``, which takes the full gcd.
 * ``expand_then_gcd_canonicalize`` multiplies out every functional-equation
   factor of numerator and denominator and cancels them by one gcd.
+* ``prs_gcd`` is the primitive pseudo-remainder sequence on every operand,
+  the linear ones included, where ``poly_gcd`` takes one root test.
 
 The canonical form is unique, so each fast route must give the oracle's
-result exactly, not just an equal function.
+result exactly, not just an equal function.  The spy tests pin the work
+that the canonical inputs let the library skip.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergshift.exact_algebra import Polynomial, RationalFunction, rf_arith, rf_normalize, rf_shift
+from bergshift import exact_algebra, gamma_ratio
+from bergshift.exact_algebra import (
+    Polynomial,
+    RationalFunction,
+    poly_gcd,
+    rf_arith,
+    rf_normalize,
+    rf_shift,
+)
 from bergshift.gamma_ratio import (
     GammaRatioExpr,
     WeightExpr,
     canonicalize,
     power_weight,
     rationality_oracle,
+)
+from bergshift.mellin import parse_symbol
+from bergshift.shift_algebra import (
+    commutator,
+    linear_combine,
+    quasihomogeneous_operator,
+    root_operator,
 )
 
 OPS = ("add", "sub", "mul", "div")
@@ -101,6 +120,36 @@ def normalize_everything_arith(a, b, op):
     if op == "mul":
         return rf_normalize(a.num * b.num, a.den * b.den)
     return rf_normalize(a.num * b.den, a.den * b.num)
+
+
+def prs_gcd(a, b):
+    """Monic gcd by the primitive pseudo-remainder sequence on the ints."""
+    def primitive(cs):
+        g = gcd(*cs)
+        return [c // g for c in cs]
+
+    def prem(u, v):
+        r = list(u)
+        while len(r) >= len(v):
+            lead, shift = r[-1], len(r) - len(v)
+            r = [c * v[-1] for c in r]
+            for j, c in enumerate(v):
+                r[shift + j] -= lead * c
+            while r and r[-1] == 0:
+                r.pop()
+        return r
+
+    if a.is_zero:
+        return b.monic()
+    if b.is_zero:
+        return a.monic()
+    u, v = primitive(a.ints), primitive(b.ints)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        r = prem(u, v)
+        u, v = v, primitive(r) if r else r
+    return Polynomial.from_coeffs([Fraction(c, u[-1]) for c in u])
 
 
 def expand_then_gcd_canonicalize(g):
@@ -253,6 +302,59 @@ def test_scale_and_shift_take_no_gcd_and_agree(a, c, h):
                                                        a.den.shift(Fraction(h, 3)))
 
 
+#: Rational roots of the linear operands; integers among them, so they
+#: meet the roots of ``polys`` often.
+LINEAR_ROOTS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+NONZERO = COEFFS.filter(lambda c: c != 0)
+
+
+def linear(root, lead):
+    """lead * (z - root): ints that are mostly not monic, over a den that
+    is mostly not 1."""
+    return Polynomial.z_plus(-root).scale(lead)
+
+
+def gcd_both_ways(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert poly_gcd(x, y) == prs_gcd(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINEAR_ROOTS, NONZERO, st.one_of(PLAIN, polys()), st.booleans())
+@example(Fraction(2, 3), Fraction(-5, 2), Polynomial.linear_product([1, 2]), True)
+@example(Fraction(-3, 4), Fraction(7, 3), Polynomial.linear_product([Fraction(3, 4)]), False)
+@example(Fraction(1, 5), Fraction(6), LINEAR, False)
+def test_gcd_with_a_linear_operand_equals_the_prs(root, lead, other, share):
+    """With ``share`` the other operand vanishes at the root."""
+    lin = linear(root, lead)
+    gcd_both_ways(lin, other * lin if share else other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LINEAR_ROOTS, LINEAR_ROOTS, NONZERO, NONZERO, st.booleans())
+@example(Fraction(2, 3), Fraction(0), Fraction(3, 4), Fraction(-6), True)
+@example(Fraction(2, 3), Fraction(-2, 3), Fraction(3, 4), Fraction(-6), False)
+def test_gcd_of_two_linear_operands_equals_the_prs(r1, r2, lead1, lead2, same_root):
+    gcd_both_ways(linear(r1, lead1), linear(r1 if same_root else r2, lead2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(ZERO), NONZERO.map(Polynomial.constant)),
+       st.one_of(st.just(ZERO), NONZERO.map(Polynomial.constant),
+                 st.builds(linear, LINEAR_ROOTS, NONZERO), PLAIN, polys()))
+@example(ZERO, LINEAR)
+@example(Polynomial.constant(Fraction(-2, 7)), LINEAR)
+@example(ZERO, ZERO)
+def test_gcd_with_a_constant_or_zero_operand_equals_the_prs(const, other):
+    gcd_both_ways(const, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(PLAIN, polys()), st.one_of(PLAIN, polys()), polys(nonzero=True))
+def test_gcd_of_higher_degrees_equals_the_prs(a, b, common):
+    gcd_both_ways(a * common, b * common)
+
+
 # ---------------------------------------------------------------------------
 # Gamma cofactors
 
@@ -275,6 +377,14 @@ def gamma_exprs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(gamma_exprs())
+# raw-constructed parts that only look reduced: unsorted atoms, an atom in
+# both num and den, an offset equal to two_delta
+@example(GammaRatioExpr(((4, 3), (4, 1)), ((4, 0),)))
+@example(GammaRatioExpr(((2, 1),), ((6, 5), (6, 2))))
+@example(GammaRatioExpr(((4, 1), (6, 5)), ((4, 1),)))
+@example(GammaRatioExpr(((2, 0),), ((2, 0), (4, 3))))
+@example(GammaRatioExpr(((4, 4),), ((6, 1),)))
+@example(GammaRatioExpr(((4, 1),), ((6, 0), (6, 6))))
 def test_canonicalize_equals_expand_then_gcd(g):
     assert canonicalize(g) == expand_then_gcd_canonicalize(g)
 
@@ -288,3 +398,71 @@ def test_rationality_oracle_equals_canonical_reduction(g):
 def test_large_exponent_power_weight_is_exact():
     expected = rf_normalize(Polynomial.z_plus(2), Polynomial.z_plus(3001))
     assert power_weight(1, 1, 3000) == WeightExpr.from_rational(expected)
+
+
+# ---------------------------------------------------------------------------
+# work the canonical inputs skip
+
+
+def _random_operator(rng):
+    if rng.random() < 0.25:
+        return root_operator(rng.randint(1, 3), rng.randint(1, 6))
+    symbol = "+".join(f"{rng.randint(1, 5)}*r^{rng.randint(1, 9)}/{rng.choice((1, 2, 3))}"
+                      for _ in range(rng.randint(1, 3)))
+    return quasihomogeneous_operator(rng.randint(0, 3), parse_symbol(symbol))
+
+
+def test_sums_of_canonical_weights_reduce_nothing(monkeypatch):
+    """On fixed-seed Jacobi and bilinearity cases, ``WeightExpr.__add__``
+    of two built expressions reduces no Gamma atom and multiplies no
+    rational functions, and no gcd with a linear operand runs a
+    pseudo-remainder."""
+    counts = {"adds": 0, "reduce": 0, "mul": 0, "linear gcds": 0, "prem": 0}
+    inside_add, inside_linear_gcd = [], []
+
+    def spy(name, fn, inside):
+        def wrapped(*args):
+            if inside:
+                counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    real_add, real_gcd = WeightExpr.__add__, exact_algebra.poly_gcd
+
+    def add(self, other):
+        counts["adds"] += 1
+        inside_add.append(True)
+        try:
+            return real_add(self, other)
+        finally:
+            inside_add.pop()
+
+    def gcd_spy(a, b):
+        if 1 not in (a.degree, b.degree):
+            return real_gcd(a, b)
+        counts["linear gcds"] += 1
+        inside_linear_gcd.append(True)
+        try:
+            return real_gcd(a, b)
+        finally:
+            inside_linear_gcd.pop()
+
+    monkeypatch.setattr(WeightExpr, "__add__", add)
+    monkeypatch.setattr(gamma_ratio, "_reduce_atoms",
+                        spy("reduce", gamma_ratio._reduce_atoms, inside_add))
+    monkeypatch.setattr(exact_algebra, "_mul", spy("mul", exact_algebra._mul, inside_add))
+    monkeypatch.setattr(exact_algebra, "poly_gcd", gcd_spy)
+    monkeypatch.setattr(exact_algebra, "_int_prem",
+                        spy("prem", exact_algebra._int_prem, inside_linear_gcd))
+    rng = random.Random(20)
+    for _ in range(6):
+        a, b, c = (_random_operator(rng) for _ in range(3))
+        x, y = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)), Fraction(rng.randint(1, 3))
+        jacobi = linear_combine([(1, commutator(a, commutator(b, c))),
+                                 (1, commutator(b, commutator(c, a))),
+                                 (1, commutator(c, commutator(a, b)))])
+        bilinearity = linear_combine([(1, commutator(linear_combine([(x, a), (y, b)]), c)),
+                                      (-x, commutator(a, c)), (-y, commutator(b, c))])
+        assert jacobi.is_zero and bilinearity.is_zero
+    assert counts["adds"] > 50 and counts["linear gcds"] > 100
+    assert counts["reduce"] == counts["mul"] == counts["prem"] == 0

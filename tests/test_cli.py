@@ -581,12 +581,22 @@ class TestSolverBounds:
         assert captured.out == ""
         assert f"truncation K = {K} is below the limit 1" in captured.err
 
+    @pytest.mark.parametrize("command", ["scan", "verify-theorem"])
+    @pytest.mark.parametrize("bound, K", [(3, 3), (1, 4)])
+    def test_truncation_below_s_names_the_limit(self, command, bound, K, capsys, no_elimination):
+        code = dispatch([command, "--p", "3", "--s", "5", "--n", "1", "--d", "1",
+                         "--bound", str(bound), "--K", str(K)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"truncation K = {K} is below s = 5" in captured.err
+
     def test_scan_without_admissible_pair_fails_fast(self, capsys, no_elimination, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("reference pair examined for a rejected input")
         monkeypatch.setattr(solver, "commuting_pair", refuse)
         code = dispatch(["scan", "--p", "1", "--s", "100", "--n", "2", "--d", "3",
-                         "--bound", "8", "--K", "40"])
+                         "--bound", "8", "--K", "100"])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -594,7 +604,7 @@ class TestSolverBounds:
 
     def test_verify_theorem_without_admissible_pair_still_fails(self, capsys, no_elimination):
         code, payload = run(capsys, "verify-theorem", "--p", "1", "--s", "100", "--n", "2",
-                            "--d", "3", "--bound", "8", "--K", "40")
+                            "--d", "3", "--bound", "8", "--K", "100")
         assert code == EXIT_NEGATIVE
         assert payload["status"] == "fail"
         assert payload["scan"]["cells"] == []

@@ -434,7 +434,7 @@ class TestProvedFloor:
 class TestInputBounds:
     def test_scan_without_admissible_pair_raises(self):
         with pytest.raises(ValueError, match=r"bound 8 .*s - p \+ 1 = 100"):
-            scan(1, 100, 2, 3, bound=8, K=40)
+            scan(1, 100, 2, 3, bound=8, K=100)
 
     @pytest.mark.parametrize("check", [scan, verify_theorem])
     @pytest.mark.parametrize("n, d", [(solver.MAX_EXPONENT + 1, 3), (2, 10**9)])
@@ -447,3 +447,9 @@ class TestInputBounds:
     def test_truncation_below_one_raises(self, check, bound, K):
         with pytest.raises(ValueError, match=f"truncation K = {K} is below the limit 1"):
             check(1, 2, 2, 3, bound=bound, K=K)
+
+    @pytest.mark.parametrize("check", [scan, verify_theorem])
+    @pytest.mark.parametrize("bound, K", [(3, 3), (1, 4)])
+    def test_truncation_below_s_raises(self, check, bound, K):
+        with pytest.raises(ValueError, match=f"truncation K = {K} is below s = 5"):
+            check(3, 5, 1, 1, bound=bound, K=K)
