@@ -14,11 +14,10 @@ from .exact_algebra import (
     Polynomial,
     Rational,
     RationalFunction,
-    ZeroDenominatorError,
+    Roots,
+    constant_ratio,
     format_rational,
     format_rational_function,
-    parse_rational,
-    parse_rational_function,
     poly_gcd,
     rf_arith,
     rf_eval,
@@ -53,7 +52,6 @@ from .mellin import (
 from .quadrature import QuadratureError, integrate_adaptive
 from .shift_algebra import (
     BasisVector,
-    EqualityVerdict,
     ShiftSum,
     ZeroVerdict,
     apply_to_basis,
@@ -61,7 +59,6 @@ from .shift_algebra import (
     compose,
     is_zero,
     linear_combine,
-    op_equal,
     quasihomogeneous_operator,
     root_operator,
 )

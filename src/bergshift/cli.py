@@ -30,10 +30,8 @@ from mpmath import mp
 from .exact_algebra import (
     ExprSyntaxError,
     PoleError,
-    ZeroDenominatorError,
     format_rational,
     format_rational_function,
-    parse_rational_function,
 )
 from .gamma_ratio import (
     BallValue,
@@ -116,20 +114,6 @@ def ser_weight(w: WeightExpr) -> Any:
             for c, g in w.terms
         ]
     }
-
-
-def weight_from_jsonable(data: Any) -> WeightExpr:
-    """Inverse of :func:`ser_weight`, used for round-trip checks."""
-    if isinstance(data, str):
-        return WeightExpr.from_rational(parse_rational_function(data))
-    terms = []
-    for t in data["terms"]:
-        gamma = GammaRatioExpr(
-            tuple([(a["two_delta"], a["offset"]) for a in t["gamma"]["num"]]),
-            tuple([(a["two_delta"], a["offset"]) for a in t["gamma"]["den"]]),
-        )
-        terms.append((parse_rational_function(t["coeff"]), gamma))
-    return WeightExpr.build(terms)
 
 
 def ser_shift_sum(op: ShiftSum) -> dict:
@@ -499,7 +483,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    except (ExprSyntaxError, ZeroDenominatorError, PoleError, ValueError) as exc:
+    except (ExprSyntaxError, PoleError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n\n{parser.format_usage()}\n")
         return EXIT_USAGE
     _emit(payload, args.output)

@@ -5,25 +5,35 @@ no floating point enters anywhere.  A polynomial has one stored form, a
 tuple of Python ints over one positive int denominator, with no trailing
 zero and no common factor of the denominator and the content of the ints
 (the content and primitive part of Knuth, TAOCP Vol. 2, 4.6.1).  That form
-is unique, so equal fields are equal polynomials.  Every operation, from
-products, sums, shifts and division to the gcd and point values, works on
-the ints and reduces its result to that form; ``Polynomial.coeffs`` is
-only a read-only ``Fraction`` view.
+is unique, so equal fields are equal polynomials.  Products, sums, shifts
+and point values work on the ints and reduce their result to that form;
+``Polynomial.coeffs`` is only a read-only ``Fraction`` view.
 
-Rational functions are kept in a canonical form (gcd-reduced, monic
-denominator), so equality of canonical forms is equality as functions.
-That syntactic equality is what the rest of the package relies on for
-exact zero and identity testing of shift weights.  Since the operands of
-`rf_arith` are already canonical, it takes no redundant gcd (Henrici's
-algorithms, Knuth, TAOCP Vol. 2, 4.5.1): a sum takes gcd(den, den) and,
-only when that is not 1, a second gcd with the numerator; a product
-cancels gcd(num_a, den_b) and gcd(num_b, den_a) crosswise and needs no
-final gcd; no polynomial gcd is taken when a factor is constant, nor by
-`scale` or `rf_shift`, which keep coprimality and a monic denominator.
-A gcd with a linear operand, the common case for the cofactors of the
-Gamma functional equation, is one root test: the other operand is
-evaluated at the root by one Horner pass on its ints.  Only operands of
-degree 2 and more run the primitive pseudo-remainder sequence.
+Every denominator the package builds splits over the rationals: the
+Mellin images sum c/(z + a), the symbol weights (z + 2p)/(z + p + n) and
+the factors z + c of the Gamma functional equation are products of
+linear factors, and sums, products and shifts keep them so.  A rational
+function therefore keeps its denominator as the sorted multiset of the
+roots c of its monic factors z + c (``RationalFunction.roots``), each
+root as its pair of ints, over a numerator coprime to it.  That form is
+canonical, so equality of forms is equality as functions, which the rest
+of the package relies on for exact zero and identity testing of shift
+weights.
+
+On that form every gcd is a root test.  :func:`poly_gcd` of a numerator
+and a split denominator tests each distinct root c by one Horner pass on
+the numerator's ints at -c, and divides out each root it finds by
+synthetic division on the ints, once per multiplicity.  The gcd of two
+denominators is the multiset minimum of their roots, their lcm the
+maximum and their product the sum; a shift moves the roots.  `rf_arith`
+keeps Henrici's gcd-aware formulas for canonical operands (Knuth, TAOCP
+Vol. 2, 4.5.1): a sum cancels its numerator only against the roots the
+two denominators share, and a product cancels each numerator against the
+other operand's roots; constant operands, `scale` and `rf_shift` take no
+gcd.  No pseudo-remainder sequence and no division by a general
+polynomial is left: `rf_normalize` takes the denominator as its roots,
+and rational functions are not divided, only compared by
+:func:`constant_ratio`.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 #: Scalar type used everywhere: reduced fraction, positive denominator,
 #: sign carried by the numerator.  `fractions.Fraction` guarantees both.
@@ -40,9 +50,11 @@ Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
-
-class ZeroDenominatorError(ValueError):
-    """A rational function was built with (or divided by) a zero denominator."""
+#: A denominator in split form: the roots c of its monic factors z + c,
+#: with multiplicity, each as the int pair (a, b) of c = a/b in lowest
+#: terms with b > 0, the pairs sorted.  The order is that of the pairs, not
+#: of the values: it only has to be canonical, and comparing ints is cheap.
+Roots = tuple[tuple[int, int], ...]
 
 
 class PoleError(ValueError):
@@ -59,6 +71,14 @@ def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _pair(c: RationalLike) -> tuple[int, int]:
+    """The root c as its stored pair (a, b): c = a/b in lowest terms, b > 0."""
+    if type(c) is int:
+        return c, 1
+    c = as_rational(c)
+    return c.numerator, c.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +120,8 @@ class Polynomial:
 
     @staticmethod
     def linear_product(cs: Iterable[RationalLike]) -> "Polynomial":
-        """The product of the monic linear factors (z + c), c in ``cs``:
-        with c = a/b each factor is (b z + a) / b."""
-        out, den = [1], 1
-        for c in cs:
-            a, b = c.numerator, c.denominator
-            out.append(0)
-            for i in range(len(out) - 1, 0, -1):
-                out[i] = b * out[i - 1] + a * out[i]
-            out[0] *= a
-            den *= b
-        return _reduced(out, den)
+        """The product of the monic linear factors (z + c), c in ``cs``."""
+        return _times_roots(Polynomial.one(), [_pair(c) for c in cs])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -167,34 +178,6 @@ class Polynomial:
             return self
         return _reduced([x * c.numerator for x in self.ints], self.den * c.denominator)
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact field division with remainder; ``other`` must be nonzero.
-        Pseudo-division on ints: a step scales remainder and quotient by
-        lc / gcd(lc, top) for the divisor's leading int lc, so its quotient
-        int is exact; the product s of those factors joins the denominators."""
-        if other.is_zero:
-            raise ZeroDenominatorError("polynomial division by zero")
-        b, d = other.ints, other.degree
-        lc = b[-1]
-        r = list(self.ints)
-        q = [0] * max(0, len(r) - d)
-        s = 1
-        for i in range(len(r) - 1, d - 1, -1):
-            c = r[i]
-            if c == 0:
-                continue
-            g = _int_gcd(c, lc)
-            m, f = lc // g, c // g
-            if m != 1:
-                r = [x * m for x in r]
-                q = [x * m for x in q]
-                s *= m
-            q[i - d] = f
-            for j, y in enumerate(b):
-                r[i - d + j] -= f * y
-        den = s * self.den
-        return _reduced([x * other.den for x in q], den), _reduced(r, den)
-
     def eval(self, point: RationalLike) -> Fraction:
         point = as_rational(point)
         return Fraction(*self.eval_pair(point.numerator, point.denominator))
@@ -205,31 +188,21 @@ class Polynomial:
         sum(ints[i] u^i v^(deg-i)) / (den v^deg), one Horner pass on ints."""
         if not self.ints:
             return 0, 1
-        acc, vpow = 0, 1
-        for c in reversed(self.ints):
-            acc = acc * u + c * vpow
-            vpow *= v
-        return acc, self.den * (vpow // v)
+        return _horner(self.ints, u, v), self.den * v ** self.degree
 
     def shift(self, h: RationalLike) -> "Polynomial":
         """Return p(z + h).  With h = a/b, the Taylor shift by the integer a
         (repeated synthetic division) of b^deg p(w/b), whose ints are
         ints[i] b^(deg-i), is b^deg p((w+a)/b); w = bz then scales int i by b^i."""
-        h = as_rational(h)
         if h == 0 or self.is_zero:
             return self
-        a, b = h.numerator, h.denominator
+        a, b = _pair(h)
         deg = self.degree
         t = [c * b ** (deg - i) for i, c in enumerate(self.ints)]
         for i in range(deg):
             for j in range(deg - 1, i - 1, -1):
                 t[j] += a * t[j + 1]
         return _reduced([c * b ** i for i, c in enumerate(t)], self.den * b ** deg)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return _reduced(list(self.ints), self.ints[-1])
 
 
 def _reduced(ints: list[int], den: int) -> Polynomial:
@@ -253,52 +226,133 @@ def primitive_part(ints: Sequence[int]) -> list[int]:
     return [c // g for c in ints]
 
 
-def _int_prem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder of integer polynomials (lists low-to-high degree)."""
-    r = list(u)
-    dv, lv = len(v) - 1, v[-1]
-    while len(r) - 1 >= dv and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dv:
-            break
-        lr, dr = r[-1], len(r) - 1
-        r = [c * lv for c in r]
-        for j in range(len(v)):
-            r[dr - dv + j] -= lr * v[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _times_roots(p: Polynomial, roots: Iterable[tuple[int, int]]) -> Polynomial:
+    """p * prod (z + a/b), (a, b) in ``roots``: each factor is
+    (b z + a) / b.  A factor z + a with integer a is primitive, so by
+    Gauss's lemma it keeps the content of the ints and the den; only a
+    fractional root calls for a reduction."""
+    if p.is_zero:
+        return p
+    out, den = list(p.ints), p.den
+    for a, b in roots:
+        out.append(0)
+        if b == 1:
+            for i in range(len(out) - 1, 0, -1):
+                out[i] = out[i - 1] + a * out[i]
+        else:
+            for i in range(len(out) - 1, 0, -1):
+                out[i] = b * out[i - 1] + a * out[i]
+            den *= b
+        out[0] *= a
+    return Polynomial(tuple(out), den) if den == p.den else _reduced(out, den)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd.
+def _horner(ints: Sequence[int], u: int, v: int) -> int:
+    """sum(ints[i] u^i v^(deg-i)), v^deg times the value of
+    sum(ints[i] z^i) at z = u/v: one Horner pass on the ints."""
+    acc = 0
+    if v == 1:
+        for c in reversed(ints):
+            acc = acc * u + c
+    else:
+        vpow = 1
+        for c in reversed(ints):
+            acc = acc * u + c * vpow
+            vpow *= v
+    return acc
 
-    When an operand is linear, b1 z + b0, the gcd is that operand made
-    monic if the other vanishes at -b0/b1 and 1 otherwise: one Horner pass
-    on the ints decides it.  Otherwise the primitive (fraction-free)
-    Euclidean algorithm runs on the integer primitive parts, which keeps
-    intermediate coefficients from blowing up, with no floating error
-    anywhere.
+
+def _divide_linear(ints: Sequence[int], a: int, b: int) -> tuple[int, ...]:
+    """The ints Q with ints = (b z + a) Q, by synthetic division from the
+    top.  The division must be exact; then, with gcd(a, b) = 1, b z + a is
+    primitive and Q is integral (Gauss's lemma), so every step divides
+    exactly."""
+    n = len(ints) - 1
+    q = [0] * n
+    r = ints[n]
+    for i in range(n - 1, -1, -1):
+        if b != 1:
+            r //= b
+        q[i] = r
+        r = ints[i] - a * r
+    return tuple(q)
+
+
+def poly_gcd(p: Polynomial, roots: Roots) -> tuple[Roots, Polynomial, Roots]:
+    """The gcd g of p and the split polynomial d = prod (z + a/b), (a, b)
+    in ``roots`` (sorted, as stored), with both cofactors: (roots of g,
+    p / g, roots of d / g), the root multisets sorted.
+
+    Each distinct root c = a/b is tested by one Horner pass on p's ints at
+    -a/b.  A root found is divided out by synthetic division by b z + a on
+    the ints, exact by Gauss's lemma, and tested again, up to its
+    multiplicity in d; a root that fails is not tested again.  Since b z + a
+    is primitive, the quotient ints keep the content of p's ints, so the
+    quotient needs a reduction only when some b is not 1.  p = 0 gives
+    g = d.
     """
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if b.degree == 1:
-        a, b = b, a
-    if a.degree == 1:
-        b0, b1 = a.ints
-        return a.monic() if b.eval_pair(-b0, b1)[0] == 0 else Polynomial.one()
-    u, v = primitive_part(a.ints), primitive_part(b.ints)
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        r = _int_prem(u, v)
-        if r:
-            r = primitive_part(r)
-        u, v = v, r
-    return _reduced(u, u[-1])  # monic
+    if p.is_zero:
+        return roots, p, ()
+    ints, scale = p.ints, 1
+    common: list[tuple[int, int]] = []
+    left: list[tuple[int, int]] = []
+    miss = None
+    for i, c in enumerate(roots):
+        if len(ints) == 1:  # a nonzero constant has no root
+            left.extend(roots[i:])
+            break
+        if c == miss:
+            left.append(c)
+            continue
+        a, b = c
+        if _horner(ints, -a, b) == 0:
+            ints = _divide_linear(ints, a, b)
+            scale *= b
+            common.append(c)
+        else:
+            miss = c
+            left.append(c)
+    if not common:
+        return (), p, roots
+    if scale == 1:
+        quotient = Polynomial(ints, p.den)
+    else:
+        quotient = _reduced([scale * x for x in ints], p.den)
+    return tuple(common), quotient, tuple(left)
+
+
+def _meet(r1: Roots, r2: Roots) -> tuple[list, list, list]:
+    """(r1 min r2, r1 - r2, r2 - r1) for sorted root multisets: the gcd of
+    the two denominators and both cofactors, by one merge pass."""
+    common: list[tuple[int, int]] = []
+    only1: list[tuple[int, int]] = []
+    only2: list[tuple[int, int]] = []
+    i = j = 0
+    n1, n2 = len(r1), len(r2)
+    while i < n1 and j < n2:
+        x, y = r1[i], r2[j]
+        if x == y:
+            common.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            only1.append(x)
+            i += 1
+        else:
+            only2.append(y)
+            j += 1
+    only1.extend(r1[i:])
+    only2.extend(r2[j:])
+    return common, only1, only2
+
+
+def _merged(*multisets: Iterable[tuple[int, int]]) -> Roots:
+    """The sum of root multisets, sorted: the product of their denominators."""
+    out: list[tuple[int, int]] = []
+    for m in multisets:
+        out.extend(m)
+    out.sort()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +361,37 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Canonical quotient of polynomials: gcd(num, den) = 1, den monic.
+    """Canonical num / prod (z + a/b), (a, b) in ``roots``: the root pairs
+    in lowest terms and sorted (:data:`Roots`), and num(-a/b) != 0 for
+    every root, so num and the monic denominator are coprime.
 
     Construct through :func:`rf_normalize`; the raw constructor trusts its
     inputs to already be canonical.
     """
 
     num: Polynomial
-    den: Polynomial
+    roots: Roots
 
     @staticmethod
     def zero() -> "RationalFunction":
-        return RationalFunction(Polynomial.zero(), Polynomial.one())
+        return RationalFunction(Polynomial.zero(), ())
 
     @staticmethod
     def one() -> "RationalFunction":
-        return RationalFunction(Polynomial.one(), Polynomial.one())
+        return RationalFunction(Polynomial.one(), ())
 
     @staticmethod
     def constant(c: RationalLike) -> "RationalFunction":
-        return rf_normalize(Polynomial.constant(c), Polynomial.one())
+        return _canonical(Polynomial.constant(c), ())
 
     @staticmethod
     def z_plus(c: RationalLike = 0) -> "RationalFunction":
-        return RationalFunction(Polynomial.z_plus(c), Polynomial.one())
+        return RationalFunction(Polynomial.z_plus(c), ())
+
+    @property
+    def den(self) -> Polynomial:
+        """The denominator multiplied out: a read-only view."""
+        return _times_roots(Polynomial.one(), self.roots)
 
     @property
     def is_zero(self) -> bool:
@@ -338,14 +399,14 @@ class RationalFunction:
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return self.num.degree <= 0 and not self.roots
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
         if self.is_zero:
             return Fraction(0)
-        return self.num.leading / self.den.leading
+        return self.num.leading
 
     # operator sugar mirrors rf_arith
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -357,118 +418,139 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return rf_arith(self, other, "mul")
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return rf_arith(self, other, "div")
-
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction(-self.num, self.roots)
 
     def scale(self, c: RationalLike) -> "RationalFunction":
-        # a nonzero scalar keeps num and den coprime and den monic
-        return _canonical(self.num.scale(c), self.den)
+        # a nonzero scalar keeps num coprime to the denominator
+        return _canonical(self.num.scale(c), self.roots)
 
     def __str__(self) -> str:
         return format_rational_function(self)
 
 
-def rf_normalize(num: Polynomial, den: Polynomial) -> "RationalFunction":
-    """Reduce num/den to the canonical form.  Idempotent."""
-    if den.is_zero:
-        raise ZeroDenominatorError("zero denominator")
+def rf_normalize(num: Polynomial, roots: Iterable[RationalLike]) -> RationalFunction:
+    """num / prod (z + c), c in ``roots`` (ints or Fractions), in the
+    canonical form.
+
+    The denominator is given split, as the roots of its monic factors; a
+    ``Polynomial`` raises ValueError, since its factors are not known.
+    """
+    if isinstance(roots, Polynomial):
+        raise ValueError("rf_normalize takes the denominator as the roots c of its "
+                         "factors z + c, not as a polynomial")
+    roots = tuple(sorted([_pair(c) for c in roots]))
     if num.is_zero:
         return RationalFunction.zero()
-    num, den = _cancel(num, den)
-    lc = den.leading
-    if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
-    return RationalFunction(num, den)
+    return RationalFunction(*_cancel(num, roots))
 
 
-def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(a/g, b/g) with g = gcd(a, b); no gcd is taken when either is constant."""
-    if a.degree <= 0 or b.degree <= 0:
-        return a, b
-    g = poly_gcd(a, b)
-    if g.degree == 0:
-        return a, b
-    return a.divmod(g)[0], b.divmod(g)[0]
+def _cancel(num: Polynomial, roots: Roots) -> tuple[Polynomial, Roots]:
+    """num and roots with their gcd divided out; no gcd is taken when num
+    is constant or there is no root."""
+    if num.degree <= 0 or not roots:
+        return num, roots
+    _, num, roots = poly_gcd(num, roots)
+    return num, roots
 
 
-def _canonical(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Wrap a coprime pair with monic den, mapping a zero num to the zero."""
-    return RationalFunction.zero() if num.is_zero else RationalFunction(num, den)
+def _canonical(num: Polynomial, roots: Roots) -> RationalFunction:
+    """Wrap a coprime pair, mapping a zero num to the zero."""
+    return RationalFunction.zero() if num.is_zero else RationalFunction(num, roots)
 
 
 def _add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """Henrici's sum of canonical operands."""
+    """Henrici's sum of canonical operands.  With g the roots the two
+    denominators share and d1', d2' the rest, the sum is
+    (n1 d2' + n2 d1') / (g d1' d2'); d1' and d2' are coprime to the
+    numerator t, so only g is tested against t."""
     if a.is_zero:
         return b
     if b.is_zero:
         return a
-    (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
-    if d1.degree == 0:  # monic and constant: d1 = 1
-        return _canonical(n1 * d2 + n2, d2)
-    if d2.degree == 0:
-        return _canonical(n1 + n2 * d1, d1)
-    if d1 == d2:
-        return _canonical(*_cancel(n1 + n2, d1))
-    g = poly_gcd(d1, d2)
-    if g.degree == 0:
-        return _canonical(n1 * d2 + n2 * d1, d1 * d2)
-    d1g, d2g = d1.divmod(g)[0], d2.divmod(g)[0]
-    # with t the sum's numerator over d1g * d2, gcd(t, d1g * d2) = gcd(t, g)
-    t, g_left = _cancel(n1 * d2g + n2 * d1g, g)
-    return _canonical(t, d1g * d2g * g_left)
+    (n1, r1), (n2, r2) = (a.num, a.roots), (b.num, b.roots)
+    if not r1:
+        return _canonical(_times_roots(n1, r2) + n2, r2)
+    if not r2:
+        return _canonical(n1 + _times_roots(n2, r1), r1)
+    if r1 == r2:
+        return _canonical(*_cancel(n1 + n2, r1))
+    common, only1, only2 = _meet(r1, r2)
+    t = _times_roots(n1, only2) + _times_roots(n2, only1)
+    if not common:
+        return _canonical(t, _merged(r1, r2))
+    t, common_left = _cancel(t, tuple(common))
+    return _canonical(t, _merged(only1, only2, common_left))
 
 
 def _mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
     """Product of canonical operands by cross-cancellation."""
     if a.is_zero or b.is_zero:
         return RationalFunction.zero()
-    n1, d2 = _cancel(a.num, b.den)
-    n2, d1 = _cancel(b.num, a.den)
-    return RationalFunction(n1 * n2, d1 * d2)
+    n1, r2 = _cancel(a.num, b.roots)
+    n2, r1 = _cancel(b.num, a.roots)
+    return RationalFunction(n1 * n2, _merged(r1, r2) if r1 and r2 else r1 or r2)
 
 
 def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Exact field arithmetic on canonical rational functions."""
+    """Exact ring arithmetic ("add", "sub", "mul") on canonical rational
+    functions."""
     if op == "add":
         return _add(a, b)
     if op == "sub":
         return _add(a, -b)
     if op == "mul":
         return _mul(a, b)
-    if op == "div":
-        if b.is_zero:
-            raise ZeroDenominatorError("division by the zero rational function")
-        lc = 1 / b.num.leading
-        return _mul(a, RationalFunction(b.den.scale(lc), b.num.scale(lc)))
     raise ValueError(f"unknown op {op!r}")
 
 
+def constant_ratio(a: RationalFunction, b: RationalFunction) -> Optional[Fraction]:
+    """The constant c with a = c * b, or None when a / b is not constant;
+    b must not be zero.  Both forms are canonical, so a = c * b exactly
+    when their roots are equal and a.num = c * b.num, c the ratio of the
+    leading coefficients: no polynomial is divided."""
+    if a.is_zero:
+        return Fraction(0)
+    if a.roots != b.roots or a.num.degree != b.num.degree:
+        return None
+    c = a.num.leading / b.num.leading
+    return c if b.num.scale(c) == a.num else None
+
+
 def rf_eval(a: RationalFunction, point: RationalLike) -> Fraction:
-    """Exact value a(point); raises :class:`PoleError` at a pole."""
+    """Exact value a(point); raises :class:`PoleError` at a pole.  At
+    point = u/v each root c = r/b contributes the factor (u b + r v) / (v b)."""
     point = as_rational(point)
     u, v = point.numerator, point.denominator
-    d_num, d_den = a.den.eval_pair(u, v)
-    if d_num == 0:
-        raise PoleError(point)
+    d_num = d_den = 1
+    for r, b in a.roots:
+        x = u * b + r * v
+        if x == 0:
+            raise PoleError(point)
+        d_num *= x
+        d_den *= v * b
     n_num, n_den = a.num.eval_pair(u, v)
     return Fraction(n_num * d_den, n_den * d_num)
 
 
 def rf_shift(a: RationalFunction, h: RationalLike) -> RationalFunction:
-    """Return a(z + h) in canonical form."""
-    h = as_rational(h)
+    """Return a(z + h) in canonical form: the numerator shifted and every
+    root moved to c + h, which keeps the two coprime.  An integer h moves
+    the pair (r, b) to (r + h b, b), still in lowest terms; pairs with
+    different b move by different amounts, so they are sorted again."""
     if h == 0:
         return a
-    # a shift keeps num and den coprime and den monic
-    return RationalFunction(a.num.shift(h), a.den.shift(h))
+    if type(h) is int:
+        roots = [(r + h * b, b) for r, b in a.roots]
+    else:
+        h = as_rational(h)
+        roots = [_pair(Fraction(r, b) + h) for r, b in a.roots]
+    roots.sort()
+    return RationalFunction(a.num.shift(h), tuple(roots))
 
 
 # ---------------------------------------------------------------------------
-# text form: formatting and parsing (round-trip safe)
+# text form
 
 
 def format_rational(c: Fraction) -> str:
@@ -499,8 +581,9 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 def format_rational_function(a: RationalFunction) -> str:
+    """"num" or "(num)/(den)", the denominator multiplied out."""
     num = format_polynomial(a.num)
-    if a.den.degree == 0:
+    if not a.roots:
         return num
     return f"({num})/({format_polynomial(a.den)})"
 
@@ -538,23 +621,19 @@ def _tokenize(text: str, variable: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-#: Deepest nesting of parentheses and unary signs either parser accepts;
+#: Deepest nesting of parentheses and unary signs a parser accepts;
 #: every level is a few stack frames of recursive descent.
 MAX_NESTING_DEPTH = 100
-
-#: Largest exponent ``parse_rational_function`` accepts; the exponents of
-#: nested powers multiply, so ``(z^2)^600`` counts as 1200.
-MAX_POWER = 1000
 
 
 class TokenCursor:
     """The tokens of ``text`` (integers, the one ``variable`` letter and
-    +-*/^()) with a read position: the base of the package's
-    recursive-descent parsers.  Methods, unlike nested closures, build no
-    reference cycle per parse.  Each nesting level is opened with
-    :meth:`enter` and closed with :meth:`leave`, so input nested deeper
-    than :data:`MAX_NESTING_DEPTH` is a syntax error, not a stack
-    overflow."""
+    +-*/^()) with a read position: the base of the recursive-descent
+    symbol parser in :mod:`bergshift.mellin`.  Methods, unlike nested
+    closures, build no reference cycle per parse.  Each nesting level is
+    opened with :meth:`enter` and closed with :meth:`leave`, so input
+    nested deeper than :data:`MAX_NESTING_DEPTH` is a syntax error, not a
+    stack overflow."""
 
     def __init__(self, text: str, variable: str):
         self.text = text
@@ -585,98 +664,3 @@ class TokenCursor:
         return self.take() if self.pos < len(self.tokens) else ("eof", None, len(self.text))
 
 
-def _power(base: RationalFunction, exponent: int) -> RationalFunction:
-    """base ** exponent by repeated squaring."""
-    out = RationalFunction.one()
-    while exponent:
-        if exponent & 1:
-            out = out * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return out
-
-
-class _ExprParser(TokenCursor):
-    """Recursive-descent parser for rational functions in z."""
-
-    def __init__(self, text: str, variable: str):
-        super().__init__(text, variable)
-        # product of the exponents of the powers inside the atom being read
-        self.power_scale = 1
-
-    def parse_sum(self) -> RationalFunction:
-        left = self.parse_product()
-        while self.peek() in ("+", "-"):
-            op, _, _ = self.take()
-            right = self.parse_product()
-            left = left + right if op == "+" else left - right
-        return left
-
-    def parse_product(self) -> RationalFunction:
-        left = self.parse_power()
-        while self.peek() in ("*", "/"):
-            op, _, _ = self.take()
-            right = self.parse_power()
-            left = left * right if op == "*" else left / right
-        return left
-
-    def parse_power(self) -> RationalFunction:
-        outer = self.power_scale
-        self.power_scale = 1
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            kind, val, at = self.take_or_eof()
-            if kind != "int":
-                raise ExprSyntaxError(self.text, at, "exponent must be an integer")
-            self.power_scale *= int(val)
-            if self.power_scale > MAX_POWER:
-                raise ExprSyntaxError(self.text, at, f"exponent above MAX_POWER = {MAX_POWER}")
-            base = _power(base, int(val))
-        self.power_scale = max(outer, self.power_scale)
-        return base
-
-    def parse_atom(self) -> RationalFunction:
-        kind, val, at = self.take_or_eof()
-        if kind == "int":
-            return RationalFunction.constant(int(val))
-        if kind == "z":
-            return RationalFunction.z_plus(0)
-        if kind not in ("(", "-", "+"):
-            raise ExprSyntaxError(self.text, at, "expected a term")
-        self.enter(at)
-        if kind == "(":
-            inner = self.parse_sum()
-            if self.peek() != ")":
-                raise ExprSyntaxError(self.text, at, "unbalanced parenthesis")
-            self.take()
-        else:
-            inner = self.parse_power()  # binds below ^: -z^4 is -(z^4)
-            if kind == "-":
-                inner = -inner
-        self.leave()
-        return inner
-
-
-def parse_rational_function(text: str) -> RationalFunction:
-    """Parse the textual form emitted by :func:`format_rational_function`.
-
-    Accepts general +,-,*,/,^ expressions in z with integer literals, so any
-    serialized weight or scalar parses back to an equal value.
-    """
-    parser = _ExprParser(text, "z")
-    if not parser.tokens:
-        raise ExprSyntaxError(text, 0, "empty expression")
-    out = parser.parse_sum()
-    if parser.pos != len(parser.tokens):
-        raise ExprSyntaxError(text, parser.tokens[parser.pos][2], "trailing input")
-    return out
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or a bare integer back to an exact scalar."""
-    value = parse_rational_function(text)
-    if not value.is_constant:
-        raise ValueError(f"not a scalar: {text!r}")
-    return value.constant_value()

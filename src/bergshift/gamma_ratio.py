@@ -18,8 +18,10 @@ The rational cofactor of the reduction is kept as two multisets of
 cofactor roots: the constants c of its linear factors (z + c), one
 multiset from the numerator atoms and one from the denominator atoms.
 Cancelling the multisets against each other is the whole gcd, since
-distinct factors z + c are coprime, so only the surviving roots are ever
-multiplied out; :func:`power_weight` costs O(m/p) factors whatever n is.
+distinct factors z + c are coprime.  The surviving denominator roots are
+the cofactor's denominator as it is stored, and only the surviving
+numerator roots are multiplied out; :func:`power_weight` costs O(m/p)
+factors whatever n is.
 :func:`rationality_oracle` needs no cofactor at all and only compares the
 reduced atoms.
 
@@ -61,7 +63,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
 import mpmath
@@ -73,6 +75,7 @@ from .exact_algebra import (
     RationalFunction,
     RationalLike,
     as_rational,
+    constant_ratio,
     format_rational_function,
     rf_eval,
     rf_normalize,
@@ -211,15 +214,15 @@ def canonicalize(g: GammaRatioExpr) -> tuple[RationalFunction, GammaRatioExpr]:
     already in that form, as every Gamma part of a built
     :class:`WeightExpr` is, is returned as it is with the cofactor 1.
     Otherwise the cofactor is canonical as built: the root multisets are
-    cancelled first, and the surviving factors are distinct, hence coprime,
-    and monic.
+    cancelled first, the surviving denominator roots are its denominator
+    as stored, and no surviving numerator root is among them.
     """
     if _is_reduced(g):
         return _ONE, g
     num, num_roots, num_scale = _reduce_atoms(g.num)
     den, den_roots, den_scale = _reduce_atoms(g.den)
     top = Polynomial.linear_product((num_roots - den_roots).elements())
-    bottom = Polynomial.linear_product((den_roots - num_roots).elements())
+    bottom = tuple(sorted([(c, 1) for c in (den_roots - num_roots).elements()]))
     cofactor = RationalFunction(top.scale(Fraction(den_scale, num_scale)), bottom)
     n, d = _cancel_common(num, den)
     return cofactor, GammaRatioExpr(n, d)
@@ -376,7 +379,7 @@ def power_weight(m: int, p: int, n: int) -> WeightExpr:
         raise ValueError("p and n must be positive")
     if m == 0:
         return WeightExpr.one()
-    coeff = rf_normalize(Polynomial.z_plus(2 * m), Polynomial.z_plus(0))
+    coeff = rf_normalize(Polynomial.z_plus(2 * m), (0,))
     gamma = GammaRatioExpr.of(2 * p, [2 * m, p + n], [0, 2 * m + p + n])
     return WeightExpr.build([(coeff, gamma)])
 
@@ -517,7 +520,8 @@ def match_parts(left: WeightExpr, right: WeightExpr) -> PartMatch:
     sum vanishes iff L_G = c R_G for every G: the verdict is exact.  A pair
     of distinct parts that :func:`dissimilar` does not show apart leaves
     the question open, and the verdict is ``inconclusive``.  Both sides
-    zero give the constant 0.
+    zero give the constant 0.  Each L_G = c R_G is decided by
+    :func:`constant_ratio`, which divides nothing.
     """
     parts = list(dict.fromkeys([g for _, g in left.terms + right.terms]))
     for i, g in enumerate(parts):
@@ -529,12 +533,12 @@ def match_parts(left: WeightExpr, right: WeightExpr) -> PartMatch:
     constant, first = None, None
     for g in parts:
         r = right_coeff.get(g)
-        q = None if r is None else left_coeff.get(g, RationalFunction.zero()) / r
-        if q is None or not q.is_constant:
+        q = None if r is None else constant_ratio(left_coeff.get(g, RationalFunction.zero()), r)
+        if q is None:
             return PartMatch("not_proportional", None, (g,))
         if constant is None:
-            constant, first = q.constant_value(), g
-        elif q.constant_value() != constant:
+            constant, first = q, g
+        elif q != constant:
             return PartMatch("not_proportional", None, (first, g))
     return PartMatch("proportional", Fraction(0) if constant is None else constant, ())
 
@@ -629,7 +633,7 @@ def eval_ball(w: WeightExpr, z0: RationalLike, precision_bits: int = 200) -> Bal
         memo = _GammaMemo()
         total = iv.mpf(0)
         for c, g in w.terms:
-            den = c.den.eval(z0)
+            den = prod([z0 + Fraction(r, b) for r, b in c.roots], start=Fraction(1))
             if den == 0:
                 raise PoleError(z0)
             num_args = [(z0 + off) / td for td, off in g.num]

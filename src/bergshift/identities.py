@@ -57,6 +57,7 @@ from .exact_algebra import (
     Polynomial,
     RationalFunction,
     as_rational,
+    constant_ratio,
     rf_eval,
     rf_normalize,
 )
@@ -108,9 +109,10 @@ class IdentityReport:
     note: str = ""
 
 
-def _lin(*roots: int) -> Polynomial:
-    """Product of the monic linear factors (z + r)."""
-    return Polynomial.linear_product(roots)
+def _ratio(num_roots: tuple[int, ...], den_roots: tuple[int, ...]) -> RationalFunction:
+    """prod (z + a) / prod (z + c), a in num_roots, c in den_roots: the
+    denominator is handed over as its roots."""
+    return rf_normalize(Polynomial.linear_product(num_roots), den_roots)
 
 
 def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -> tuple[WeightExpr, WeightExpr]:
@@ -135,13 +137,12 @@ def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -
         # regime; outside it the factored presentation does not apply.
         if s != 2 * p:
             raise ValueError("factored form is derived for s = 2p only")
-        r1 = rf_normalize(_lin(2 * m + 2 * p, p + n, 3 * p + n),
-                          _lin(s + d, 2 * p, 2 * m + p + n, 2 * m + 3 * p + n)) - rf_normalize(
-            Polynomial.one(), _lin(2 * m + s + d))
+        r1 = _ratio((2 * m + 2 * p, p + n, 3 * p + n),
+                    (s + d, 2 * p, 2 * m + p + n, 2 * m + 3 * p + n)) - _ratio((), (2 * m + s + d,))
         gq_left = GammaRatioExpr.of(2 * p, [2 * m, p + n], [0, 2 * m + p + n])
-        r2 = rf_normalize(_lin(2 * l), _lin(2 * m, 2 * l + p + n))
+        r2 = _ratio((2 * l,), (2 * m, 2 * l + p + n))
         gq_r1 = GammaRatioExpr.of(2 * s, [2 * l, s + d], [0, 2 * l + s + d])
-        r3 = rf_normalize(_lin(0), _lin(p + n, 2 * m + s + d))
+        r3 = _ratio((0,), (p + n, 2 * m + s + d))
         gq_r2 = GammaRatioExpr.of(2 * s, [2 * m, 2 * p + s + d], [2 * p, 2 * m + s + d])
         left = WeightExpr.build([(r1, gq_left)])
         right = WeightExpr.build([(r2, gq_r1), (r3.scale(-1), gq_r2)])
@@ -154,13 +155,13 @@ def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -
     if alpha <= 0:
         raise ValueError("functional form needs p < s")
     f_expr = WeightExpr.build([
-        (rf_normalize(_lin(2 * m), _lin(0)),
+        (_ratio((2 * m,), (0,)),
          GammaRatioExpr.of(2 * p, [2 * m, p + n], [0, 2 * m + p + n])),
-        (rf_normalize(_lin(2 * m), _lin(p + n)).scale(-1),
+        (_ratio((2 * m,), (p + n,)).scale(-1),
          GammaRatioExpr.of(2 * s, [2 * m, 2 * p + s + d], [2 * p, 2 * m + s + d])),
     ])
     h_expr = WeightExpr.from_rational(
-        rf_normalize(_lin(2 * alpha + p + n, 2 * m + s + d), _lin(2 * l + p + n, s + d)))
+        _ratio((2 * alpha + p + n, 2 * m + s + d), (2 * l + p + n, s + d)))
     left = h_expr * f_expr.shift(2 * alpha)
     right = f_expr
     return left, right
@@ -209,7 +210,7 @@ def _exact_proportionality(
             rows.append(SampleRow(z, lv, rv, None))
         return verdict, const, False, rows, [], note
 
-    quotient = left_rf / right_rf
+    constant = constant_ratio(left_rf, right_rf)
     witnesses: list[tuple[Fraction, Fraction]] = []
     ratios: list[tuple[Fraction, Fraction]] = []
     for z in sample_zs:
@@ -218,8 +219,8 @@ def _exact_proportionality(
         rows.append(SampleRow(z, lv, rv, ratio))
         if ratio is not None:
             ratios.append((z, ratio))
-    if quotient.is_constant:
-        return "proportional", quotient.constant_value(), False, rows, [], ""
+    if constant is not None:
+        return "proportional", constant, False, rows, [], ""
     for (z1, r1), (z2, r2) in zip(ratios, ratios[1:]):
         if r1 != r2:
             witnesses.append((z1, z2))

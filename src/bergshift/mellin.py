@@ -141,8 +141,8 @@ class _SymbolParser(TokenCursor):
 
 
 #: Most terms :func:`parse_symbol` reads.  The work of an operator built
-#: from a symbol grows steeply in its length, about as its sixth power
-#: for ``commutator`` when the exponents have distinct denominators.
+#: from a symbol grows with its length and with the heights of its
+#: exponents, so the length is bounded.
 MAX_SYMBOL_TERMS = 32
 
 
@@ -173,12 +173,10 @@ def parse_symbol(text: str) -> RadialSymbol:
 
 
 def mellin_transform(phi: RadialSymbol) -> MellinImage:
-    """Exact Mellin image: r^a contributes 1/(z + a); linear in phi."""
+    """Exact Mellin image: r^a contributes 1/(z + a), the root a; linear in phi."""
     total = RationalFunction.zero()
     for coeff, exp in phi.terms:
-        total = total + rf_normalize(
-            Polynomial.constant(coeff), Polynomial.z_plus(exp)
-        )
+        total = total + rf_normalize(Polynomial.constant(coeff), (exp,))
     return MellinImage(total)
 
 
@@ -187,16 +185,15 @@ def toeplitz_weight(p: int, phi: RadialSymbol) -> WeightExpr:
     part phi: (z + 2p) * phi_hat(z + p), purely rational.
 
     With p = 0 and phi = 1 this is identically 1 (the identity operator),
-    which pins the Mellin convention used by the whole package.
+    which pins the Mellin convention used by the whole package.  Each
+    term hands its denominator over as the root p + a.
     """
     if p < 0:
         raise ValueError("quasihomogeneous degree must be nonnegative")
     total = RationalFunction.zero()
     zp = Polynomial.z_plus(2 * p)
     for coeff, exp in phi.terms:
-        total = total + rf_normalize(
-            zp.scale(coeff), Polynomial.z_plus(p + exp)
-        )
+        total = total + rf_normalize(zp.scale(coeff), (p + exp,))
     return WeightExpr.from_rational(total)
 
 

@@ -30,12 +30,6 @@ class ZeroVerdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class EqualityVerdict(enum.Enum):
-    EQUAL = "equal"
-    NOT_EQUAL = "not_equal"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class BasisVector:
     """Coefficient attached to the basis monomial z^index."""
@@ -177,16 +171,3 @@ def is_zero(w: WeightExpr, precision_bits: int = 200) -> ZeroVerdict:
         except PoleError:
             continue
     return ZeroVerdict.UNKNOWN
-
-
-def op_equal(a: ShiftSum, b: ShiftSum, precision_bits: int = 200) -> EqualityVerdict:
-    """Degree-wise zero test of a - b, conjoined."""
-    degrees = sorted(set(a.degrees) | set(b.degrees))
-    saw_unknown = False
-    for d in degrees:
-        verdict = is_zero(a.weight_at(d) - b.weight_at(d), precision_bits)
-        if verdict is ZeroVerdict.NONZERO:
-            return EqualityVerdict.NOT_EQUAL
-        if verdict is ZeroVerdict.UNKNOWN:
-            saw_unknown = True
-    return EqualityVerdict.UNKNOWN if saw_unknown else EqualityVerdict.EQUAL

@@ -74,7 +74,7 @@ from .gamma_ratio import power_weight
 
 def monomial_weight(p: int, n: int) -> RationalFunction:
     """The rational shift weight (z + 2p)/(z + p + n)."""
-    return rf_normalize(Polynomial.z_plus(2 * p), Polynomial.z_plus(p + n))
+    return rf_normalize(Polynomial.z_plus(2 * p), (p + n,))
 
 
 def commuting_pair(p: int, n: int, s: int, d: int) -> bool:
@@ -395,9 +395,10 @@ def match_root_power(v: Sequence[Fraction], m: int, p: int, n: int) -> Optional[
     Decided exactly when the power weight reduces to a rational function.
     Returns None when no single constant works, and at once when the power
     weight keeps Gamma content, since the solver reports exact constants
-    only.
+    only.  At m = p the power weight is the operator's own weight
+    (z + 2p)/(z + p + n), :func:`monomial_weight`, and is not rebuilt.
     """
-    rf = power_weight(m, p, n).as_rational()
+    rf = monomial_weight(p, n) if m == p else power_weight(m, p, n).as_rational()
     if rf is None:
         return None
     c: Optional[Fraction] = None

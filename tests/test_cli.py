@@ -21,12 +21,12 @@ from bergshift.cli import (
     dispatch,
     ser_value,
     ser_weight,
-    weight_from_jsonable,
 )
-from bergshift.exact_algebra import MAX_NESTING_DEPTH, parse_rational
+from bergshift.exact_algebra import MAX_NESTING_DEPTH
 from bergshift.gamma_ratio import power_weight
 from bergshift.mellin import RadialSymbol, toeplitz_weight
 from iv_oracle import ball_ratio
+from rf_text import parse_rational, weight_from_jsonable
 
 
 def run(capsys, *argv):

@@ -8,12 +8,7 @@ from math import gcd
 import pytest
 from mpmath import iv, mp
 
-from bergshift.exact_algebra import (
-    PoleError,
-    Polynomial,
-    RationalFunction,
-    rf_normalize,
-)
+from bergshift.exact_algebra import PoleError, RationalFunction
 from bergshift.gamma_ratio import (
     GammaRatioExpr,
     WeightExpr,
@@ -28,10 +23,11 @@ from bergshift.gamma_ratio import (
 )
 from bergshift.identities import build_sides
 from iv_oracle import ball_ratio
+from rf_text import rational_function
 
 
 def rf(num, den=(1,)):
-    return rf_normalize(Polynomial.from_coeffs(num), Polynomial.from_coeffs(den))
+    return rational_function(num, den)
 
 
 def poles_at(w, z0):

@@ -153,8 +153,8 @@ def test_fewer_than_two_samples_rejected(zs):
 def test_exact_sample_rows_mark_poles():
     # left (z+2)/(z+3) vs right 1/(z+4) at a pole of each side and off them
     report = _exact_proportionality(
-        rf_normalize(Polynomial.z_plus(2), Polynomial.z_plus(3)),
-        rf_normalize(Polynomial.one(), Polynomial.z_plus(4)),
+        rf_normalize(Polynomial.z_plus(2), (3,)),
+        rf_normalize(Polynomial.one(), (4,)),
         [Fraction(-3), Fraction(-4), Fraction(1, 2)])
     rows = report[3]
     assert [(r.left, r.right, r.ratio) for r in rows] == [

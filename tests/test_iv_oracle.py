@@ -58,8 +58,7 @@ def test_eval_ball_matches_the_oracle(bits):
 
 def test_eval_ball_sees_rational_coefficients():
     # a coefficient with a non-integer value at an integer sample
-    c = rf_normalize(Polynomial.from_coeffs([Fraction(1, 3), Fraction(2, 5)]),
-                     Polynomial.from_coeffs([Fraction(7, 2), 1]))
+    c = rf_normalize(Polynomial.from_coeffs([Fraction(1, 3), Fraction(2, 5)]), (Fraction(7, 2),))
     w = WeightExpr.build([(c, power_weight(3, 2, 5).terms[0][1])])
     for bits in PRECISIONS:
         for z in SAMPLES + [Fraction(-7, 2)]:
@@ -126,7 +125,7 @@ def _exact(x) -> Fraction:
 
 
 def _zero_at_4(w: WeightExpr) -> WeightExpr:
-    return w * WeightExpr.from_rational(rf_normalize(Polynomial.z_plus(-4), Polynomial.one()))
+    return w * WeightExpr.from_rational(rf_normalize(Polynomial.z_plus(-4), ()))
 
 
 def test_part_matching_agrees_with_the_oracle():

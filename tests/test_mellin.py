@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from bergshift.exact_algebra import (
-    MAX_NESTING_DEPTH,
-    ExprSyntaxError,
-    Polynomial,
-    parse_rational_function,
-    rf_normalize,
-)
+from bergshift.exact_algebra import MAX_NESTING_DEPTH, ExprSyntaxError
 from bergshift.gamma_ratio import WeightExpr
 from bergshift import mellin, quadrature
 from bergshift.mellin import (
@@ -28,10 +22,11 @@ from bergshift.mellin import (
     toeplitz_weight,
 )
 from bergshift.quadrature import QuadratureError, integrate_adaptive
+from rf_text import parse_rational_function, rational_function
 
 
 def rf(num, den=(1,)):
-    return rf_normalize(Polynomial.from_coeffs(num), Polynomial.from_coeffs(den))
+    return rational_function(num, den)
 
 
 class TestParse:

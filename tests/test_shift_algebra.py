@@ -1,16 +1,16 @@
 """Operator algebra: composition, commutators, basis action, zero tests."""
 
+import enum
 import random
 from fractions import Fraction
 
 import pytest
 
-from bergshift.exact_algebra import PoleError, Polynomial, rf_normalize
+from bergshift.exact_algebra import PoleError
 from bergshift import shift_algebra
 from bergshift.gamma_ratio import BallValue, GammaRatioExpr, WeightExpr, power_weight, separating_term
 from bergshift.mellin import RadialSymbol, toeplitz_weight
 from bergshift.shift_algebra import (
-    EqualityVerdict,
     ShiftSum,
     ZeroVerdict,
     apply_to_basis,
@@ -18,14 +18,34 @@ from bergshift.shift_algebra import (
     compose,
     is_zero,
     linear_combine,
-    op_equal,
     quasihomogeneous_operator,
     root_operator,
 )
+from rf_text import rational_function
+
+
+class EqualityVerdict(enum.Enum):
+    EQUAL = "equal"
+    NOT_EQUAL = "not_equal"
+    UNKNOWN = "unknown"
+
+
+def op_equal(a: ShiftSum, b: ShiftSum, precision_bits: int = 200) -> EqualityVerdict:
+    """Degree-wise zero test of a - b, conjoined: the tests' operator
+    equality, on the package's tri-state ``is_zero``."""
+    degrees = sorted(set(a.degrees) | set(b.degrees))
+    saw_unknown = False
+    for d in degrees:
+        verdict = is_zero(a.weight_at(d) - b.weight_at(d), precision_bits)
+        if verdict is ZeroVerdict.NONZERO:
+            return EqualityVerdict.NOT_EQUAL
+        if verdict is ZeroVerdict.UNKNOWN:
+            saw_unknown = True
+    return EqualityVerdict.UNKNOWN if saw_unknown else EqualityVerdict.EQUAL
 
 
 def rf(num, den=(1,)):
-    return rf_normalize(Polynomial.from_coeffs(num), Polynomial.from_coeffs(den))
+    return rational_function(num, den)
 
 
 def T(p, n):

@@ -8,6 +8,7 @@ import pytest
 
 from bergshift import solver
 from bergshift.exact_algebra import rf_eval
+from bergshift.gamma_ratio import power_weight
 from bergshift.mellin import RadialSymbol
 from bergshift.shift_algebra import commutator, linear_combine, quasihomogeneous_operator
 from bergshift.solver import (
@@ -167,6 +168,29 @@ class TestMatchRootPower:
                                 if matched:
                                     assert f == 1  # the basis is reported in the matched scale
         assert cells > 100 and above > 20
+
+    def test_the_operator_weight_gives_the_power_weights_constant(self, monkeypatch):
+        """At m = p the match reads monomial_weight(p, n), not
+        power_weight(p, p, n); on a grid of (p, n) and of sample vectors,
+        c times the weight, perturbed or not, both give the same constant
+        as matching against the power weight itself."""
+        calls = []
+        power = solver.power_weight
+        monkeypatch.setattr(solver, "power_weight", lambda *a: calls.append(a) or power(*a))
+        for p in range(1, 6):
+            for n in range(1, 8):
+                w = power_weight(p, p, n).as_rational()
+                assert w == monomial_weight(p, n)
+                samples = [rf_eval(w, Fraction(2 * k + 2)) for k in range(p + 3)]
+                for c in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+                    for bump in (None, 0, p + 2):
+                        v = [c * x for x in samples]
+                        if bump is not None:
+                            v[bump] += Fraction(1, 1000)
+                        got = match_root_power(v, p, p, n)
+                        ratios = {x / y for x, y in zip(v, samples)}
+                        assert got == (ratios.pop() if len(ratios) == 1 else None)
+        assert calls == []
 
     def test_nullspace_matches_only_the_pinned_prefix(self, monkeypatch):
         lengths = []

@@ -30,7 +30,17 @@
   the returned basis expression does either;
 * only ``exact_algebra`` calls the raw ``Polynomial(...)`` constructor, so
   the canonical form that polynomial equality rests on is built in one
-  place.
+  place;
+* no package module defines a pseudo-remainder sequence: no function
+  named for a pseudo-remainder (``_int_prem``) or a polynomial
+  ``divmod``, and no ``while`` loop in ``exact_algebra.poly_gcd``, whose
+  root tests run over the given roots.  Every denominator is split, and
+  the general gcd is the tests' oracle (``tests/prs_oracle.py``);
+* no package module defines the rational-function parser, the JSON
+  weight reader or the operator equality, and ``exact_algebra`` defines
+  no ``MAX_POWER``: those are test-side round-trip and oracle helpers
+  (``tests/rf_text.py``, ``tests/test_shift_algebra.py``), so no
+  denominator that does not split can enter the package through text.
 """
 
 import ast
@@ -44,6 +54,8 @@ CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "BallValue", "working
 GAMMA_SITE = ("gamma_ratio", "_GammaMemo", "gamma")
 SOLVER_IMPORTS = {"exact_algebra", "gamma_ratio"}
 INTEGER_KERNEL = {"_Pins", "_extend_pins", "_mixed_rows", "_cleared", "_combine", "_eliminate"}
+TEST_SIDE = {"parse_rational_function", "parse_rational", "_ExprParser", "_power",
+             "weight_from_jsonable", "op_equal", "EqualityVerdict"}
 
 
 def _modules():
@@ -248,4 +260,31 @@ def test_raw_polynomial_constructor_only_in_exact_algebra():
     bad = [f"{mod}:{node.lineno}"
            for mod, tree in _modules() if mod != "exact_algebra"
            for node in ast.walk(tree) if _calls(node, "Polynomial")]
+    assert bad == []
+
+
+def test_no_pseudo_remainder_sequence_in_the_package():
+    bad = [f"{mod}.{fn.name}:{fn.lineno}"
+           for mod, tree in _modules()
+           for fn in _functions(tree) if "prem" in fn.name or fn.name == "divmod"]
+    tree = dict(_modules())["exact_algebra"]
+    [gcd] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "poly_gcd"]
+    bad += [f"exact_algebra.poly_gcd:{node.lineno}" for node in ast.walk(gcd) if isinstance(node, ast.While)]
+    assert bad == []
+
+
+def _defines(tree, names) -> list[int]:
+    """Lines where a function, class or module-level name in ``names`` is defined."""
+    lines = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name in names]
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        lines += [node.lineno for t in targets if isinstance(t, ast.Name) and t.id in names]
+    return lines
+
+
+def test_test_side_helpers_are_defined_in_no_package_module():
+    bad = [f"{mod}:{line}" for mod, tree in _modules() for line in _defines(tree, TEST_SIDE)]
+    bad += [f"exact_algebra:{line}" for line in _defines(dict(_modules())["exact_algebra"], {"MAX_POWER"})]
     assert bad == []
