@@ -60,6 +60,7 @@ from .exact_algebra import (
     constant_ratio,
     rf_eval,
     rf_normalize,
+    rf_shift,
 )
 from .gamma_ratio import (
     GammaRatioExpr,
@@ -160,9 +161,8 @@ def build_sides(scenario: str, p: int, s: int, n: int, d: int, m: int, l: int) -
         (_ratio((2 * m,), (p + n,)).scale(-1),
          GammaRatioExpr.of(2 * s, [2 * m, 2 * p + s + d], [2 * p, 2 * m + s + d])),
     ])
-    h_expr = WeightExpr.from_rational(
-        _ratio((2 * alpha + p + n, 2 * m + s + d), (2 * l + p + n, s + d)))
-    left = h_expr * f_expr.shift(2 * alpha)
+    h = _ratio((2 * alpha + p + n, 2 * m + s + d), (2 * l + p + n, s + d))
+    left = WeightExpr.build([(h * rf_shift(c, 2 * alpha), g.shift(2 * alpha)) for c, g in f_expr.terms])
     right = f_expr
     return left, right
 

@@ -242,9 +242,10 @@ def bergman_quadrature_oracle(
     within about 1/N' of t = 1, where the nodes of [0, 1] and its halves
     would miss it and agree on about 0.  So [0, 1] is cut at 1 - 2^-j for
     j = 1..J, with J = ceil(log2(N' + 1)), and each of the J + 1 panels is
-    integrated to 1/(J + 1) of the tolerance.  One integrand evaluation
-    costs one power per term, so the quadrature's work budget counts the
-    terms.
+    integrated to 1/(J + 1) of the tolerance.  The polynomial goes to
+    :func:`quadrature.integrate_adaptive` as it is, in fixed point on
+    [0, 1]; one integrand evaluation costs one power per term, so the
+    quadrature's work budget counts the terms.
     """
     if p < 0 or k < 0:
         raise ValueError("p and k must be nonnegative")
@@ -255,17 +256,9 @@ def bergman_quadrature_oracle(
         raise ValueError("the largest power of t = r^(1/Q) in the integrand, Q(2k + p + 2 + exponent) - 1 "
                          "with Q the lcm of the exponent denominators, must be at most 2^40")
     with mp.workdps(digits + 15):
-        terms = [(mp.mpf((Q * c).numerator) / (Q * c).denominator, int(Q * (2 * k + p + 2 + e)) - 1)
-                 for c, e in phi.terms]
-
-        def integrand(t):
-            total = mp.mpf(0)
-            for c, n in terms:
-                total += c * t**n
-            return total
-
+        terms = [(Q * c, int(Q * (2 * k + p + 2 + e)) - 1) for c, e in phi.terms]
         J = N.bit_length()  # 2^J >= N + 1
         cuts = [1 - mp.mpf(2) ** -j for j in range(J + 1)] + [mp.mpf(1)]
-        value, err = integrate_adaptive(integrand, cuts, mp.mpf(10) ** (-digits), cost=max(1, len(terms)))
+        value, err = integrate_adaptive(terms, cuts, mp.mpf(10) ** (-digits))
         factor = 2 * (k + p + 1)
         return QuadratureResult(factor * value, factor * err)

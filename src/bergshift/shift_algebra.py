@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact_algebra import PoleError, RationalLike, as_rational
+from .exact_algebra import PoleError, RationalLike, as_rational, rf_shift
 from .gamma_ratio import BallValue, WeightExpr, eval_ball, power_weight, separating_term
 from .mellin import RadialSymbol, toeplitz_weight
 
@@ -113,11 +113,14 @@ def linear_combine(ops: Iterable[tuple[RationalLike, ShiftSum]]) -> ShiftSum:
 
 def compose(a: ShiftSum, b: ShiftSum) -> ShiftSum:
     """Operator composition (apply b first): degree i + j picks up
-    w_a(z + 2j) * w_b(z)."""
+    w_a(z + 2j) * w_b(z), built as one weight from the shifted products of
+    the terms, so each product part is reduced once."""
     parts = []
     for i, wa in a.parts:
         for j, wb in b.parts:
-            parts.append((i + j, wa.shift(2 * j) * wb))
+            parts.append((i + j, WeightExpr.build(
+                [(rf_shift(c1, 2 * j) * c2, g1.shift(2 * j) * g2)
+                 for c1, g1 in wa.terms for c2, g2 in wb.terms])))
     return ShiftSum.build(parts)
 
 

@@ -24,7 +24,10 @@ sha256 of its stdout and of its stderr and its exit code.
   where no term separates the sides and the Gamma parts are matched, at
   the same precisions, which it only echoes; the bounds,
 * ``apply``, ``commutator``, ``weight``, ``mellin``, ``rationality``,
-  ``root-verify`` and ``oracle-quadrature``, with text output,
+  ``root-verify`` and ``oracle-quadrature``, with text output; the
+  quadrature also with fractional exponents (Q > 1), a negative
+  coefficient, 1 and 60 digits, and a call that spends its panel budget
+  and exits 2,
 * the algebra-heavy paths: ``commutator`` and ``weight`` on multi-term
   symbols with fractional exponents, among them two 8-term symbols whose
   exponent denominators are distinct primes, and ``root-verify`` on
@@ -187,6 +190,15 @@ def command_argvs() -> list[list[str]]:
          "--tolerance", "0"],
         ["oracle-quadrature", "--p", "1", "--symbol", "r^2", "--k", "0",
          "--tolerance", "0"],
+        # Q > 1, a negative coefficient, the fewest digits and 60, and
+        # exit 2: 16 terms get 3000/16 panels, too few for 60 digits
+        ["oracle-quadrature", "--p", "2", "--symbol", "r^7/3", "--k", "3"],
+        ["oracle-quadrature", "--p", "3", "--symbol", "r^1/2-1/3*r^5", "--k", "2"],
+        ["oracle-quadrature", "--p", "1", "--symbol", "r^2", "--k", "5", "--digits", "1"],
+        ["oracle-quadrature", "--p", "1", "--symbol", "2*r^3-r^1/2", "--k", "4",
+         "--digits", "60"],
+        ["oracle-quadrature", "--p", "1", "--symbol", "+".join(f"r^{2 * i + 1}/3" for i in range(16)),
+         "--k", "40", "--digits", "60"],
     ]
     # The algebra-heavy paths: multi-term symbols with fractional exponents,
     # Gamma-bearing roots, and two 8-term symbols whose exponent

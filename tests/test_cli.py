@@ -220,18 +220,19 @@ class TestOracleQuadratureLimits:
         assert payload["tolerance"] == tolerance
 
     def test_panel_budget_ends_the_call_with_exit_2(self, capsys, monkeypatch):
-        # 40 panels reach 25 digits here; 20 panels of this 2-term symbol
-        # cost 40, and a budget of 40 stops the halving
+        # 46 panels reach 25 digits here; each panel of this 2-term symbol
+        # costs 2, and a budget of 40 stops the halving after 20
         monkeypatch.setattr(quadrature, "MAX_WORK", 40)
         panels = []
         panel = quadrature._panel
-        monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1) or panel(*a))
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(len(a[0])) or panel(*a))
         code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^7/3+2*r^5",
                             "--k", "40")
         assert code == EXIT_INCONCLUSIVE
         assert payload["error"] == "quadrature did not converge"
         assert float(payload["achieved"]) > float(payload["requested"]) > 0
         assert 19 <= len(panels) <= 20
+        assert set(panels) == {2}  # the kernel evaluates both terms at every node
 
     def test_benchmark_sized_call_fits_the_budget(self, capsys):
         code, payload = run(capsys, "oracle-quadrature", "--p", "1", "--symbol", "r^7/3+2*r^5",

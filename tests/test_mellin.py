@@ -246,46 +246,64 @@ class TestQuadratureLimits:
         monkeypatch.setattr(quadrature, "MAX_WORK", 3)
         with mp.workdps(30):
             with pytest.raises(QuadratureError) as exc:
-                integrate_adaptive(lambda r: r, [0, 1, 2], mp.mpf(10) ** -20)
+                integrate_adaptive([(1, 1)], [0, 0.5, 1], mp.mpf(10) ** -20)
         assert exc.value.achieved == mp.inf
 
-    def test_the_budget_is_for_the_whole_call_and_counts_the_cost(self, monkeypatch):
-        # each piece of [-1, 1] takes about 120 panels: one fits the budget
-        # at cost 1, two do not, and neither does one at cost 2
-        def f(r):
-            return abs(r) ** (mp.mpf(7) / 3)
-
+    def test_the_budget_is_for_the_whole_call_and_counts_the_terms(self, monkeypatch):
+        # t^30 takes 63 panels on each of [1/2, 3/4] and [3/4, 1] at 60
+        # digits: one piece fits a budget of 100, two pieces do not, and
+        # neither does one piece of t^30 + t^31, a panel of which costs 2
         panels = []
         panel = quadrature._panel
         monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1) or panel(*a))
-        monkeypatch.setattr(quadrature, "MAX_WORK", 151)
-        with mp.workdps(40):
-            tol = mp.mpf(10) ** -25
-            integrate_adaptive(f, [0, 1], tol / 2)
-            for points, cost in (([-1, 0, 1], 1), ([0, 1], 2)):
+        monkeypatch.setattr(quadrature, "MAX_WORK", 100)
+        with mp.workdps(60):
+            tol = mp.mpf(10) ** -50
+            integrate_adaptive([(1, 30)], [0.5, 0.75], tol / 2)
+            for terms, points, piece_tol in (([(1, 30)], [0.5, 0.75, 1], tol),
+                                             ([(1, 30), (1, 31)], [0.5, 0.75], tol / 2)):
                 panels.clear()
                 with pytest.raises(QuadratureError) as exc:
-                    integrate_adaptive(f, points, tol, cost)
+                    integrate_adaptive(terms, points, piece_tol)
                 assert mp.inf > exc.value.achieved > exc.value.requested
-                assert len(panels) * cost <= 151
+                assert len(panels) * len(terms) <= 100
 
     def test_a_piece_without_room_for_three_panels_is_not_started(self, monkeypatch):
         panels = []
         monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1))
         monkeypatch.setattr(quadrature, "MAX_WORK", 5)
         with pytest.raises(QuadratureError) as exc:
-            integrate_adaptive(lambda r: r, [0, 1], 1, cost=2)
+            integrate_adaptive([(1, 1), (1, 2)], [0, 1], 1)
         assert exc.value.achieved == mp.inf
         assert panels == []
 
     @pytest.mark.parametrize("text, cost", [("r^2", 1), ("r^2 + 3*r^(1/2) - 1", 3), ("0", 1)])
     def test_the_oracle_cost_is_the_number_of_terms(self, monkeypatch, text, cost):
-        costs = []
-        integrate = mellin.integrate_adaptive
-        monkeypatch.setattr(mellin, "integrate_adaptive",
-                            lambda *a, **kw: costs.append(kw["cost"]) or integrate(*a, **kw))
-        bergman_quadrature_oracle(1, parse_symbol(text), 2, 20)
-        assert costs == [cost]
+        # three panels of the first piece cost 3 * cost: one unit less and
+        # none is run, exactly that and all three are
+        panels = []
+        panel = quadrature._panel
+        monkeypatch.setattr(quadrature, "_panel", lambda *a: panels.append(1) or panel(*a))
+        for budget, runs in ((3 * cost - 1, 0), (3 * cost, 3)):
+            panels.clear()
+            monkeypatch.setattr(quadrature, "MAX_WORK", budget)
+            with pytest.raises(QuadratureError) as exc:
+                bergman_quadrature_oracle(1, parse_symbol(text), 2, 20)
+            assert exc.value.achieved == mp.inf
+            assert len(panels) == runs
+
+    def test_a_huge_tolerance_decides_as_any_large_one(self):
+        # no estimate reaches (2 S + 2) 2^P, S = 4 here, so the kernel reads a
+        # larger tolerance as that instead of building its integer
+        with mp.workdps(30):
+            huge = integrate_adaptive([(3, 2), (-1, 5)], [0, 0.5, 1], mp.mpf("1e999999999"))
+            assert huge == integrate_adaptive([(3, 2), (-1, 5)], [0, 0.5, 1], 10)
+
+    @pytest.mark.parametrize("terms, points", [([(1, -1)], [0, 1]), ([(1, 2)], [-1, 1]),
+                                               ([(1, 2)], [0, 2]), ([(1, 2.5)], [0, 1])])
+    def test_the_kernel_takes_integer_powers_on_the_unit_interval(self, terms, points):
+        with pytest.raises((ValueError, TypeError)):
+            integrate_adaptive(terms, points, 1)
 
 
 @pytest.mark.parametrize("parse, texts", [

@@ -7,11 +7,12 @@ import pytest
 from mpmath import iv, mp
 
 import bergshift.mellin
+import bergshift.quadrature
 from bergshift.cli import EXIT_INCONCLUSIVE, EXIT_OK, dispatch
 from bergshift.gamma_ratio import eval_ball, power_weight, working_precision
 from bergshift.identities import verify_identity
 from bergshift.mellin import RadialSymbol, bergman_quadrature_oracle
-from bergshift.quadrature import QuadratureError, gauss_legendre_rule
+from bergshift.quadrature import QuadratureError, gauss_legendre_rule, integrate_adaptive
 from bergshift.solver import match_root_power
 
 # Distinct, unusual values, so a scope that restores one context from the
@@ -122,6 +123,19 @@ def test_quadrature_oracle_exception(monkeypatch):
 
 def test_gauss_legendre_rule():
     gauss_legendre_rule(5, 123)
+    assert restored()
+
+
+def test_fixed_point_kernel():
+    # a rule at a new fixed-point precision is computed under a scope
+    integrate_adaptive([(1, 3), (-2, 7)], [0, 0.5, 1], mp.mpf(10) ** -15)
+    assert restored()
+
+
+def test_fixed_point_kernel_exception(monkeypatch):
+    monkeypatch.setattr(bergshift.quadrature, "MAX_WORK", 9)
+    with pytest.raises(QuadratureError):
+        integrate_adaptive([(1, 3)], [0, 1], -1)  # no estimate is below a negative tolerance
     assert restored()
 
 

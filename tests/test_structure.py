@@ -40,7 +40,13 @@
   weight reader or the operator equality, and ``exact_algebra`` defines
   no ``MAX_POWER``: those are test-side round-trip and oracle helpers
   (``tests/rf_text.py``, ``tests/test_shift_algebra.py``), so no
-  denominator that does not split can enter the package through text.
+  denominator that does not split can enter the package through text;
+* the package has one adaptive integrator, ``quadrature.integrate_adaptive``,
+  which takes the polynomial and no callable, and no module defines an
+  mpf panel: every function named for a panel, the power ladder and the
+  halving use no ``mp``/``mpmath`` name, since they run on fixed-point
+  integers.  The mpf integrator is the tests' reference
+  (``tests/quadrature_oracle.py``).
 """
 
 import ast
@@ -287,4 +293,23 @@ def _defines(tree, names) -> list[int]:
 def test_test_side_helpers_are_defined_in_no_package_module():
     bad = [f"{mod}:{line}" for mod, tree in _modules() for line in _defines(tree, TEST_SIDE)]
     bad += [f"exact_algebra:{line}" for line in _defines(dict(_modules())["exact_algebra"], {"MAX_POWER"})]
+    assert bad == []
+
+
+def test_one_adaptive_integrator_on_fixed_point_integers():
+    integrators = [f"{mod}.{fn.name}" for mod, tree in _modules()
+                   for fn in _functions(tree) if fn.name.startswith("integrate")]
+    assert integrators == ["quadrature.integrate_adaptive"]
+    tree = dict(_modules())["quadrature"]
+    [integrate] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "integrate_adaptive"]
+    params = {a.arg for a in integrate.args.args}
+    bad = [f"quadrature.integrate_adaptive:{a.lineno} takes a callable {a.arg}"
+           for a in integrate.args.args if a.annotation is not None and "Callable" in ast.unparse(a.annotation)]
+    bad += [f"quadrature.integrate_adaptive:{node.lineno} calls {node.func.id}"
+            for node in ast.walk(integrate)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in params]
+    bad += [f"{mod}.{fn.name}:{node.lineno}"
+            for mod, tree in _modules() for fn in _functions(tree)
+            if "panel" in fn.name or fn.name in ("_fixed_power", "recurse")
+            for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id in ("mp", "mpmath")]
     assert bad == []
