@@ -220,12 +220,6 @@ def _reduced(ints: list[int], den: int) -> Polynomial:
     return Polynomial(tuple(ints), den)
 
 
-def primitive_part(ints: Sequence[int]) -> list[int]:
-    """Integers, not all zero, divided by their content."""
-    g = _int_gcd(*ints)
-    return [c // g for c in ints]
-
-
 def _times_roots(p: Polynomial, roots: Iterable[tuple[int, int]]) -> Polynomial:
     """p * prod (z + a/b), (a, b) in ``roots``: each factor is
     (b z + a) / b.  A factor z + a with integer a is primitive, so by

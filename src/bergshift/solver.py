@@ -20,25 +20,27 @@ F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`nullspace`
 generates row k of (3) in the p + s parameters theta = (F[0..p-1],
 G[0..s-1]) straight from the problem, extending the pins only as far as
 the rows read them, eliminates the rows lazily and reports its basis as
-theta vectors.  Pins, rows and elimination are all over the integers:
-the samples and pins are kept as numerator-denominator pairs, each row
-is scaled to integers, and the elimination is fraction-free on dense
-rows of width p + s, each reduced row divided by its content.  Only a
-cell left with a free column is back-substituted, still over the
-integers, to the unique reduced echelon form, and only its basis holds
-Fractions.  Nothing is lifted to F_0..F_K, G_0..G_K at run time, and
-nothing is re-multiplied: the explicit expansion :func:`build_system` is
-the tests' oracle, which lift theta through their own samples and
-re-multiply.  The module decides from (p, s, n, d) what it can prove:
-whether the reference pair commutes (:func:`commuting_pair`), each cell's
-floor, and a root match on theta.  A larger K only appends rows, so
-dim(K) cannot increase in K, and it never drops below
-:func:`_proved_floor`: the elimination stops once the rank leaves only
-the floor, so K caps the rows read and does not set the cost of a
-settled cell.  A count at the floor is therefore settled: it holds at
-every K' >= K and in the untruncated system.  A count above the floor is
-only an upper bound, and the verdict on it is inconclusive.  The module
-is exact throughout: it evaluates no ball.
+theta vectors.  Pins, rows and elimination are one integer pass: pins
+are numerator-denominator pairs extended inline from the sample
+formulas, each row is p + s integers over the lcm of its denominators,
+and the elimination is fraction-free.  Nothing is lifted to F_0..F_K,
+G_0..G_K at run time, and nothing is re-multiplied: the explicit
+expansion :func:`build_system` is the tests' oracle, which lift theta
+through their own samples and re-multiply.  The module decides from
+(p, s, n, d) what it can prove: whether the reference pair commutes
+(:func:`commuting_pair`) and each cell's floor, with the vectors that
+make it up.  A larger K only appends rows, so dim(K) cannot increase in
+K, and it never drops below :func:`_proved_floor`: the elimination stops
+once the rank leaves only the floor, so K caps the rows read and does
+not set the cost of a settled cell.  A count at the floor is therefore
+settled: it holds at every K' >= K and in the untruncated system, and
+the nullspace is the span of the floor's vectors, whose basis is read
+off them in closed form (:func:`_floor_basis`).  A count above the floor
+is only an upper bound, and the verdict on it is inconclusive; only such
+a cell is back-substituted, still over the integers, to the unique
+reduced echelon form, and only at dimension 1 is its basis matched
+against the root powers (:func:`match_root_power`).  The module is exact
+throughout: it evaluates no ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -64,8 +66,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .exact_algebra import (
     Polynomial,
     RationalFunction,
-    RationalLike,
-    primitive_part,
     rf_eval,
     rf_normalize,
 )
@@ -163,139 +163,107 @@ def build_system(prob: CommutantProblem) -> ExactLinearSystem:
     return ExactLinearSystem(tuple(rows), 2 * (K + 1))
 
 
-def _cleared(row: Iterable[tuple[int, RationalLike]], ncols: int) -> list[int]:
-    """A sparse row of ints or Fractions as a dense integer row: its entries
-    over the lcm of their denominators, repeated columns summed."""
-    entries = list(row)
-    den = lcm(*[c.denominator for _, c in entries])
-    dense = [0] * ncols
-    for j, c in entries:
-        dense[j] += c.numerator * (den // c.denominator)
-    return dense
-
-
-def _combine(r: list[int], col: int, prow: list[int]) -> list[int]:
-    """b * r - a * prow with a / b = r[col] / prow[col] in lowest terms: it
-    vanishes at col."""
-    a, b = r[col], prow[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    return [b * x - a * y for x, y in zip(r, prow)]
-
-
-def _eliminate(rows: Iterable[Iterable[tuple[int, RationalLike]]], ncols: int,
-               stop_rank: int) -> list[list[Fraction]]:
-    """Nullspace basis of sparse rational rows, by fraction-free elimination
-    over the integers.
-
-    Each row is cleared of its denominators once (:func:`_cleared`); a
-    scaled row has the same nullspace.  It is reduced against the pivot
-    rows in the order they were found, divided by its content, and pivots
-    at its first nonzero column.  Rows after the rank reaches ``stop_rank``
-    are not read.  Only when a free column is left are the pivot rows
-    back-substituted, still over the integers, into the reduced echelon
-    form.  That form is unique, so whatever the row order or scaling the
-    basis is canonical: 1 at its free column, 0 at the other free columns,
-    and one Fraction per entry.
+def _echelon(rows: Iterable[list[int]], stop_rank: int) -> Optional[list[tuple[int, list[int]]]]:
+    """The pivot rows of dense integer rows, as (pivot column, row) in the
+    order found, by fraction-free elimination.  Each row is reduced
+    against the pivot rows found before it: b * r - a * prow, with a / b =
+    r[col] / prow[col] in lowest terms, clears the pivot column col.  It
+    is then divided by its content and pivots at its first nonzero column.
+    Once the rank reaches ``stop_rank`` no further row is read and the
+    result is None.
     """
-    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row), in the order found
-    for row in rows:
-        r = _cleared(row, ncols)
+    pivots: list[tuple[int, list[int]]] = []
+    for r in rows:
         for col, prow in pivots:
-            if r[col]:
-                r = _combine(r, col, prow)
-        col = next((j for j, x in enumerate(r) if x), None)
-        if col is None:
-            continue
-        pivots.append((col, primitive_part(r)))
+            a = r[col]
+            if a:
+                b = prow[col]
+                c = gcd(a, b)
+                a, b = a // c, b // c
+                r = [b * x - a * y for x, y in zip(r, prow)]
+        for col, x in enumerate(r):
+            if x:
+                break
+        else:
+            continue  # a dependent row
+        c = gcd(*r)
+        pivots.append((col, [x // c for x in r] if c != 1 else r))
         if len(pivots) == stop_rank:
-            break
-    if len(pivots) == ncols:
-        return []
-    # Each pivot row is 0 before its pivot, so clearing the later pivot
-    # columns, last pivot first, leaves the reduced echelon form.
-    reduced: dict[int, list[int]] = {}
-    for col, r in sorted(pivots, reverse=True):
-        for later, prow in reduced.items():
-            if r[later]:
-                r = _combine(r, later, prow)
-        reduced[col] = primitive_part(r)
+            return None
+    return pivots
+
+
+def _eliminate(rows: Iterable[list[int]], ncols: int, stop_rank: int) -> Optional[list[list[Fraction]]]:
+    """Nullspace basis of dense integer rows, or None once their rank
+    reaches ``stop_rank``, with no further row read: the caller knows
+    that nullspace.
+
+    Otherwise the pivot rows (:func:`_echelon`) are back-substituted,
+    still over the integers, into the reduced echelon form: each is 0
+    before its pivot, so running them through again, last pivot first,
+    clears every later pivot column.  That form is unique, so whatever the
+    row order or scaling the basis is canonical: 1 at its free column, 0
+    at the other free columns, and one Fraction per entry.
+    """
+    pivots = _echelon(rows, stop_rank)
+    if pivots is None:
+        return None
+    # ncols + 1 is a rank no rows reach: every pivot row is read again
+    reduced = dict(_echelon([r for _, r in sorted(pivots, reverse=True)], ncols + 1))
     return [[Fraction(-reduced[j][f], reduced[j][j]) if j in reduced
              else Fraction(int(j == f))
              for j in range(ncols)]
             for f in range(ncols) if f not in reduced]
 
 
-class _Pins:
-    """Rows (1) and (2) solved for their later unknown, extended on demand.
-
-    F[k] = f[k] * F[k mod p] with f[k + p] = f[k] * Phi(z_{k+m}) / Phi(z_k),
-    and G[k] = g[k] * G[k mod s] with g[k + s] = g[k] * Psi(z_{k+l}) / Psi(z_k);
-    every sample is positive, so every pin exists.  All of it is integers:
-    each sample is kept as its numerator and denominator, z + 2p over
-    z + p + n, and each pin as a (numerator, denominator) pair in lowest
-    terms.  The pins reach only as far as the rows of (3) that
-    :func:`_mixed_rows` yields, never to K.  The samples come from the
-    formulas, not from :func:`build_system`'s rational functions, so a
-    test that lifts a basis vector through its own samples and
-    re-multiplies it checks one against the other.
-    """
-
-    def __init__(self, prob: CommutantProblem):
-        self.prob = prob
-        self.phi_num: list[int] = []  # Phi(z_k) = phi_num[k] / phi_den[k]
-        self.phi_den: list[int] = []
-        self.psi_num: list[int] = []  # Psi(z_k) = psi_num[k] / psi_den[k]
-        self.psi_den: list[int] = []
-        self.f: list[tuple[int, int]] = [(1, 1)] * prob.p
-        self.g: list[tuple[int, int]] = [(1, 1)] * prob.s
-
-    def extend(self, i: int) -> None:
-        """Pins through index i; they read samples through i + m - p."""
-        prob = self.prob
-        phi_num, phi_den, psi_num, psi_den = self.phi_num, self.phi_den, self.psi_num, self.psi_den
-        while len(phi_num) <= i + prob.m - prob.p:
-            z = 2 * len(phi_num) + 2
-            phi_num.append(z + 2 * prob.p)
-            phi_den.append(z + prob.p + prob.n)
-            psi_num.append(z + 2 * prob.s)
-            psi_den.append(z + prob.s + prob.d)
-        _extend_pins(self.f, i, prob.p, prob.m, phi_num, phi_den)
-        _extend_pins(self.g, i, prob.s, prob.l, psi_num, psi_den)
-
-
-def _extend_pins(pins: list[tuple[int, int]], i: int, step: int, shift: int,
-                 num: list[int], den: list[int]) -> None:
-    """pins[k + step] = pins[k] * w(z_{k+shift}) / w(z_k) through index i,
-    in lowest terms, for the samples w(z_k) = num[k] / den[k]."""
-    while len(pins) <= i:
-        j = len(pins) - step
-        a, b = pins[j]
-        a *= num[j + shift] * den[j]
-        b *= den[j + shift] * num[j]
-        c = gcd(a, b)
-        pins.append((a // c, b // c))
-
-
-def _mixed_rows(pins: _Pins) -> Iterator[tuple[tuple[int, int], ...]]:
+def _mixed_rows(prob: CommutantProblem) -> Iterator[list[int]]:
     """Row k of (3), for k = 0, 1, ..., in the parameters F[0..p-1]
-    (columns 0..p-1) and G[0..s-1] (columns p..p+s-1), as integers: its
-    four entries over the lcm of their denominators."""
-    p, s, m, l = pins.prob.p, pins.prob.s, pins.prob.m, pins.prob.l
-    phi_num, phi_den, psi_num, psi_den = pins.phi_num, pins.phi_den, pins.psi_num, pins.psi_den
-    f, g = pins.f, pins.g
+    (columns 0..p-1) and G[0..s-1] (columns p..p+s-1), as a dense integer
+    row over the lcm of its denominators.
+
+    Rows (1) and (2) pin F[k] = f[k] F[k mod p] and G[k] = g[k] G[k mod s],
+    with f[k + p] = f[k] Phi(z_{k+m}) / Phi(z_k) and g[k + s] = g[k]
+    Psi(z_{k+l}) / Psi(z_k); every sample is positive, so every pin exists.
+    The pins are numerators and denominators in lowest terms, extended
+    through k + s (f) and k + p (g), the last indices row k reads, never
+    to K.  Samples are read off their formulas, not off
+    :func:`build_system`'s rational functions, so a test that lifts a
+    basis vector through its own samples and re-multiplies it checks one
+    against the other.
+    """
+    p, s, n, d, m, l = prob.p, prob.s, prob.n, prob.d, prob.m, prob.l
+    f_num, f_den = [1] * p, [1] * p
+    g_num, g_den = [1] * s, [1] * s
     for k in count():
-        pins.extend(k + s)  # samples through k + s + m - p = k + l
+        z = 2 * k + 2
+        while len(f_num) <= k + s:
+            j = len(f_num) - p
+            zj = 2 * j + 2  # f[j + p] = f[j] * Phi(z_{j+m}) / Phi(z_j)
+            a = f_num[j] * (zj + 2 * m + 2 * p) * (zj + p + n)
+            b = f_den[j] * (zj + 2 * m + p + n) * (zj + 2 * p)
+            c = gcd(a, b)
+            f_num.append(a // c)
+            f_den.append(b // c)
+        while len(g_num) <= k + p:
+            j = len(g_num) - s
+            zj = 2 * j + 2  # g[j + s] = g[j] * Psi(z_{j+l}) / Psi(z_j)
+            a = g_num[j] * (zj + 2 * l + 2 * s) * (zj + s + d)
+            b = g_den[j] * (zj + 2 * l + s + d) * (zj + 2 * s)
+            c = gcd(a, b)
+            g_num.append(a // c)
+            g_den.append(b // c)
         # Psi(z_k) f[k+s], Phi(z_k) g[k+p], Psi(z_{k+m}) f[k], Phi(z_{k+l}) g[k]
-        (a, a_den), (b, b_den) = f[k + s], g[k + p]
-        (c, c_den), (e, e_den) = f[k], g[k]
-        a, a_den = a * psi_num[k], a_den * psi_den[k]
-        b, b_den = b * phi_num[k], b_den * phi_den[k]
-        c, c_den = c * psi_num[k + m], c_den * psi_den[k + m]
-        e, e_den = e * phi_num[k + l], e_den * phi_den[k + l]
+        a, a_den = (z + 2 * s) * f_num[k + s], (z + s + d) * f_den[k + s]
+        b, b_den = (z + 2 * p) * g_num[k + p], (z + p + n) * g_den[k + p]
+        c, c_den = (z + 2 * m + 2 * s) * f_num[k], (z + 2 * m + s + d) * f_den[k]
+        e, e_den = (z + 2 * l + 2 * p) * g_num[k], (z + 2 * l + p + n) * g_den[k]
         den = lcm(a_den, b_den, c_den, e_den)
-        yield (((k + s) % p, a * (den // a_den)), (p + (k + p) % s, b * (den // b_den)),
-               (k % p, -c * (den // c_den)), (p + k % s, -e * (den // e_den)))
+        row = [0] * (p + s)
+        row[(k + s) % p] = a * (den // a_den)
+        row[k % p] -= c * (den // c_den)
+        row[p + (k + p) % s] = b * (den // b_den)
+        row[p + k % s] -= e * (den // e_den)
+        yield row
 
 
 @dataclass(frozen=True)
@@ -304,10 +272,13 @@ class NullspaceReport:
 
     Each basis vector is theta: entries 0..p-1 are F[0..p-1] and entries
     p..p+s-1 are G[0..s-1].  Rows (1) and (2) pin every other F[k] and
-    G[k] to these, so theta is the whole solution.  Each vector is divided
-    by its first nonzero entry; at dimension 1 with a root match it is
-    divided by the matched constant instead, and ``proportionality``
-    reads 1.
+    G[k] to these, so theta is the whole solution.  The basis is the
+    reduced echelon one, in the order of its free columns, each vector
+    divided by its first nonzero entry.  At dimension 1 with a root match
+    the vector is divided by the matched constant instead, so that it is
+    exactly the reference samples, and ``proportionality`` reads 1; a
+    cell settled at floor 1, the (p, s) cell with gcd(p, s) = 1, reports
+    that vector and that 1 from its proof, with no match.
     """
 
     dimension: int
@@ -346,25 +317,57 @@ def _proved_floor(prob: CommutantProblem) -> int:
     return g if (prob.m, prob.l) == (prob.p, prob.s) else 0
 
 
+def _floor_basis(prob: CommutantProblem, floor: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The nullspace of a cell settled at its proved floor, in closed form.
+
+    At the floor the nullspace is the span of the vectors that
+    :func:`_proved_floor` counts.  Their supports are disjoint and the
+    free column of each is its last nonzero entry, so scaled as
+    :class:`NullspaceReport` says they are the reported basis: for a
+    commuting pair (floor 2g) the g F-class indicators, then the g G-class
+    ones; at (m, l) = (p, s) (floor g) the g class sample vectors, each
+    divided by its first entry Phi(z_j), or at g = 1 the reference samples
+    themselves, whose root match reads 1.
+    """
+    if floor == 0:
+        return ()
+    p, s, g = prob.p, prob.s, gcd(prob.p, prob.s)
+    zero, one = Fraction(0), Fraction(1)
+    # Column c of theta, F[c] or G[c - p], is in class c mod g, as g | p.
+    if floor == 2 * g:
+        return tuple([tuple([one if (c < p) == in_f and c % g == j else zero
+                             for c in range(p + s)])
+                      for in_f in (True, False) for j in range(g)])
+    theta = ([Fraction(2 * k + 2 + 2 * p, 2 * k + 2 + p + prob.n) for k in range(p)]
+             + [Fraction(2 * k + 2 + 2 * s, 2 * k + 2 + s + prob.d) for k in range(s)])
+    if g == 1:
+        return (tuple(theta),)
+    return tuple([tuple([x / theta[j] if c % g == j else zero for c, x in enumerate(theta)])
+                  for j in range(g)])
+
+
 def nullspace(prob: CommutantProblem) -> NullspaceReport:
     """Exact nullspace of the cell at K, as theta vectors, and the cell's
     proved floor.
 
     The rows of (3) through K - s decide dim(K).  Their elimination stops
     once the rank leaves only :func:`_proved_floor`: the count is then
-    settled, the same at every K' >= K and untruncated.  A count above the
-    floor reads every row through K - s and bounds the untruncated one
-    from above only.  No pin or sample past the last row eliminated is
-    read, and the basis is reported in theta (see
-    :class:`NullspaceReport`), so a settled cell costs the same at every K.
+    settled, the same at every K' >= K and untruncated, and the basis is
+    the floor's own, in closed form (:func:`_floor_basis`), with no
+    back-substitution and no root match.  A count above the floor reads
+    every row through K - s, bounds the untruncated one from above only,
+    and is back-substituted; at dimension 1 its basis is matched against
+    the root powers.  No pin or sample past the last row eliminated is
+    read, and the basis is reported in theta (see :class:`NullspaceReport`),
+    so a settled cell costs the same at every K.
     """
-    p, s = prob.p, prob.s
-    width, floor = p + s, _proved_floor(prob)
-    thetas = _eliminate(islice(_mixed_rows(_Pins(prob)), prob.K - s + 1), width, width - floor)
-    basis: list[tuple[Fraction, ...]] = []
-    for theta in thetas:
-        lead = next(v for v in theta if v != 0)
-        basis.append(tuple([v / lead for v in theta]))
+    p, s, floor = prob.p, prob.s, _proved_floor(prob)
+    thetas = _eliminate(islice(_mixed_rows(prob), prob.K - s + 1), p + s, p + s - floor)
+    if thetas is None:
+        return NullspaceReport(floor, _floor_basis(prob, floor), floor,
+                               Fraction(1) if floor == 1 else None)
+    leads = [next(v for v in theta if v != 0) for theta in thetas]
+    basis = [tuple([v / lead for v in theta]) for theta, lead in zip(thetas, leads)]
     shared = None
     if len(basis) == 1:
         theta = basis[0]
@@ -377,21 +380,17 @@ def nullspace(prob: CommutantProblem) -> NullspaceReport:
         g_const = match_root_power(theta[p:], prob.l, s, prob.d)
         if f_const is not None and f_const == g_const and f_const != 0:
             # Present the basis in the matched normalization, where theta
-            # is exactly the reference samples and the shared constant
-            # reads 1.
+            # is exactly the reference samples and the constant reads 1.
             shared = Fraction(1)
             basis = [tuple([x / f_const for x in theta])]
-    return NullspaceReport(
-        dimension=len(basis),
-        basis=tuple(basis),
-        floor=floor,
-        proportionality=shared,
-    )
+    return NullspaceReport(len(basis), tuple(basis), floor, shared)
 
 
 def match_root_power(v: Sequence[Fraction], m: int, p: int, n: int) -> Optional[Fraction]:
     """Constant c with v_k = c * power_weight(m, p, n)(2k+2) for all k.
 
+    :func:`nullspace` calls it only on a cell of dimension 1 above its
+    floor; a settled cell's proportionality comes from its floor's proof.
     Decided exactly when the power weight reduces to a rational function.
     Returns None when no single constant works, and at once when the power
     weight keeps Gamma content, since the solver reports exact constants

@@ -23,7 +23,7 @@ from bergshift.solver import (
     scan,
     verify_theorem,
 )
-from commutant_lift import fraction_sum_in_nullspace, lift
+from commutant_lift import eliminated, fraction_sum_in_nullspace, grid_cells, lift
 
 
 def reference_vector(prob):
@@ -80,7 +80,7 @@ class TestBuildSystem:
 
 class TestNullspace:
     def test_empty_system_is_full_space(self):
-        basis = solver._eliminate([], 5, 5)
+        basis = eliminated([], 5)
         assert basis == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
 
     def test_matching_pair_dimension_one(self):
@@ -192,7 +192,9 @@ class TestMatchRootPower:
                         assert got == (ratios.pop() if len(ratios) == 1 else None)
         assert calls == []
 
-    def test_nullspace_matches_only_the_pinned_prefix(self, monkeypatch):
+    @pytest.fixture
+    def match_lengths(self, monkeypatch):
+        """The length of every vector the solver matches against a root power."""
         lengths = []
         match = solver.match_root_power
 
@@ -201,9 +203,20 @@ class TestMatchRootPower:
             return match(v, m, p, n)
 
         monkeypatch.setattr(solver, "match_root_power", spy)
+        return lengths
+
+    def test_a_settled_floor_cell_matches_nothing(self, match_lengths):
+        # its basis and its proportionality 1 come from the floor's proof
         rep = nullspace(CommutantProblem(p=2, s=3, n=5, d=1, m=2, l=3, K=40))
-        assert rep.proportionality == Fraction(1)
-        assert lengths == [2, 3]
+        assert (rep.dimension, rep.floor, rep.proportionality) == (1, 1, Fraction(1))
+        assert match_lengths == []
+
+    def test_a_cell_above_its_floor_matches_only_the_pinned_prefix(self, match_lengths):
+        # (2,3,1,4) at the golden corpus's truncation K = s + 3: the cell
+        # (1, 2) has dimension 1 above its floor 0
+        rep = nullspace(CommutantProblem(p=2, s=3, n=1, d=4, m=1, l=2, K=6))
+        assert (rep.dimension, rep.floor) == (1, 0)
+        assert match_lengths == [2, 3]
 
 
 class TestConsistencyWithShiftAlgebra:
@@ -325,7 +338,7 @@ def test_elimination_against_reference():
             if coeffs:
                 rows.append(LinearEquation(coeffs))
         sys_ = ExactLinearSystem(tuple(rows), ncols)
-        basis = solver._eliminate([r.coeffs for r in rows], ncols, ncols)
+        basis = eliminated([r.coeffs for r in rows], ncols)
         assert len(basis) == ncols - reference_rank(rows, ncols)
         for v in basis:
             assert fraction_sum_in_nullspace(sys_, v)
@@ -371,10 +384,10 @@ def rows_read(monkeypatch):
     reads = []
     mixed_rows = solver._mixed_rows
 
-    def spy(pins):
+    def spy(prob):
         reads.append(0)
         i = len(reads) - 1
-        for row in mixed_rows(pins):
+        for row in mixed_rows(prob):
             reads[i] += 1
             yield row
 
@@ -403,7 +416,7 @@ class TestProvedFloor:
             rows_read.clear()
             rep = nullspace(CommutantProblem(p=1, s=2, n=2, d=3, m=m, l=m + 1, K=1000))
             assert (rep.dimension, rep.floor) == (0, 0)
-            assert len(rows_read) == 1 and rows_read[0] <= 1 + 2 + 1
+            assert rows_read == [1 + 2]
         assert built_truncations == []
 
     @pytest.mark.parametrize("p, s, n, d, m, floor", [
@@ -415,12 +428,22 @@ class TestProvedFloor:
         (2, 4, 2, 4, 1, 4),
     ])
     def test_cell_at_proved_floor_settles_on_a_prefix(self, rows_read, p, s, n, d, m, floor):
-        # rank p + s - floor comes within p + s rows, and no row after it is read
+        # rank p + s - floor comes with as many rows, and no row after it is read
         rep = nullspace(CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=m + s - p, K=200))
         assert (rep.dimension, rep.floor) == (floor, floor)
-        assert len(rows_read) == 1 and rows_read[0] <= p + s
-        if m == p and (n, d) != (p, s):
-            assert rows_read == [p + s - gcd(p, s)]
+        assert rows_read == [p + s - floor]
+
+    def test_every_row_read_raises_the_rank_on_the_grid(self, rows_read):
+        """Every cell of the grid p < s <= 6, n, d in 1..6, l <= 8 at K = 40
+        settles at its floor on exactly p + s - floor rows: no row read is
+        dependent."""
+        cells = grid_cells(40)
+        assert len(cells) == 3060
+        for prob in cells:
+            rows_read.clear()
+            rep = nullspace(prob)
+            assert rep.dimension == rep.floor, prob
+            assert rows_read == [prob.p + prob.s - rep.floor], prob
 
     def test_cell_above_proved_floor_reads_every_row_once(self, rows_read):
         # At the smallest truncation (1, 2) of (1,2,2,3) has dim 2 > gcd(1, 2):
@@ -433,25 +456,34 @@ class TestProvedFloor:
 
     @pytest.mark.parametrize("p, s, n, d", [(1, 2, 2, 3), (2, 4, 3, 5), (1, 2, 3, 6)])
     def test_verify_theorem_cost_does_not_depend_on_truncation(
-            self, monkeypatch, rows_read, built_truncations, p, s, n, d):
+            self, monkeypatch, built_truncations, p, s, n, d):
         # Every cell settles at its floor, so at every K each cell reads the
         # same rows of (3), extends its pins no further than they need, and
-        # builds no explicit system.
+        # builds no explicit system.  The pins are the row generator's own
+        # lists; after it yields row k, F is pinned through k + s and G
+        # through k + p, the last indices row k reads, and the generator is
+        # not resumed after the last row read.
         extents = []
-        extend = solver._Pins.extend
+        mixed_rows = solver._mixed_rows
 
-        def spy(pins, i):
-            extents.append(i)
-            extend(pins, i)
+        def spy(prob):
+            rows = mixed_rows(prob)
+            for k, row in enumerate(rows):
+                pins = rows.gi_frame.f_locals
+                extents.append((prob.m, k, len(pins["f_num"]), len(pins["g_num"])))
+                assert len(pins["f_num"]) == len(pins["f_den"]) == k + prob.s + 1
+                assert len(pins["g_num"]) == len(pins["g_den"]) == max(prob.s, k + prob.p + 1)
+                yield row
 
-        monkeypatch.setattr(solver._Pins, "extend", spy)
+        monkeypatch.setattr(solver, "_mixed_rows", spy)
         reads = []
         for K in (60, 240, 1000):
-            rows_read.clear()
             extents.clear()
             assert verify_theorem(p, s, n, d, bound=8, K=K).status == "pass"
-            reads.append((list(rows_read), list(extents)))
+            reads.append(list(extents))
         assert reads[0] == reads[1] == reads[2]
+        # p + s rows at each of the 8 - (s - p) cells, less the floor gcd(p, s) at (p, s)
+        assert len(reads[0]) == (8 - s + p) * (p + s) - gcd(p, s)
         assert built_truncations == []
 
 

@@ -8,9 +8,13 @@ only as an independent oracle, at truncations small enough for it.
 built from the weight functions rather than from the recurrences.
 The solver reports theta, the p + s parameters; `lift` extends it to the
 2(K+1) unknowns of `build_system`, where it is re-multiplied.  The last
-tests run the integer elimination kernel `solver._eliminate` on its own:
+tests run the integer elimination kernel `solver._eliminate` on its own,
+on rows cleared of their denominators here (`commutant_lift.cleared`):
 its basis does not depend on row scaling or order, it agrees with Bareiss
 on entries of 256 bits and more, and it reads no row past `stop_rank`.
+A cell settled at its floor reports the floor's basis in closed form;
+`test_floor_basis_is_the_reduced_echelon_basis` checks it against the
+back-substituted basis of every row through K - s.
 """
 
 import dataclasses
@@ -32,7 +36,7 @@ from bergshift.solver import (
     monomial_weight,
     nullspace,
 )
-from commutant_lift import fraction_sum_in_nullspace, lift
+from commutant_lift import cleared, eliminated, fraction_sum_in_nullspace, grid_cells, lift
 
 
 def _interleaved_columns(K):
@@ -135,7 +139,7 @@ def class_sample_vectors(prob):
 
 
 def rank(vectors, ncols):
-    return ncols - len(solver._eliminate([list(enumerate(v)) for v in vectors], ncols, ncols))
+    return ncols - len(eliminated([list(enumerate(v)) for v in vectors], ncols))
 
 
 def grid():
@@ -197,6 +201,27 @@ def test_nullspace_matches_bareiss_on_grid(chunk):
                 assert rank(classes + lifted, sys_.num_unknowns) == rep.dimension, prob
 
 
+def test_floor_basis_is_the_reduced_echelon_basis(monkeypatch):
+    """Every cell with l <= 8 of the 540 grid instances settles at its
+    floor at K = 40, and reports the floor's basis in closed form.  With
+    no floor proved, the solver reads every row through K - s, with no
+    early stop, back-substitutes and matches a basis of dimension 1
+    against the root powers; dimension, basis and proportionality are
+    the same, for the commuting pairs and at g = 2 and 3 too."""
+    cells = grid_cells(40)
+    settled = [nullspace(prob) for prob in cells]
+    monkeypatch.setattr(solver, "_proved_floor", lambda prob: 0)
+    kinds = set()
+    for prob, rep in zip(cells, settled):
+        if rep.floor == 0:
+            continue
+        whole = nullspace(prob)
+        assert (whole.dimension, whole.basis, whole.proportionality) == (
+            rep.dimension, rep.basis, rep.proportionality), prob
+        kinds.add((gcd(prob.p, prob.s), (prob.n, prob.d) == (prob.p, prob.s)))
+    assert kinds == {(g, commuting) for g in (1, 2, 3) for commuting in (False, True)}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_dimension_does_not_increase_in_truncation(data):
@@ -217,7 +242,7 @@ def eliminated_whole(sys):
     """Lead-normalized basis of the elimination kernel on every row of `sys`."""
     rows = [row.coeffs for row in sys.rows]
     n = sys.num_unknowns
-    return [lead_normalized(vec) for vec in solver._eliminate(rows, n, n)]
+    return [lead_normalized(vec) for vec in eliminated(rows, n)]
 
 
 @pytest.mark.parametrize("prob", [
@@ -296,17 +321,17 @@ def test_row_scaling_and_order_leave_the_basis_unchanged():
         systems.append((_random_rows(rng, n, rng.randint(0, n + 2), _small), n))
     nontrivial = 0
     for rows, n in systems:
-        basis = solver._eliminate(rows, n, n)
+        basis = eliminated(rows, n)
         nontrivial += 0 < len(basis) < n
         for scale in (lambda: rng.choice((1, -1)) * rng.randint(1, 10**6),
                       lambda: Fraction(rng.choice((1, -1)) * rng.randint(1, 10**6),
                                        rng.randint(1, 10**6))):
             factors = [scale() for _ in rows]
             scaled = [[(j, c * k) for j, c in row] for row, k in zip(rows, factors)]
-            assert solver._eliminate(scaled, n, n) == basis
+            assert eliminated(scaled, n) == basis
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert solver._eliminate(shuffled, n, n) == basis
+        assert eliminated(shuffled, n) == basis
     assert nontrivial > 20
 
 
@@ -321,8 +346,9 @@ def test_systems_with_huge_entries_match_bareiss_basis():
 
 
 def test_rows_after_the_stop_rank_are_not_read():
-    """The kernel pulls rows from a generator and stops at the first row
-    that brings the rank to `stop_rank`; its basis is then the prefix's."""
+    """The kernel pulls rows from a generator and stops, returning None,
+    at the first row that brings the rank to `stop_rank`.  A run that
+    never reaches it reads every row and gives their basis."""
     rng = random.Random(7)
     stopped = 0
     for _ in range(60):
@@ -334,14 +360,17 @@ def test_rows_after_the_stop_rank_are_not_read():
         def spy():
             for i, row in enumerate(rows):
                 read.append(i)
-                yield row
+                yield cleared(row, ncols)
 
         basis = solver._eliminate(spy(), ncols, stop_rank)
         ranks = [ncols - len(bareiss_basis(_as_system(rows[: i + 1], ncols)))
                  for i in range(len(rows))]
-        expected = next((i + 1 for i, r in enumerate(ranks) if r == stop_rank), len(rows))
-        stopped += expected < len(rows)
-        assert len(read) == expected
-        prefix = _as_system(rows[:expected], ncols)
-        assert [lead_normalized(vec) for vec in basis] == bareiss_basis(prefix)
+        expected = next((i + 1 for i, r in enumerate(ranks) if r == stop_rank), None)
+        if expected is None:
+            assert len(read) == len(rows)
+            assert [lead_normalized(vec) for vec in basis] == bareiss_basis(_as_system(rows, ncols))
+        else:
+            stopped += expected < len(rows)
+            assert len(read) == expected
+            assert basis is None
     assert stopped > 10
