@@ -12,6 +12,19 @@ for human-readable tables).  Exit codes triage results for CI:
 
 All configuration is via flags; no environment variables are read, so
 identical invocations produce byte-identical output.
+
+The grammar is declared once, in :data:`GRAMMAR`.  :func:`_read_argv`
+reads the common argv straight from it: leading ``--output``, a
+subcommand and its flags by their exact names, as ``--flag VALUE`` or
+``--flag=VALUE``.  Every other argv (``--help``, abbreviations, unknown
+flags, a spaced value that starts with ``-``, a missing or malformed
+value) goes to the argparse parser :func:`build_parser` makes from the
+same table, which is built only then or for the usage line of an input
+error; argparse writes every help, usage and error text.  The JSON report
+is written directly by :func:`_json_text`, byte for byte the text of
+``json.dumps(payload, indent=2)``; payloads hold only str-keyed dicts,
+lists, str, int, bool and None (``ser_value`` turns every other number
+into a string).
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
@@ -180,9 +193,65 @@ def ser_theorem_report(rep: TheoremReport) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value: Any, out: list[str], pad: str) -> None:
+    """Append to ``out`` the text of ``json.dumps(value, indent=2)`` for a
+    value nested at ``pad`` (a newline and its indentation).  Only
+    str-keyed dicts, lists, tuples, str, int, bool and None are written;
+    anything else raises TypeError."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(payload: Any) -> str:
+    """The bytes of ``json.dumps(payload, indent=2)``, written directly:
+    with an indent, json runs its pure-Python encoder."""
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    return "".join(out)
+
+
 def _emit(payload: dict, mode: str) -> None:
     if mode == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return
     _emit_text(payload)
 
@@ -382,77 +451,127 @@ def _cmd_oracle_quadrature(args) -> tuple[dict, int]:
 # argument grammar
 
 
+class _Flag(NamedTuple):
+    """One ``--name VALUE`` flag, as argparse declares it and as
+    :func:`_read_argv` reads it."""
+
+    name: str
+    type: Optional[Callable[[str], Any]] = None
+    required: bool = False
+    default: Any = None
+    choices: Optional[tuple[str, ...]] = None
+    append: bool = False
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+    #: A value that starts with a single ``-`` may follow the flag as the
+    #: next argument (a symbol such as ``-r^2``), not only after ``=``.
+    dash_value: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], tuple[dict, int]]
+    flags: tuple[_Flag, ...]
+
+
+class _Grammar:
+    """The flags read before the subcommand, and the subcommands, each
+    with its flags looked up by name."""
+
+    def __init__(self, flags: tuple[_Flag, ...], commands: tuple[_Command, ...]):
+        self.flags = flags
+        self.commands = commands
+        self.top = {f.name: f for f in flags}
+        self.by_name = {c.name: (c, {f.name: f for f in c.flags}) for c in commands}
+        self.dash_values = {f.name for c in commands for f in c.flags if f.dash_value}
+
+
+def _required_ints(*names: str) -> tuple[_Flag, ...]:
+    return tuple([_Flag(name, int, required=True) for name in names])
+
+
+#: The whole command-line grammar: ``build_parser`` and ``_read_argv`` both
+#: read it, in the order given here (the order of ``--help``).
+GRAMMAR = _Grammar(
+    flags=(_Flag("--output", choices=("json", "text"), default="json"),),
+    commands=(
+        _Command("mellin", "Mellin transform of a radial symbol", _cmd_mellin, (
+            _Flag("--symbol", required=True, dash_value=True),
+        )),
+        _Command("weight", "shift weight of a quasihomogeneous operator", _cmd_weight, (
+            *_required_ints("--p"),
+            _Flag("--symbol", required=True, dash_value=True),
+        )),
+        _Command("apply", "apply an operator sum to a basis monomial z^k", _cmd_apply, (
+            _Flag("--term", required=True, append=True, metavar="DEGREE:SYMBOL"),
+            *_required_ints("--k"),
+        )),
+        _Command("commutator", "commutator of two operator sums", _cmd_commutator, (
+            _Flag("--a", required=True, append=True, metavar="DEGREE:SYMBOL"),
+            _Flag("--b", required=True, append=True, metavar="DEGREE:SYMBOL"),
+        )),
+        _Command("rationality", "decide rationality of a 2-over-2 Gamma quotient",
+                 _cmd_rationality, _required_ints("--a", "--b", "--c", "--d", "--delta")),
+        _Command("root-verify", "telescoping check for the canonical root", _cmd_root_verify,
+                 _required_ints("--p", "--n")),
+        _Command("identity-check", "pointwise proportionality of a weight identity",
+                 _cmd_identity_check, (
+                     _Flag("--id", choices=SCENARIOS, required=True),
+                     *_required_ints("--p", "--s", "--n", "--d", "--m", "--l"),
+                     _Flag("--samples", int, default=50),
+                     _Flag("--precision-bits", int, default=200),
+                 )),
+        _Command("scan", "nullspace dimensions over all admissible (m, l) pairs", _cmd_scan, (
+            *_required_ints("--p", "--s", "--n", "--d"),
+            _Flag("--bound", int, default=8),
+            _Flag("--K", int, default=40),
+        )),
+        _Command("verify-theorem", "full commutant verification at truncation scale",
+                 _cmd_verify_theorem, (
+                     *_required_ints("--p", "--s", "--n", "--d"),
+                     _Flag("--bound", int, default=8),
+                     _Flag("--K", int, default=40),
+                 )),
+        _Command("oracle-quadrature", "cross-check a weight against quadrature",
+                 _cmd_oracle_quadrature, (
+                     *_required_ints("--p"),
+                     _Flag("--symbol", required=True, dash_value=True),
+                     *_required_ints("--k"),
+                     _Flag("--digits", int, default=25),
+                     _Flag("--tolerance",
+                           help="default 1e-10, or 10^-digits when that is larger"),
+                 )),
+    ),
+)
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple[_Flag, ...]) -> None:
+    for f in flags:
+        parser.add_argument(
+            f.name, action="append" if f.append else "store", type=f.type,
+            required=f.required, default=f.default, choices=f.choices,
+            metavar=f.metavar, help=f.help)
+
+
 def build_parser() -> _Parser:
+    """The argparse form of :data:`GRAMMAR`: it writes every help, usage
+    and error text."""
     parser = _Parser(
         prog="bergshift",
         description="Exact weighted-shift calculus for quasihomogeneous "
                     "Toeplitz operators on the Bergman space.",
     )
-    parser.add_argument("--output", choices=("json", "text"), default="json")
+    _add_flags(parser, GRAMMAR.flags)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("mellin", help="Mellin transform of a radial symbol")
-    c.set_defaults(handler=_cmd_mellin)
-    c.add_argument("--symbol", required=True)
-
-    c = sub.add_parser("weight", help="shift weight of a quasihomogeneous operator")
-    c.set_defaults(handler=_cmd_weight)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--symbol", required=True)
-
-    c = sub.add_parser("apply", help="apply an operator sum to a basis monomial z^k")
-    c.set_defaults(handler=_cmd_apply)
-    c.add_argument("--term", action="append", required=True,
-                   metavar="DEGREE:SYMBOL")
-    c.add_argument("--k", type=int, required=True)
-
-    c = sub.add_parser("commutator", help="commutator of two operator sums")
-    c.set_defaults(handler=_cmd_commutator)
-    c.add_argument("--a", action="append", required=True, metavar="DEGREE:SYMBOL")
-    c.add_argument("--b", action="append", required=True, metavar="DEGREE:SYMBOL")
-
-    c = sub.add_parser("rationality", help="decide rationality of a 2-over-2 Gamma quotient")
-    c.set_defaults(handler=_cmd_rationality)
-    for flag in ("--a", "--b", "--c", "--d"):
-        c.add_argument(flag, type=int, required=True)
-    c.add_argument("--delta", type=int, required=True)
-
-    c = sub.add_parser("root-verify", help="telescoping check for the canonical root")
-    c.set_defaults(handler=_cmd_root_verify)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-
-    c = sub.add_parser("identity-check", help="pointwise proportionality of a weight identity")
-    c.set_defaults(handler=_cmd_identity_check)
-    c.add_argument("--id", choices=SCENARIOS, required=True)
-    for flag in ("--p", "--s", "--n", "--d", "--m", "--l"):
-        c.add_argument(flag, type=int, required=True)
-    c.add_argument("--samples", type=int, default=50)
-    c.add_argument("--precision-bits", type=int, default=200)
-
-    c = sub.add_parser("scan", help="nullspace dimensions over all admissible (m, l) pairs")
-    c.set_defaults(handler=_cmd_scan)
-    for flag in ("--p", "--s", "--n", "--d"):
-        c.add_argument(flag, type=int, required=True)
-    c.add_argument("--bound", type=int, default=8)
-    c.add_argument("--K", type=int, default=40)
-
-    c = sub.add_parser("verify-theorem", help="full commutant verification at truncation scale")
-    c.set_defaults(handler=_cmd_verify_theorem)
-    for flag in ("--p", "--s", "--n", "--d"):
-        c.add_argument(flag, type=int, required=True)
-    c.add_argument("--bound", type=int, default=8)
-    c.add_argument("--K", type=int, default=40)
-
-    c = sub.add_parser("oracle-quadrature", help="cross-check a weight against quadrature")
-    c.set_defaults(handler=_cmd_oracle_quadrature)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--symbol", required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--digits", type=int, default=25)
-    c.add_argument("--tolerance", default=None,
-                   help="default 1e-10, or 10^-digits when that is larger")
-
+    for command in GRAMMAR.commands:
+        c = sub.add_parser(command.name, help=command.help)
+        c.set_defaults(handler=command.handler)
+        _add_flags(c, command.flags)
     return parser
 
 
@@ -462,29 +581,92 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _join_symbol_values(argv: list[str]) -> list[str]:
-    """``--symbol -r^2`` as ``--symbol=-r^2``: argparse reads a value that
-    starts with a single ``-`` as an option."""
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse would give for ``argv``, read straight from
+    :data:`GRAMMAR`, or None unless ``argv`` is leading ``GRAMMAR.flags``,
+    a subcommand and its flags, each flag given by its exact name as
+    ``--flag VALUE`` or ``--flag=VALUE`` and every required one present.
+    None also for a spaced value that starts with ``-``, a value argparse
+    would not convert or that is not among the flag's choices, and every
+    other argv: argparse then reads it, and writes any help or error."""
+    values = {f.dest: f.default for f in GRAMMAR.flags}
+    flags = GRAMMAR.top
+    command = None
+    seen = set()
+    i, n = 0, len(argv)
+    while i < n:
+        arg = argv[i]
+        if arg[:1] != "-":
+            if command is not None or arg not in GRAMMAR.by_name:
+                return None
+            command, flags = GRAMMAR.by_name[arg]
+            values["command"] = arg
+            values["handler"] = command.handler
+            for f in command.flags:
+                values[f.dest] = f.default
+            i += 1
+            continue
+        name, eq, text = arg.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            return None
+        if eq:
+            if text == "--":  # argparse drops it, leaving the flag no value
+                return None
+            i += 1
+        elif i + 1 < n and argv[i + 1][:1] != "-":
+            text = argv[i + 1]
+            i += 2
+        else:
+            return None
+        if flag.type is not None:
+            try:
+                text = flag.type(text)
+            except (TypeError, ValueError):
+                return None
+        if flag.choices is not None and text not in flag.choices:
+            return None
+        if flag.append:
+            values[flag.dest] = [*(values[flag.dest] or ()), text]
+        else:
+            values[flag.dest] = text
+        seen.add(name)
+    if command is None or any(f.required and f.name not in seen for f in command.flags):
+        return None
+    return argparse.Namespace(**values)
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """``--symbol -r^2`` as ``--symbol=-r^2``, for each ``dash_value``
+    flag: argparse reads a value that starts with a single ``-`` as an
+    option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--symbol" and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = f"--symbol={arg}"
+        if (out and out[-1] in GRAMMAR.dash_values
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
 
 
 def dispatch(argv: Optional[list[str]] = None) -> int:
-    """Run one command; returns the exit code, printing the report."""
-    parser = _parser()
+    """Run one command; returns the exit code, printing the report.
+
+    ``_read_argv`` reads the argv when it can; otherwise, and for the
+    usage line of an input error, argparse is built."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_symbol_values(sys.argv[1:] if argv is None else argv))
+        args = _read_argv(argv)
+        if args is None:
+            args = _parser().parse_args(_join_dash_values(argv))
         payload, code = args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     except (ExprSyntaxError, PoleError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n\n{parser.format_usage()}\n")
+        sys.stderr.write(f"error: {exc}\n\n{_parser().format_usage()}\n")
         return EXIT_USAGE
     _emit(payload, args.output)
     return code

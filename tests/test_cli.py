@@ -1,6 +1,6 @@
 """CLI dispatch, serialization round-trips, exit-code triage."""
 
-import argparse
+import functools
 import json
 import os
 import subprocess
@@ -338,8 +338,10 @@ class TestSymbolLength:
 
 
 class TestParserReuse:
-    """``dispatch`` builds its argument parser once per process; a call must
-    not see anything an earlier call left behind."""
+    """``dispatch`` builds its argument parser at most once per process,
+    and only for an argv ``_read_argv`` declines or for the usage line of
+    an input error; a call must not see anything an earlier call left
+    behind."""
 
     IDENTITY = ["identity-check", "--id", "functional", "--p", "1", "--s", "2",
                 "--n", "2", "--d", "3", "--m", "2", "--l", "3"]
@@ -376,6 +378,46 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
         fresh = self.outputs(capsys, sequence)
         assert reused == fresh
+
+    VERIFY = ["verify-theorem", "--p", "1", "--s", "2", "--n", "2", "--d", "3",
+              "--bound", "4", "--K", "20"]
+
+    @pytest.mark.parametrize("sequence", [
+        [VERIFY,
+         VERIFY[:-1] + ["0"],
+         VERIFY[:-4] + ["--bo", "4"],
+         ["verify-theorem", "--p", "-1", "--s", "2", "--n", "2", "--d", "3"],
+         VERIFY + ["--output", "text"],
+         ["--output", "text"] + VERIFY,
+         ["verify-theorem", "--p", "1"],
+         VERIFY],
+        [["weight", "--p", "1", "--symbol", "-r^2"],
+         ["weight", "--p", "1", "--symbol=-r^2"],
+         ["mellin", "--sym", "r^2"],
+         ["mellin", "--symbol", "r^2"],
+         ["apply", "--term", "1:r^2", "--term=2:r^3", "--k", "0"],
+         ["apply", "--term", "1:r^2", "--k", "x"],
+         ["--output", "text", "apply", "--term", "1:r^2", "--k", "1"]],
+    ])
+    def test_read_and_declined_argv_in_one_sequence(self, sequence, capsys, monkeypatch):
+        """Argv that ``_read_argv`` reads and argv it leaves to argparse,
+        interleaved, give what a fresh parser per call gives."""
+        assert {cli._read_argv(list(argv)) is None for argv in sequence} == {True, False}
+        self.test_sequence_matches_a_fresh_parser_per_call(sequence, capsys, monkeypatch)
+
+    def test_argparse_is_built_only_when_needed(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or real())
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        assert dispatch(self.VERIFY) == EXIT_OK
+        assert built == []
+        # the usage line of an input error, then a declined argv: built once
+        assert dispatch(self.VERIFY[:-1] + ["0"]) == EXIT_USAGE
+        assert built == [True]
+        assert dispatch(["verify-theorem", "--p", "1"]) == EXIT_USAGE
+        assert built == [True]
+        assert "usage: bergshift" in capsys.readouterr().err
 
     def test_text_output_does_not_stick(self, capsys):
         outputs = self.outputs(capsys, [
@@ -542,10 +584,19 @@ class TestRootVerifyBound:
 
 
 def test_every_subcommand_registers_its_handler():
-    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert len(sub.choices) == 10
-    for name, parser in sub.choices.items():
-        assert parser.get_default("handler") is getattr(cli, "_cmd_" + name.replace("-", "_"))
+    """Each subcommand of the grammar table names its ``_cmd_`` handler,
+    and the argparse subparser built from that entry sets it."""
+    commands = cli.GRAMMAR.commands
+    assert len({c.name for c in commands}) == len(commands) == 10
+    parser = cli.build_parser()
+    for command in commands:
+        assert command.handler is getattr(cli, "_cmd_" + command.name.replace("-", "_"))
+        argv = [command.name]
+        for flag in command.flags:
+            if flag.required:
+                argv += [flag.name, flag.choices[0] if flag.choices else "1"]
+        args = parser.parse_args(argv)
+        assert (args.command, args.handler) == (command.name, command.handler)
 
 
 class TestSolverBounds:

@@ -47,7 +47,14 @@
   mpf panel: every function named for a panel, the power ladder and the
   halving use no ``mp``/``mpmath`` name, since they run on fixed-point
   integers.  The mpf integrator is the tests' reference
-  (``tests/quadrature_oracle.py``).
+  (``tests/quadrature_oracle.py``);
+* no package module calls ``json.dumps`` or ``json.dump``: the CLI writes
+  its indented report directly, and ``json.dumps(indent=2)`` is the tests'
+  oracle for that writer;
+* the command-line grammar is declared once, in ``cli.GRAMMAR``: both
+  ``build_parser`` and ``_read_argv`` read it, every ``--flag`` literal of
+  ``cli`` lies inside it, and no ``add_argument`` call names a flag
+  literally.
 """
 
 import ast
@@ -314,4 +321,36 @@ def test_one_adaptive_integrator_on_fixed_point_integers():
             for mod, tree in _modules() for fn in _functions(tree)
             if "panel" in fn.name or fn.name in ("_fixed_power", "recurse")
             for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id in ("mp", "mpmath")]
+    assert bad == []
+
+
+def test_no_package_module_calls_json_dump():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules() for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump")
+           and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    bad += [f"{mod}:{node.lineno}"
+            for mod, tree in _modules() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "json"
+            and {a.name for a in node.names} & {"dumps", "dump"}]
+    assert bad == []
+
+
+def test_the_command_line_grammar_is_declared_once():
+    tree = dict(_modules())["cli"]
+    [grammar] = [node for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["GRAMMAR"]]
+    inside = {id(node) for node in ast.walk(grammar)}
+    bad = [f"cli:{node.lineno} {node.value!r} outside GRAMMAR"
+           for node in ast.walk(tree)
+           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+           and node.value.startswith("--") and node.value[2:3].isalpha()
+           and id(node) not in inside]
+    bad += [f"cli:{node.lineno} add_argument names its flag"
+            for node in ast.walk(tree)
+            if _calls(node, "add_argument") and node.args and isinstance(node.args[0], ast.Constant)]
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    bad += [f"cli.{name} does not read GRAMMAR" for name in ("build_parser", "_read_argv")
+            if not any(isinstance(node, ast.Name) and node.id == "GRAMMAR"
+                       for node in ast.walk(defs[name]))]
     assert bad == []
