@@ -7,6 +7,7 @@ for human-readable tables).  Exit codes triage results for CI:
 * 1  - verified negative (mismatch, FAIL, counterexample)
 * 2  - inconclusive (unknown, a cell above its proved floor, non-convergent)
 * 64 - usage or input error (the grammar is printed)
+* 70 - an exception escaped the command (``EX_SOFTWARE``, BSD sysexits.h)
 * 141 - stdout was closed before the report was written, the status a
   shell gives a process ended by SIGPIPE
 
@@ -83,6 +84,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 EXIT_BROKEN_PIPE = 141
 
 
@@ -654,13 +656,17 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns the exit code, printing the report.
 
     ``_read_argv`` reads the argv when it can; otherwise, and for the
-    usage line of an input error, argparse is built."""
+    usage line of an input error, argparse is built.  argparse gives a
+    flag written ``--flag=--`` the value ``[]``: a usage error here."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _read_argv(argv)
         if args is None:
             args = _parser().parse_args(_join_dash_values(argv))
+            empty = [k for k, v in vars(args).items() if v == [] or isinstance(v, list) and [] in v]
+            if empty:
+                _parser().error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
         payload, code = args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
@@ -668,6 +674,11 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except (ExprSyntaxError, PoleError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n\n{_parser().format_usage()}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only a crash pays for this import
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc} ({os.path.basename(at.filename)}:{at.lineno})\n")
+        return EXIT_SOFTWARE
     _emit(payload, args.output)
     return code
 

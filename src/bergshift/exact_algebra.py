@@ -121,7 +121,11 @@ class Polynomial:
     @staticmethod
     def linear_product(cs: Iterable[RationalLike]) -> "Polynomial":
         """The product of the monic linear factors (z + c), c in ``cs``."""
-        return _times_roots(Polynomial.one(), [_pair(c) for c in cs])
+        return Polynomial.one().times_roots(cs)
+
+    def times_roots(self, cs: Iterable[RationalLike]) -> "Polynomial":
+        """This polynomial times the monic linear factors (z + c), c in ``cs``."""
+        return _times_roots(self, [_pair(c) for c in cs])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -79,7 +79,6 @@ from .exact_algebra import (
     format_rational_function,
     rf_eval,
     rf_normalize,
-    rf_shift,
 )
 
 # An atom Gamma((z + offset)/two_delta), stored as (two_delta, offset).
@@ -139,6 +138,8 @@ class GammaRatioExpr:
         return not self.num and not self.den
 
     def __mul__(self, other: "GammaRatioExpr") -> "GammaRatioExpr":
+        if self.is_one or other.is_one:
+            return other if self.is_one else self
         n, d = _cancel_common(list(self.num) + list(other.num), list(self.den) + list(other.den))
         return GammaRatioExpr(n, d)
 
@@ -149,7 +150,7 @@ class GammaRatioExpr:
         """Substitute z -> z + h; h must be a nonnegative integer."""
         if h < 0:
             raise ValueError("gamma atoms only shift by nonnegative integers")
-        if h == 0:
+        if h == 0 or self.is_one:
             return self
         return GammaRatioExpr(
             _sorted_atoms((td, off + h) for td, off in self.num),
@@ -202,6 +203,7 @@ def _is_reduced(g: GammaRatioExpr) -> bool:
 
 
 _ONE = RationalFunction.one()
+_UNIT = GammaRatioExpr.one()
 
 
 def canonicalize(g: GammaRatioExpr) -> tuple[RationalFunction, GammaRatioExpr]:
@@ -273,8 +275,8 @@ class WeightExpr:
         Each Gamma part goes through :func:`canonicalize`, and its
         coefficient is multiplied by the cofactor only when that is not 1.
         A part that is already reduced, such as a part of another built
-        expression, has the cofactor 1, so adding built expressions
-        reduces nothing and multiplies nothing."""
+        expression, has the cofactor 1, so summing the terms of built
+        expressions reduces nothing and multiplies nothing."""
         merged: dict[GammaRatioExpr, RationalFunction] = {}
         for coeff, gamma in terms:
             cofactor, reduced = canonicalize(gamma)
@@ -290,7 +292,9 @@ class WeightExpr:
 
     @staticmethod
     def from_rational(rf: RationalFunction) -> "WeightExpr":
-        return WeightExpr.build([(rf, GammaRatioExpr.one())])
+        """The weight rf, wrapped as it is: a unit Gamma part needs no
+        normalization."""
+        return WeightExpr.zero() if rf.is_zero else WeightExpr(((rf, _UNIT),))
 
     @staticmethod
     def zero() -> "WeightExpr":
@@ -315,34 +319,6 @@ class WeightExpr:
         if len(self.terms) == 1 and self.terms[0][1].is_one:
             return self.terms[0][0]
         return None
-
-    def __add__(self, other: "WeightExpr") -> "WeightExpr":
-        return WeightExpr.build(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "WeightExpr":
-        return WeightExpr(tuple([(-c, g) for c, g in self.terms]))
-
-    def __sub__(self, other: "WeightExpr") -> "WeightExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "WeightExpr") -> "WeightExpr":
-        out = []
-        for c1, g1 in self.terms:
-            for c2, g2 in other.terms:
-                out.append((c1 * c2, g1 * g2))
-        return WeightExpr.build(out)
-
-    def scale(self, c: RationalLike) -> "WeightExpr":
-        c = as_rational(c)
-        if c == 0:
-            return WeightExpr.zero()
-        return WeightExpr(tuple([(rf.scale(c), g) for rf, g in self.terms]))
-
-    def shift(self, h: int) -> "WeightExpr":
-        """Substitute z -> z + h (h a nonnegative even integer in all uses)."""
-        return WeightExpr.build(
-            [(rf_shift(c, h), g.shift(h)) for c, g in self.terms]
-        )
 
     def eval_exact(self, z0: RationalLike) -> Fraction:
         """Exact value at z0; only defined for purely rational weights."""

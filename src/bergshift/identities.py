@@ -215,7 +215,7 @@ def _exact_proportionality(
     ratios: list[tuple[Fraction, Fraction]] = []
     for z in sample_zs:
         lv, rv = _value(left_rf, z), _value(right_rf, z)
-        ratio = None if (lv is None or rv is None or rv == 0) else lv / rv
+        ratio = None if lv is None or rv is None or rv == 0 else lv / rv if constant is None else constant
         rows.append(SampleRow(z, lv, rv, ratio))
         if ratio is not None:
             ratios.append((z, ratio))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import mpmath
 from mpmath import mp
@@ -172,12 +172,19 @@ def parse_symbol(text: str) -> RadialSymbol:
     return RadialSymbol.build(terms)
 
 
+def _over_roots(terms: Sequence[tuple[Fraction, Fraction]], factors: tuple[int, ...] = ()) -> RationalFunction:
+    """prod (z + x), x in ``factors``, times sum c / (z + r) over the (c, r)
+    terms: one numerator over the product of the roots, normalized once."""
+    num, den = Polynomial.zero(), Polynomial.linear_product(factors)
+    for c, r in terms:
+        num, den = num.times_roots([r]) + den.scale(c), den.times_roots([r])
+    return rf_normalize(num, [r for _, r in terms])
+
+
 def mellin_transform(phi: RadialSymbol) -> MellinImage:
-    """Exact Mellin image: r^a contributes 1/(z + a), the root a; linear in phi."""
-    total = RationalFunction.zero()
-    for coeff, exp in phi.terms:
-        total = total + rf_normalize(Polynomial.constant(coeff), (exp,))
-    return MellinImage(total)
+    """Exact Mellin image: r^a contributes 1/(z + a), the root a; linear in
+    phi.  The terms share one numerator over the roots, normalized once."""
+    return MellinImage(_over_roots(phi.terms))
 
 
 def toeplitz_weight(p: int, phi: RadialSymbol) -> WeightExpr:
@@ -186,15 +193,12 @@ def toeplitz_weight(p: int, phi: RadialSymbol) -> WeightExpr:
 
     With p = 0 and phi = 1 this is identically 1 (the identity operator),
     which pins the Mellin convention used by the whole package.  Each
-    term hands its denominator over as the root p + a.
+    term hands its denominator over as the root p + a; an exponent a = p
+    cancels the factor z + 2p in the one normalization.
     """
     if p < 0:
         raise ValueError("quasihomogeneous degree must be nonnegative")
-    total = RationalFunction.zero()
-    zp = Polynomial.z_plus(2 * p)
-    for coeff, exp in phi.terms:
-        total = total + rf_normalize(zp.scale(coeff), (p + exp,))
-    return WeightExpr.from_rational(total)
+    return WeightExpr.from_rational(_over_roots([(c, p + e) for c, e in phi.terms], (2 * p,)))
 
 
 #: Most decimal digits :func:`bergman_quadrature_oracle` is asked for.

@@ -6,10 +6,12 @@ expression w_d(z), and the action on the monomial basis is
     A(z^k) = sum_d w_d(2k + 2) z^(k + d).
 
 Composition is weight multiplication with an argument shift: the degree
-a + b part of A compose B picks up w_A(z + 2b) * w_B(z).  Everything stays
-exact; zero-testing of weights is a sound tri-state (a weight that is zero
-on the sample sequence z = 2k + 2 is zero identically, but certified
-sampling can only refute, so Unknown is an honest third answer).
+a + b part of A compose B picks up w_A(z + 2b) * w_B(z).  Products,
+brackets and linear combinations gather their raw terms by output degree
+and normalize each degree by one :meth:`WeightExpr.build`.  Everything
+stays exact; zero-testing of weights is a sound tri-state (a weight that
+is zero on the sample sequence z = 2k + 2 is zero identically, but
+certified sampling can only refute, so Unknown is an honest third answer).
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact_algebra import PoleError, RationalLike, as_rational, rf_shift
-from .gamma_ratio import BallValue, WeightExpr, eval_ball, power_weight, separating_term
+from .exact_algebra import PoleError, RationalFunction, RationalLike, as_rational, rf_shift
+from .gamma_ratio import BallValue, GammaRatioExpr, WeightExpr, eval_ball, power_weight, separating_term
 from .mellin import RadialSymbol, toeplitz_weight
+
+#: One (coefficient, Gamma part) term of a weight, not yet normalized.
+Term = tuple[RationalFunction, GammaRatioExpr]
 
 
 class ZeroVerdict(enum.Enum):
@@ -46,14 +51,14 @@ class ShiftSum:
 
     @staticmethod
     def build(parts: Iterable[tuple[int, WeightExpr]]) -> "ShiftSum":
-        merged: dict[int, WeightExpr] = {}
-        for degree, weight in parts:
-            if degree < 0:
-                raise ValueError("shift degrees must be nonnegative")
-            prev = merged.get(degree)
-            merged[degree] = weight if prev is None else prev + weight
-        cleaned = [(d, w) for d, w in sorted(merged.items()) if not w.is_zero]
-        return ShiftSum(tuple(cleaned))
+        """The sum of (degree, built weight) parts; when no degree repeats,
+        each weight is kept as it is."""
+        parts = list(parts)
+        if any(d < 0 for d, _ in parts):
+            raise ValueError("shift degrees must be nonnegative")
+        if len({d for d, _ in parts}) == len(parts):
+            return ShiftSum(tuple(sorted([(d, w) for d, w in parts if not w.is_zero])))
+        return _sum_by_degree([(d, t) for d, w in parts for t in w.terms])
 
     @staticmethod
     def zero() -> "ShiftSum":
@@ -81,11 +86,15 @@ class ShiftSum:
                 return w
         return WeightExpr.zero()
 
-    def scale(self, c: RationalLike) -> "ShiftSum":
-        c = as_rational(c)
-        if c == 0:
-            return ShiftSum.zero()
-        return ShiftSum(tuple([(d, w.scale(c)) for d, w in self.parts]))
+
+def _sum_by_degree(terms: Iterable[tuple[int, Term]]) -> ShiftSum:
+    """The shift sum of raw (degree, term) pairs: one
+    :meth:`WeightExpr.build` per degree, zero weights dropped."""
+    groups: dict[int, list[Term]] = {}
+    for degree, term in terms:
+        groups.setdefault(degree, []).append(term)
+    weights = [(d, WeightExpr.build(groups[d])) for d in sorted(groups)]
+    return ShiftSum(tuple([(d, w) for d, w in weights if not w.is_zero]))
 
 
 def quasihomogeneous_operator(p: int, phi: RadialSymbol) -> ShiftSum:
@@ -102,30 +111,36 @@ def root_operator(p: int, n: int) -> ShiftSum:
 
 
 def linear_combine(ops: Iterable[tuple[RationalLike, ShiftSum]]) -> ShiftSum:
-    parts: list[tuple[int, WeightExpr]] = []
+    """sum c * op over (c, op), each output degree normalized once."""
+    terms: list[tuple[int, Term]] = []
     for scalar, op in ops:
         scalar = as_rational(scalar)
-        if scalar == 0:
-            continue
-        parts.extend((d, w.scale(scalar)) for d, w in op.parts)
-    return ShiftSum.build(parts)
+        if scalar != 0:
+            terms.extend([(d, (c.scale(scalar), g)) for d, w in op.parts for c, g in w.terms])
+    return _sum_by_degree(terms)
+
+
+def _products(a: ShiftSum, b: ShiftSum, negate: bool = False) -> list[tuple[int, Term]]:
+    """The raw terms of a compose b, or of its negative: degree i + j gets
+    w_a(z + 2j) * w_b(z) term by term, each term of w_a shifted once per j."""
+    out: list[tuple[int, Term]] = []
+    for j, wb in b.parts:
+        for i, wa in a.parts:
+            for c1, g1 in wa.terms:
+                c1, g1 = rf_shift(-c1 if negate else c1, 2 * j), g1.shift(2 * j)
+                out.extend([(i + j, (c1 * c2, g1 * g2)) for c2, g2 in wb.terms])
+    return out
 
 
 def compose(a: ShiftSum, b: ShiftSum) -> ShiftSum:
     """Operator composition (apply b first): degree i + j picks up
-    w_a(z + 2j) * w_b(z), built as one weight from the shifted products of
-    the terms, so each product part is reduced once."""
-    parts = []
-    for i, wa in a.parts:
-        for j, wb in b.parts:
-            parts.append((i + j, WeightExpr.build(
-                [(rf_shift(c1, 2 * j) * c2, g1.shift(2 * j) * g2)
-                 for c1, g1 in wa.terms for c2, g2 in wb.terms])))
-    return ShiftSum.build(parts)
+    w_a(z + 2j) * w_b(z), each output degree normalized once."""
+    return _sum_by_degree(_products(a, b))
 
 
 def commutator(a: ShiftSum, b: ShiftSum) -> ShiftSum:
-    return linear_combine([(1, compose(a, b)), (-1, compose(b, a))])
+    """a b - b a, each output degree normalized once."""
+    return _sum_by_degree(_products(a, b) + _products(b, a, negate=True))
 
 
 def apply_to_basis(a: ShiftSum, k: int, precision_bits: int = 200) -> list[BasisVector]:

@@ -32,7 +32,8 @@ sha256 of its stdout and of its stderr and its exit code.
   symbols with fractional exponents, among them two 8-term symbols whose
   exponent denominators are distinct primes, and ``root-verify`` on
   Gamma-bearing roots,
-* ``--help`` and the usage errors.
+* ``--help`` and the usage errors, among them ``--flag=--``, which
+  argparse reads as an empty list.
 
 Regenerate a corpus only with a change that alters the JSON or the exit
 codes on purpose, and list the entries that changed with it; ``--check``
@@ -236,6 +237,11 @@ def command_argvs() -> list[list[str]]:
         ["--output", "xml", "mellin", "--symbol", "r"],
         ["identity-check", "--id", "nonsense", "--p", "1", "--s", "2", "--n", "2",
          "--d", "3", "--m", "1", "--l", "2"],
+        # argparse reads --flag=-- as an empty list
+        ["--output=--", "mellin", "--symbol", "r"],
+        ["weight", "--p=--", "--symbol", "r"],
+        ["apply", "--term=--", "--k", "0"],
+        ["oracle-quadrature", "--p", "1", "--symbol", "r", "--k", "0", "--tolerance=--"],
     ]
     return _unique(argvs)
 

@@ -453,13 +453,13 @@ def _random_operator(rng):
 
 
 def test_sums_of_canonical_weights_reduce_nothing(monkeypatch):
-    """On fixed-seed Jacobi and bilinearity cases, ``WeightExpr.__add__``
-    of two built expressions reduces no Gamma atom and multiplies no
-    rational functions, and every gcd is root tests: a ``poly_gcd`` call
-    runs one Horner pass per distinct root plus one per root it divides
-    out, and one synthetic division per root it divides out."""
-    counts = {"adds": 0, "reduce": 0, "mul": 0, "gcds": 0, "cancelled": 0}
-    inside_add = []
+    """On fixed-seed Jacobi and bilinearity cases, ``linear_combine`` of
+    built operators reduces no Gamma atom and multiplies no rational
+    functions, and every gcd is root tests: a ``poly_gcd`` call runs one
+    Horner pass per distinct root plus one per root it divides out, and
+    one synthetic division per root it divides out."""
+    counts = {"combines": 0, "reduce": 0, "mul": 0, "gcds": 0, "cancelled": 0}
+    inside_combine = []
     per_call = {"tests": 0, "divisions": 0}
 
     def spy(name, fn, inside):
@@ -475,15 +475,15 @@ def test_sums_of_canonical_weights_reduce_nothing(monkeypatch):
             return fn(*args)
         return wrapped
 
-    real_add, real_gcd = WeightExpr.__add__, exact_algebra.poly_gcd
-
-    def add(self, other):
-        counts["adds"] += 1
-        inside_add.append(True)
+    def combine(ops):
+        counts["combines"] += 1
+        inside_combine.append(True)
         try:
-            return real_add(self, other)
+            return linear_combine(ops)
         finally:
-            inside_add.pop()
+            inside_combine.pop()
+
+    real_gcd = exact_algebra.poly_gcd
 
     def gcd_spy(p, roots):
         per_call.update(tests=0, divisions=0)
@@ -494,10 +494,9 @@ def test_sums_of_canonical_weights_reduce_nothing(monkeypatch):
         assert per_call["tests"] <= len(set(roots)) + len(common)
         return common, quotient, left
 
-    monkeypatch.setattr(WeightExpr, "__add__", add)
     monkeypatch.setattr(gamma_ratio, "_reduce_atoms",
-                        spy("reduce", gamma_ratio._reduce_atoms, inside_add))
-    monkeypatch.setattr(exact_algebra, "_mul", spy("mul", exact_algebra._mul, inside_add))
+                        spy("reduce", gamma_ratio._reduce_atoms, inside_combine))
+    monkeypatch.setattr(exact_algebra, "_mul", spy("mul", exact_algebra._mul, inside_combine))
     monkeypatch.setattr(exact_algebra, "poly_gcd", gcd_spy)
     monkeypatch.setattr(exact_algebra, "_horner", tally("tests", exact_algebra._horner))
     monkeypatch.setattr(exact_algebra, "_divide_linear",
@@ -506,11 +505,11 @@ def test_sums_of_canonical_weights_reduce_nothing(monkeypatch):
     for _ in range(6):
         a, b, c = (_random_operator(rng) for _ in range(3))
         x, y = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)), Fraction(rng.randint(1, 3))
-        jacobi = linear_combine([(1, commutator(a, commutator(b, c))),
-                                 (1, commutator(b, commutator(c, a))),
-                                 (1, commutator(c, commutator(a, b)))])
-        bilinearity = linear_combine([(1, commutator(linear_combine([(x, a), (y, b)]), c)),
-                                      (-x, commutator(a, c)), (-y, commutator(b, c))])
+        jacobi = combine([(1, commutator(a, commutator(b, c))),
+                          (1, commutator(b, commutator(c, a))),
+                          (1, commutator(c, commutator(a, b)))])
+        bilinearity = combine([(1, commutator(combine([(x, a), (y, b)]), c)),
+                               (-x, commutator(a, c)), (-y, commutator(b, c))])
         assert jacobi.is_zero and bilinearity.is_zero
-    assert counts["adds"] > 50 and counts["gcds"] > 100 and counts["cancelled"] > 40
+    assert counts["combines"] == 18 and counts["gcds"] > 100 and counts["cancelled"] > 40
     assert counts["reduce"] == counts["mul"] == 0

@@ -17,6 +17,7 @@ from bergshift.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NEGATIVE,
     EXIT_OK,
+    EXIT_SOFTWARE,
     EXIT_USAGE,
     dispatch,
     ser_value,
@@ -270,6 +271,48 @@ class TestUsageErrors:
                 "--d", "3", "--m", "2", "--l", "3", "--samples", "5"]
         assert dispatch(argv + ["--precision-bits", "0"]) == EXIT_USAGE
         assert dispatch(argv + ["--precision-bits", "1"]) == EXIT_NEGATIVE
+
+
+def _valid_value(command, flag):
+    if flag.choices:
+        return flag.choices[0]
+    if flag.append:
+        return "1:r"
+    return "r^2" if flag.type is None else "1"
+
+
+@pytest.mark.parametrize("command", cli.GRAMMAR.commands, ids=lambda c: c.name)
+def test_a_flag_written_with_an_empty_value_is_a_usage_error(command, capsys):
+    """argparse reads ``--flag=--`` as ``[]``; with every other required
+    flag valid, each flag of the grammar so written exits 64, and so does
+    ``--output=--``."""
+    for flag in command.flags + cli.GRAMMAR.flags:
+        argv = [f"{flag.name}=--"] if flag in cli.GRAMMAR.flags else []
+        argv.append(command.name)
+        for other in command.flags:
+            if other is flag:
+                argv.append(f"{flag.name}=--")
+            elif other.required:
+                argv += [other.name, _valid_value(command, other)]
+        assert dispatch(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert f"argument {flag.name}: expected one argument" in err
+        assert "Traceback" not in err
+
+
+def test_a_crash_in_a_handler_exits_70_not_1(monkeypatch, capsys):
+    """An exception that escapes a handler is no verdict: one stderr line
+    and EX_SOFTWARE, never the 1 of a verified negative."""
+    def crash(args):
+        raise TypeError("unexpected")
+    command = next(c for c in cli.GRAMMAR.commands if c.name == "weight")
+    monkeypatch.setitem(cli.GRAMMAR.by_name, "weight", (command._replace(handler=crash),
+                                                       cli.GRAMMAR.by_name["weight"][1]))
+    assert dispatch(["weight", "--p", "1", "--symbol", "r"]) == EXIT_SOFTWARE == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: TypeError: unexpected (test_cli.py:")
+    assert captured.err.count("\n") == 1
 
 
 class TestNegativeSymbol:

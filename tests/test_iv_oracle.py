@@ -21,6 +21,7 @@ from bergshift.exact_algebra import PoleError, Polynomial, rf_normalize
 from bergshift.gamma_ratio import WeightExpr, eval_ball, match_parts, power_weight
 from bergshift.identities import build_sides
 from iv_oracle import ball_ratio, oracle_eval
+from two_stage import weight_add, weight_mul, weight_scale
 
 PRECISIONS = (1, 8, 53, 200, 1000)
 # Poles of the Gamma atoms at 0 and -2, odd and even integers, and two rationals
@@ -125,16 +126,16 @@ def _exact(x) -> Fraction:
 
 
 def _zero_at_4(w: WeightExpr) -> WeightExpr:
-    return w * WeightExpr.from_rational(rf_normalize(Polynomial.z_plus(-4), ()))
+    return weight_mul(w, WeightExpr.from_rational(rf_normalize(Polynomial.z_plus(-4), ())))
 
 
 def test_part_matching_agrees_with_the_oracle():
     w, v = power_weight(3, 2, 5), power_weight(2, 3, 1)
     pairs = [
-        (w, w.scale(Fraction(3, 7))),                  # proportional
-        (_zero_at_4(w), _zero_at_4(w).scale(-2)),      # both sides exactly 0 at z = 4
+        (w, weight_scale(w, Fraction(3, 7))),           # proportional
+        (_zero_at_4(w), weight_scale(_zero_at_4(w), -2)),  # both sides exactly 0 at z = 4
         (_zero_at_4(w), _zero_at_4(v)),                # only the right side 0 at z = 4
-        (w + v, v.scale(5) + w.scale(5)),              # two terms each side
+        (weight_add(w, v), weight_add(weight_scale(v, 5), weight_scale(w, 5))),  # two terms each side
         (WeightExpr.zero(), w),
     ]
     verdicts = set()
