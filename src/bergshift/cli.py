@@ -48,7 +48,6 @@ from .exact_algebra import (
     format_rational_function,
 )
 from .gamma_ratio import (
-    BallValue,
     GammaRatioExpr,
     WeightExpr,
     is_rational_divisibility,
@@ -106,8 +105,6 @@ def ser_value(v: Any) -> Any:
         return None
     if isinstance(v, Fraction):
         return format_rational(v)
-    if isinstance(v, BallValue):
-        return {"mid": mpmath.nstr(v.mid, 30), "rad": mpmath.nstr(v.rad, 5)}
     if isinstance(v, (int, bool, str)):
         return v
     return str(v)

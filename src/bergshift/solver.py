@@ -19,12 +19,11 @@ Phi(z_k), Psi(z_k) > 0: they pin each F[k >= p] to an exact multiple of
 F[k mod p] and each G[k >= s] to one of G[k mod s].  :func:`nullspace`
 generates row k of (3) in the p + s parameters theta = (F[0..p-1],
 G[0..s-1]) straight from the problem, extending the pins only as far as
-the rows read them, eliminates the rows lazily and reports its basis as
-theta vectors.  Pins, rows and elimination are one integer pass: pins
-are numerator-denominator pairs extended inline from the sample
-formulas, each row is p + s integers over the lcm of its denominators,
-and the elimination is fraction-free.  Nothing is lifted to F_0..F_K,
-G_0..G_K at run time, and nothing is re-multiplied: the explicit
+the rows read them, and eliminates the rows lazily.  Pins, rows and
+elimination are one integer pass: pins are numerator-denominator pairs
+extended inline from the sample formulas, each row is p + s integers
+over the lcm of its denominators, and the elimination is fraction-free.
+Nothing is lifted to F_0..F_K, G_0..G_K at run time: the explicit
 expansion :func:`build_system` is the tests' oracle, which lift theta
 through their own samples and re-multiply.  The module decides from
 (p, s, n, d) what it can prove: whether the reference pair commutes
@@ -35,12 +34,11 @@ once the rank leaves only the floor, so K caps the rows read and does
 not set the cost of a settled cell.  A count at the floor is therefore
 settled: it holds at every K' >= K and in the untruncated system, and
 the nullspace is the span of the floor's vectors, whose basis is read
-off them in closed form (:func:`_floor_basis`).  A count above the floor
-is only an upper bound, and the verdict on it is inconclusive; only such
-a cell is back-substituted, still over the integers, to the unique
-reduced echelon form, and only at dimension 1 is its basis matched
-against the root powers (:func:`match_root_power`).  The module is exact
-throughout: it evaluates no ball.
+off them in closed form (:func:`_floor_basis`).  A cell whose rows
+through K - s leave more than its floor reports their rank alone: its
+count is only an upper bound, it carries no basis, and the verdict on
+it is inconclusive.  The module is exact throughout: it evaluates no
+ball.
 
 Every index increment in the three families (p, s, and s, p again) is a
 multiple of g = gcd(p, s), so the system decomposes into g independent
@@ -193,29 +191,6 @@ def _echelon(rows: Iterable[list[int]], stop_rank: int) -> Optional[list[tuple[i
     return pivots
 
 
-def _eliminate(rows: Iterable[list[int]], ncols: int, stop_rank: int) -> Optional[list[list[Fraction]]]:
-    """Nullspace basis of dense integer rows, or None once their rank
-    reaches ``stop_rank``, with no further row read: the caller knows
-    that nullspace.
-
-    Otherwise the pivot rows (:func:`_echelon`) are back-substituted,
-    still over the integers, into the reduced echelon form: each is 0
-    before its pivot, so running them through again, last pivot first,
-    clears every later pivot column.  That form is unique, so whatever the
-    row order or scaling the basis is canonical: 1 at its free column, 0
-    at the other free columns, and one Fraction per entry.
-    """
-    pivots = _echelon(rows, stop_rank)
-    if pivots is None:
-        return None
-    # ncols + 1 is a rank no rows reach: every pivot row is read again
-    reduced = dict(_echelon([r for _, r in sorted(pivots, reverse=True)], ncols + 1))
-    return [[Fraction(-reduced[j][f], reduced[j][j]) if j in reduced
-             else Fraction(int(j == f))
-             for j in range(ncols)]
-            for f in range(ncols) if f not in reduced]
-
-
 def _mixed_rows(prob: CommutantProblem) -> Iterator[list[int]]:
     """Row k of (3), for k = 0, 1, ..., in the parameters F[0..p-1]
     (columns 0..p-1) and G[0..s-1] (columns p..p+s-1), as a dense integer
@@ -272,13 +247,11 @@ class NullspaceReport:
 
     Each basis vector is theta: entries 0..p-1 are F[0..p-1] and entries
     p..p+s-1 are G[0..s-1].  Rows (1) and (2) pin every other F[k] and
-    G[k] to these, so theta is the whole solution.  The basis is the
-    reduced echelon one, in the order of its free columns, each vector
-    divided by its first nonzero entry.  At dimension 1 with a root match
-    the vector is divided by the matched constant instead, so that it is
-    exactly the reference samples, and ``proportionality`` reads 1; a
-    cell settled at floor 1, the (p, s) cell with gcd(p, s) = 1, reports
-    that vector and that 1 from its proof, with no match.
+    G[k] to these, so theta is the whole solution.  Only a cell settled
+    at its floor has a basis, the floor's own (:func:`_floor_basis`);
+    ``proportionality`` reads 1 where that basis is the reference samples
+    themselves, at floor 1, and is None otherwise.  A cell above its floor
+    reports its dimension at K, an upper bound, and the basis ``()``.
     """
 
     dimension: int
@@ -322,12 +295,12 @@ def _floor_basis(prob: CommutantProblem, floor: int) -> tuple[tuple[Fraction, ..
 
     At the floor the nullspace is the span of the vectors that
     :func:`_proved_floor` counts.  Their supports are disjoint and the
-    free column of each is its last nonzero entry, so scaled as
-    :class:`NullspaceReport` says they are the reported basis: for a
-    commuting pair (floor 2g) the g F-class indicators, then the g G-class
-    ones; at (m, l) = (p, s) (floor g) the g class sample vectors, each
-    divided by its first entry Phi(z_j), or at g = 1 the reference samples
-    themselves, whose root match reads 1.
+    free column of each is its last nonzero entry, so they are the reduced
+    echelon basis, in the order of its free columns: for a commuting pair
+    (floor 2g) the g F-class indicators, then the g G-class ones; at
+    (m, l) = (p, s) (floor g) the g class sample vectors, each divided by
+    its first entry Phi(z_j), or at g = 1 the reference samples
+    themselves, the root power with constant 1.
     """
     if floor == 0:
         return ()
@@ -347,55 +320,38 @@ def _floor_basis(prob: CommutantProblem, floor: int) -> tuple[tuple[Fraction, ..
 
 
 def nullspace(prob: CommutantProblem) -> NullspaceReport:
-    """Exact nullspace of the cell at K, as theta vectors, and the cell's
-    proved floor.
+    """Exact nullspace dimension of the cell at K and its proved floor,
+    with the basis, as theta vectors, of a settled cell.
 
     The rows of (3) through K - s decide dim(K).  Their elimination stops
     once the rank leaves only :func:`_proved_floor`: the count is then
     settled, the same at every K' >= K and untruncated, and the basis is
-    the floor's own, in closed form (:func:`_floor_basis`), with no
-    back-substitution and no root match.  A count above the floor reads
-    every row through K - s, bounds the untruncated one from above only,
-    and is back-substituted; at dimension 1 its basis is matched against
-    the root powers.  No pin or sample past the last row eliminated is
-    read, and the basis is reported in theta (see :class:`NullspaceReport`),
-    so a settled cell costs the same at every K.
+    the floor's own, in closed form (:func:`_floor_basis`).  A cell that
+    reads every row through K - s and stays above its floor reports p + s
+    less their rank, an upper bound on the untruncated count, with no
+    basis (see :class:`NullspaceReport`).  No pin or sample past the last
+    row eliminated is read, so a settled cell costs the same at every K.
     """
     p, s, floor = prob.p, prob.s, _proved_floor(prob)
-    thetas = _eliminate(islice(_mixed_rows(prob), prob.K - s + 1), p + s, p + s - floor)
-    if thetas is None:
+    pivots = _echelon(islice(_mixed_rows(prob), prob.K - s + 1), p + s - floor)
+    if pivots is None:
         return NullspaceReport(floor, _floor_basis(prob, floor), floor,
                                Fraction(1) if floor == 1 else None)
-    leads = [next(v for v in theta if v != 0) for theta in thetas]
-    basis = [tuple([v / lead for v in theta]) for theta, lead in zip(thetas, leads)]
-    shared = None
-    if len(basis) == 1:
-        theta = basis[0]
-        # F and c * w_m, w_m = power_weight(m, p, n), both satisfy row (1):
-        # w_m(z+2p) Phi(z) = Phi(z+2m) w_m(z), as w_p = Phi and R^m, R^p are
-        # powers of one root.  Its leading samples Phi(z_k) are positive, so
-        # the two agree at every k once they agree at k < p, which is
-        # theta[:p]; so does G with row (2) at k < s, which is theta[p:].
-        f_const = match_root_power(theta[:p], prob.m, p, prob.n)
-        g_const = match_root_power(theta[p:], prob.l, s, prob.d)
-        if f_const is not None and f_const == g_const and f_const != 0:
-            # Present the basis in the matched normalization, where theta
-            # is exactly the reference samples and the constant reads 1.
-            shared = Fraction(1)
-            basis = [tuple([x / f_const for x in theta])]
-    return NullspaceReport(len(basis), tuple(basis), floor, shared)
+    return NullspaceReport(p + s - len(pivots), (), floor, None)
 
 
 def match_root_power(v: Sequence[Fraction], m: int, p: int, n: int) -> Optional[Fraction]:
     """Constant c with v_k = c * power_weight(m, p, n)(2k+2) for all k.
 
-    :func:`nullspace` calls it only on a cell of dimension 1 above its
-    floor; a settled cell's proportionality comes from its floor's proof.
-    Decided exactly when the power weight reduces to a rational function.
-    Returns None when no single constant works, and at once when the power
-    weight keeps Gamma content, since the solver reports exact constants
-    only.  At m = p the power weight is the operator's own weight
-    (z + 2p)/(z + p + n), :func:`monomial_weight`, and is not rebuilt.
+    No package module calls it: a settled cell's proportionality comes
+    from its floor's proof, and a cell above its floor has no basis to
+    match.  It stays public as the tests' oracle for that proof, and the
+    benchmark's trace mode binds it by name.  Decided exactly when the
+    power weight reduces to a rational function.  Returns None when no
+    single constant works, and at once when the power weight keeps Gamma
+    content, since the solver reports exact constants only.  At m = p
+    the power weight is the operator's own weight (z + 2p)/(z + p + n),
+    :func:`monomial_weight`, and is not rebuilt.
     """
     rf = monomial_weight(p, n) if m == p else power_weight(m, p, n).as_rational()
     if rf is None:

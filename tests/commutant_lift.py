@@ -5,17 +5,23 @@
 G_0..G_K by rows (1) and (2), from samples of the weight functions
 rather than from the solver's pins, so re-multiplying the lifted vector
 against ``build_system`` compares two derivations of the samples.
+:func:`eliminate` back-substitutes the pivot rows of ``solver._echelon``
+to the unique reduced echelon form, which the solver never needs: a
+settled cell's basis is its floor's, and a cell above its floor reports
+its rank alone.
 :func:`cleared` turns a sparse rational row into the dense integer row
-that the elimination kernel ``solver._eliminate`` takes, and
-:func:`eliminated` runs the kernel on such rows with no early stop.
+that the kernel takes, :func:`eliminated` runs it on such rows with no
+early stop, and :func:`echelon_report` gives a cell's basis and root
+match from every row through K - s, the oracle for the floor's basis.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from bergshift import solver
 from bergshift.exact_algebra import rf_eval
-from bergshift.solver import CommutantProblem, monomial_weight
+from bergshift.solver import CommutantProblem, match_root_power, monomial_weight
 
 
 def grid_cells(K):
@@ -59,8 +65,52 @@ def cleared(row, ncols):
     return dense
 
 
+def eliminate(rows, ncols, stop_rank):
+    """Nullspace basis of dense integer rows, or None once their rank
+    reaches ``stop_rank``, with no further row read.
+
+    Otherwise the pivot rows (``solver._echelon``) are back-substituted,
+    still over the integers, into the reduced echelon form: each is 0
+    before its pivot, so running them through again, last pivot first,
+    clears every later pivot column.  That form is unique, so whatever the
+    row order or scaling the basis is canonical: 1 at its free column, 0
+    at the other free columns, and one Fraction per entry.
+    """
+    pivots = solver._echelon(rows, stop_rank)
+    if pivots is None:
+        return None
+    # ncols + 1 is a rank no rows reach: every pivot row is read again
+    reduced = dict(solver._echelon([r for _, r in sorted(pivots, reverse=True)], ncols + 1))
+    return [[Fraction(-reduced[j][f], reduced[j][j]) if j in reduced
+             else Fraction(int(j == f))
+             for j in range(ncols)]
+            for f in range(ncols) if f not in reduced]
+
+
 def eliminated(rows, ncols):
     """The elimination kernel's basis of sparse rational rows, every row
     read: the kernel stops, returning None, only at full rank."""
-    basis = solver._eliminate([cleared(row, ncols) for row in rows], ncols, ncols)
+    basis = eliminate([cleared(row, ncols) for row in rows], ncols, ncols)
     return [] if basis is None else basis
+
+
+def echelon_report(prob):
+    """(basis, proportionality) of the cell from every row of (3)
+    through K - s, with no early stop: the reduced echelon basis, each
+    vector divided by its first nonzero entry, and at dimension 1 one
+    that matches the root powers (F at degree m, G at degree l, with one
+    nonzero constant) divided by that constant instead, with
+    proportionality 1.  Matching the first p entries of F and s of G
+    decides the match of the whole lifted vector, by rows (1) and (2)."""
+    p, s = prob.p, prob.s
+    rows = islice(solver._mixed_rows(prob), prob.K - s + 1)
+    basis = []
+    for theta in eliminate(rows, p + s, p + s + 1):
+        lead = next(x for x in theta if x)
+        basis.append(tuple([v / lead for v in theta]))
+    if len(basis) == 1:
+        f = match_root_power(basis[0][:p], prob.m, p, prob.n)
+        g = match_root_power(basis[0][p:], prob.l, s, prob.d)
+        if f is not None and f == g and f != 0:
+            return [tuple([x / f for x in basis[0]])], Fraction(1)
+    return basis, None

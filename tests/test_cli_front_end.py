@@ -6,6 +6,9 @@
   argparse parser ``cli.build_parser`` makes from the same table is the
   oracle: the reader gives argparse's Namespace or None, and None
   whenever argparse stops with an error or with ``--help``.
+* ``cli.dispatch`` ends every argv, spoiled or not, with a verdict or a
+  usage error, never with an escaped exception (70).  Its argv names only
+  cheap runs, so each example takes milliseconds.
 """
 
 import contextlib
@@ -76,36 +79,48 @@ _SYMBOLS = ["r^2", "1:r^2", "2:r^3", "0:r", "", "2*r+3*r^4", "r=2", "1e-5", "٣"
 _DASHED = ["-r^2", "-r", "-1:r", "--p", "-r + 1", "-1e-5", "-"]
 
 
-def _good_value(flag):
+#: The largest value a cheap argv gives an int flag: the truncation, the
+#: scan bound, the quadrature digits and the sample count, and 6 for every
+#: degree, exponent or index.  A cheap value is positive, as most of them
+#: must be for the command to run; 0 and below come from spoiling.
+_CHEAP_INTS = {"--K": 40, "--bound": 8, "--digits": 30, "--samples": 10,
+               "--precision-bits": 256}
+
+
+def _good_value(flag, cheap=False):
     if flag.choices is not None:
         return st.sampled_from(flag.choices)
     if flag.type is int:
+        if cheap:
+            return st.integers(1, _CHEAP_INTS.get(flag.name, 6)).map(str)
         return st.integers(0, 10**30).map(str)
     return st.sampled_from(_SYMBOLS)
 
 
 @st.composite
-def _good_tokens(draw, flag):
+def _good_tokens(draw, flag, cheap=False):
     """The flag by its exact name, with a value argparse takes, spaced or
     joined; joined, the value may also start with ``-``."""
     if draw(st.booleans()):
-        return [flag.name, draw(_good_value(flag))]
+        return [flag.name, draw(_good_value(flag, cheap))]
     dashed = ["-1", "-12"] if flag.type is int else [] if flag.choices else _DASHED
-    value = draw(st.sampled_from(dashed) if dashed and draw(st.booleans()) else _good_value(flag))
+    value = draw(st.sampled_from(dashed) if dashed and draw(st.booleans())
+                 else _good_value(flag, cheap))
     return [f"{flag.name}={value}"]
 
 
 @st.composite
-def _good_argv(draw):
+def _good_argv(draw, cheap=False):
     """Leading ``--output`` flags, a subcommand, each required flag at
-    least once and each optional one at most twice, in any order."""
+    least once and each optional one at most twice, in any order; with
+    ``cheap``, every int value is within ``_CHEAP_INTS``."""
     argv = []
     for flag in cli.GRAMMAR.flags:
         for _ in range(draw(st.integers(0, 2))):
             argv += draw(_good_tokens(flag))
     command = draw(st.sampled_from(cli.GRAMMAR.commands))
     argv.append(command.name)
-    tokens = [draw(_good_tokens(flag)) for flag in command.flags
+    tokens = [draw(_good_tokens(flag, cheap)) for flag in command.flags
               for _ in range(draw(st.integers(1 if flag.required else 0, 2)))]
     for pair in draw(st.permutations(tokens)):
         argv += pair
@@ -113,12 +128,12 @@ def _good_argv(draw):
 
 
 @st.composite
-def _bad_tokens(draw, flag):
+def _bad_tokens(draw, flag, cheap=False):
     """The flag abbreviated, without a value, or with a value that starts
     with ``-`` or that argparse rejects."""
     kind = draw(st.sampled_from(["abbreviated", "dashed"] * 2 + ["missing", "malformed"]))
     if kind == "abbreviated" and len(flag.name) > 3:
-        value = draw(_good_value(flag))
+        value = draw(_good_value(flag, cheap))
         return [flag.name[:draw(st.integers(3, len(flag.name) - 1))], value]
     if kind == "dashed":
         return [flag.name, draw(st.sampled_from(["-1", "-12", "--"] + _DASHED))]
@@ -138,11 +153,11 @@ _NOISE = st.sampled_from([
 
 
 @st.composite
-def _any_argv(draw):
+def _any_argv(draw, cheap=False):
     """A well-formed argv with some of it spoiled: a flag's tokens made
     bad, a flag dropped, a token inserted, or ``--output`` moved after the
     subcommand."""
-    argv = draw(_good_argv())
+    argv = draw(_good_argv(cheap))
     for _ in range(draw(st.integers(0, 2))):
         kind = draw(st.sampled_from(["spoil", "drop", "insert", "late output"]))
         if kind == "insert":
@@ -159,7 +174,7 @@ def _any_argv(draw):
             command = next((c for c in cli.GRAMMAR.commands if c.name in argv), None)
             flag = next((f for f in (command.flags if command else ()) + cli.GRAMMAR.flags
                          if f.name == name), None)
-            bad = [] if kind == "drop" or flag is None else draw(_bad_tokens(flag))
+            bad = [] if kind == "drop" or flag is None else draw(_bad_tokens(flag, cheap))
             argv[i:end] = bad
     return argv
 
@@ -224,3 +239,27 @@ def test_reader_reads_every_command_in_both_forms(command, joined):
         argv = _plain_argv(command, joined, optional)
         assert _agrees(argv) is not None
         assert _agrees(["--output", "text"] + argv) is not None
+
+
+def _exit_status(argv):
+    """``cli.dispatch(argv)``'s status, its output discarded; ``--help``
+    ends in argparse's ``SystemExit``, whose code is the status."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.dispatch(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_argv(cheap=True))
+@example(["rationality", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--delta", "0"])
+@example(["verify-theorem", "--p", "1", "--s", "2", "--n", "2", "--d", "3", "--K", "1"])
+@example(["oracle-quadrature", "--p", "0", "--symbol", "r", "--k", "0", "--digits", "0"])
+@example(["identity-check", "--id", "functional", "--p", "0", "--s", "0", "--n", "0",
+          "--d", "0", "--m", "0", "--l", "0", "--samples", "0"])
+@example(["verify-theorem", "--p", "2", "--s", "3", "--n", "1", "--d", "4", "--bound", "6",
+          "--K", "6"])
+def test_dispatch_exits_with_a_verdict_or_a_usage_error(argv):
+    assert _exit_status(argv) in (cli.EXIT_OK, cli.EXIT_NEGATIVE, cli.EXIT_INCONCLUSIVE,
+                                  cli.EXIT_USAGE), argv

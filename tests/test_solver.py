@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -23,7 +24,7 @@ from bergshift.solver import (
     scan,
     verify_theorem,
 )
-from commutant_lift import eliminated, fraction_sum_in_nullspace, grid_cells, lift
+from commutant_lift import echelon_report, eliminated, fraction_sum_in_nullspace, grid_cells, lift
 
 
 def reference_vector(prob):
@@ -139,10 +140,11 @@ class TestMatchRootPower:
 
     def test_pinned_prefix_decides_the_whole_vector(self):
         """On every cell of dimension 1, including cells above their floor,
-        matching the first p entries of F and s of G gives what matching all
-        K + 1 of each in the lifted vector gives, and the solver reports that
-        full-vector match.  Every m is read at the smallest truncations,
-        m <= 8 at K = 30."""
+        matching the first p entries of F and s of G in the reduced echelon
+        basis gives what matching all K + 1 of each in the lifted vector
+        gives.  A settled cell reports that basis and that match from its
+        proof; a cell above its floor reports neither.  Every m is read at
+        the smallest truncations, m <= 8 at K = 30."""
         cells = above = 0
         for s in range(2, 5):
             for p in range(1, s):
@@ -156,17 +158,22 @@ class TestMatchRootPower:
                                 if rep.dimension != 1:
                                     continue
                                 cells += 1
-                                above += rep.floor == 0
-                                theta = rep.basis[0]
+                                basis, shared = echelon_report(prob)
+                                theta = basis[0]
                                 v = lift(prob, theta)
                                 f = match_root_power(v[: K + 1], m, p, n)
                                 g = match_root_power(v[K + 1 :], l, s, d)
                                 assert match_root_power(theta[:p], m, p, n) == f
                                 assert match_root_power(theta[p:], l, s, d) == g
                                 matched = f is not None and f == g and f != 0
-                                assert rep.proportionality == (Fraction(1) if matched else None)
+                                assert shared == (Fraction(1) if matched else None)
                                 if matched:
-                                    assert f == 1  # the basis is reported in the matched scale
+                                    assert f == 1  # the basis is in the matched scale
+                                if rep.floor == 1:
+                                    assert (list(rep.basis), rep.proportionality) == (basis, shared)
+                                else:
+                                    above += 1
+                                    assert (rep.basis, rep.proportionality) == ((), None)
         assert cells > 100 and above > 20
 
     def test_the_operator_weight_gives_the_power_weights_constant(self, monkeypatch):
@@ -211,12 +218,14 @@ class TestMatchRootPower:
         assert (rep.dimension, rep.floor, rep.proportionality) == (1, 1, Fraction(1))
         assert match_lengths == []
 
-    def test_a_cell_above_its_floor_matches_only_the_pinned_prefix(self, match_lengths):
+    def test_a_cell_above_its_floor_matches_nothing(self, match_lengths):
         # (2,3,1,4) at the golden corpus's truncation K = s + 3: the cell
-        # (1, 2) has dimension 1 above its floor 0
+        # (1, 2) has dimension 1 above its floor 0, an upper bound with no
+        # basis to match
         rep = nullspace(CommutantProblem(p=2, s=3, n=1, d=4, m=1, l=2, K=6))
         assert (rep.dimension, rep.floor) == (1, 0)
-        assert match_lengths == [2, 3]
+        assert (rep.basis, rep.proportionality) == ((), None)
+        assert match_lengths == []
 
 
 class TestConsistencyWithShiftAlgebra:
@@ -453,6 +462,51 @@ class TestProvedFloor:
         rep = nullspace(CommutantProblem(p=1, s=2, n=2, d=3, m=1, l=2, K=K))
         assert (rep.dimension, rep.floor) == (2, 1)
         assert rows_read == [K - 2 + 1]
+
+    @pytest.mark.parametrize("p, s, n, d, m, rows", [
+        (1, 2, 3, 8, 2, 4),
+        (1, 2, 3, 12, 1, 3),
+        (2, 4, 5, 20, 2, 5),
+        (2, 4, 6, 16, 4, 8),
+        (2, 4, 6, 24, 2, 6),
+        (3, 6, 3, 8, 14, 12),
+        (3, 6, 3, 8, 21, 11),
+        (3, 6, 9, 24, 6, 12),
+    ])
+    def test_cell_with_dependent_leading_rows_settles_on_more_rows(
+            self, rows_read, p, s, n, d, m, rows):
+        """The cells of p < s <= 6, n, d <= 24, m <= 24 whose first
+        p + s - floor rows are dependent, so the elimination passes over a
+        dependent row: each still settles at its floor, on the given rows,
+        with the basis of every row through K - s."""
+        prob = CommutantProblem(p=p, s=s, n=n, d=d, m=m, l=m + s - p, K=200)
+        rep = nullspace(prob)
+        assert rep.dimension == rep.floor == solver._proved_floor(prob)
+        assert rows_read == [rows]
+        stop_rank = p + s - rep.floor
+        prefix = solver._echelon(islice(solver._mixed_rows(prob), stop_rank), stop_rank)
+        assert prefix is not None and len(prefix) < stop_rank
+        assert (list(rep.basis), rep.proportionality) == echelon_report(prob)
+
+    @pytest.mark.parametrize("p, s, n, d", [(1, 2, 2, 3), (2, 4, 3, 5), (2, 3, 5, 1)])
+    def test_a_floor_lowered_by_one_is_inconclusive_in_bounded_rows(
+            self, monkeypatch, rows_read, p, s, n, d):
+        """A positive floor lowered by one gives the (p, s) cell a stop rank
+        its rows cannot reach: the cell reads every row through K - s and no
+        more, reports its dimension above that floor with no basis, and the
+        verdict is inconclusive, naming the cell."""
+        proved = solver._proved_floor
+        monkeypatch.setattr(solver, "_proved_floor",
+                            lambda prob: proved(prob) - (proved(prob) > 0))
+        K, g = 60, gcd(p, s)
+        rep = verify_theorem(p, s, n, d, bound=8, K=K)
+        assert rep.status == "inconclusive" and rep.passed is None
+        assert rep.messages == (
+            f"pair (m={p}, l={s}) has dimension {g} above its proved floor {g - 1} at K={K}",)
+        cell = next(c for c in rep.scan_report.cells if (c.m, c.l) == (p, s))
+        assert (cell.dimension, cell.floor, cell.root_match) == (g, g - 1, None)
+        assert len(rows_read) == len(rep.scan_report.cells)
+        assert max(rows_read) == K - s + 1
 
     @pytest.mark.parametrize("p, s, n, d", [(1, 2, 2, 3), (2, 4, 3, 5), (1, 2, 3, 6)])
     def test_verify_theorem_cost_does_not_depend_on_truncation(

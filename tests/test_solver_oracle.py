@@ -7,12 +7,14 @@ only as an independent oracle, at truncations small enough for it.
 `class_sample_vectors` is the floor the solver proves at (m, l) = (p, s),
 built from the weight functions rather than from the recurrences.
 The solver reports theta, the p + s parameters; `lift` extends it to the
-2(K+1) unknowns of `build_system`, where it is re-multiplied.  The last
-tests run the integer elimination kernel `solver._eliminate` on its own,
-on rows cleared of their denominators here (`commutant_lift.cleared`):
-its basis does not depend on row scaling or order, it agrees with Bareiss
-on entries of 256 bits and more, and it reads no row past `stop_rank`.
-A cell settled at its floor reports the floor's basis in closed form;
+2(K+1) unknowns of `build_system`, where it is re-multiplied.  A cell
+above its floor reports its dimension alone, with no basis.  The last
+tests run the integer elimination kernel `solver._echelon`, with the
+back-substitution `commutant_lift.eliminate`, on rows cleared of their
+denominators here (`commutant_lift.cleared`): its basis does not depend
+on row scaling or order, it agrees with Bareiss on entries of 256 bits
+and more, and it reads no row past `stop_rank`.  A cell settled at its
+floor reports the floor's basis in closed form;
 `test_floor_basis_is_the_reduced_echelon_basis` checks it against the
 back-substituted basis of every row through K - s.
 """
@@ -26,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergshift import solver
 from bergshift.exact_algebra import rf_eval
 from bergshift.solver import (
     CommutantProblem,
@@ -36,7 +37,15 @@ from bergshift.solver import (
     monomial_weight,
     nullspace,
 )
-from commutant_lift import cleared, eliminated, fraction_sum_in_nullspace, grid_cells, lift
+from commutant_lift import (
+    cleared,
+    echelon_report,
+    eliminate,
+    eliminated,
+    fraction_sum_in_nullspace,
+    grid_cells,
+    lift,
+)
 
 
 def _interleaved_columns(K):
@@ -184,13 +193,25 @@ def test_nullspace_matches_bareiss_on_grid(chunk):
         # count at the floor is settled: ten more rows leave it unchanged.
         bigger = len(oracle_basis(dataclasses.replace(prob, K=prob.K + 10)))
         assert rep.floor <= bigger <= rep.dimension, prob
+        sys_ = build_system(prob)
         if rep.dimension == rep.floor:
             assert bigger == rep.dimension, prob
-        sys_ = build_system(prob)
-        lifted = [lift(prob, theta) for theta in rep.basis]
-        assert all(fraction_sum_in_nullspace(sys_, vec) for vec in lifted), prob
-        if rep.dimension == 1:
-            assert lead_normalized(lifted[0]) == oracle[0], prob
+            # a settled cell's basis lifts to a basis of Bareiss's nullspace
+            lifted = [lift(prob, theta) for theta in rep.basis]
+            assert len(lifted) == rep.dimension, prob
+            assert all(fraction_sum_in_nullspace(sys_, vec) for vec in lifted), prob
+            assert rank(lifted, sys_.num_unknowns) == rep.dimension, prob
+            assert rank(lifted + oracle, sys_.num_unknowns) == rep.dimension, prob
+            if rep.dimension == 1:
+                assert lead_normalized(lifted[0]) == oracle[0], prob
+        else:
+            # an upper bound only: no basis, no root match; the test-side
+            # back-substitution still finds Bareiss's nullspace
+            assert (rep.basis, rep.proportionality) == ((), None), prob
+            basis, _ = echelon_report(prob)
+            assert len(basis) == rep.dimension, prob
+            if rep.dimension == 1:
+                assert lead_normalized(lift(prob, basis[0])) == oracle[0], prob
         if (prob.m, prob.l) == (prob.p, prob.s):
             # The lemma under the floor at (p, s): the g class vectors solve
             # every row, and at the floor they span the whole nullspace.
@@ -201,23 +222,20 @@ def test_nullspace_matches_bareiss_on_grid(chunk):
                 assert rank(classes + lifted, sys_.num_unknowns) == rep.dimension, prob
 
 
-def test_floor_basis_is_the_reduced_echelon_basis(monkeypatch):
+def test_floor_basis_is_the_reduced_echelon_basis():
     """Every cell with l <= 8 of the 540 grid instances settles at its
-    floor at K = 40, and reports the floor's basis in closed form.  With
-    no floor proved, the solver reads every row through K - s, with no
-    early stop, back-substitutes and matches a basis of dimension 1
-    against the root powers; dimension, basis and proportionality are
-    the same, for the commuting pairs and at g = 2 and 3 too."""
-    cells = grid_cells(40)
-    settled = [nullspace(prob) for prob in cells]
-    monkeypatch.setattr(solver, "_proved_floor", lambda prob: 0)
+    floor at K = 40, and reports the floor's basis in closed form.  Every
+    row through K - s, read with no early stop, back-substituted and at
+    dimension 1 matched against the root powers
+    (`commutant_lift.echelon_report`), gives the same dimension, basis
+    and proportionality, for the commuting pairs and at g = 2 and 3 too."""
     kinds = set()
-    for prob, rep in zip(cells, settled):
+    for prob in grid_cells(40):
+        rep = nullspace(prob)
+        assert rep.dimension == rep.floor, prob
         if rep.floor == 0:
             continue
-        whole = nullspace(prob)
-        assert (whole.dimension, whole.basis, whole.proportionality) == (
-            rep.dimension, rep.basis, rep.proportionality), prob
+        assert (list(rep.basis), rep.proportionality) == echelon_report(prob), prob
         kinds.add((gcd(prob.p, prob.s), (prob.n, prob.d) == (prob.p, prob.s)))
     assert kinds == {(g, commuting) for g in (1, 2, 3) for commuting in (False, True)}
 
@@ -362,7 +380,7 @@ def test_rows_after_the_stop_rank_are_not_read():
                 read.append(i)
                 yield cleared(row, ncols)
 
-        basis = solver._eliminate(spy(), ncols, stop_rank)
+        basis = eliminate(spy(), ncols, stop_rank)
         ranks = [ncols - len(bareiss_basis(_as_system(rows[: i + 1], ncols)))
                  for i in range(len(rows))]
         expected = next((i + 1 for i, r in enumerate(ranks) if r == stop_rank), None)

@@ -23,12 +23,14 @@
   algebra or the symbol layer;
 * no package module calls ``solver.build_system``: the explicit expansion
   is the tests' oracle, so no solver path costs time linear in K;
-* the commutant kernel is integer until the basis: the pins and the
-  rows of (3) (``solver._mixed_rows``) and the elimination
-  (``_echelon``, ``_eliminate``) construct no ``Fraction`` and divide
-  only with ``//``, and in ``_eliminate`` only the returned basis
-  expression does either.  The closed-form basis of a settled cell is
-  built in its own function, ``_floor_basis``, outside the kernel;
+* no package module calls ``solver.match_root_power``: a settled cell's
+  proportionality comes from its floor's proof, and a cell above its
+  floor has no basis to match;
+* the commutant kernel is integer: the pins and the rows of (3)
+  (``solver._mixed_rows``) and the elimination (``_echelon``) construct
+  no ``Fraction`` and divide only with ``//``.  The closed-form basis of
+  a settled cell is built in its own function, ``_floor_basis``, outside
+  the kernel, and no ``_eliminate`` back-substitutes in the package;
 * only ``exact_algebra`` calls the raw ``Polynomial(...)`` constructor, so
   the canonical form that polynomial equality rests on is built in one
   place;
@@ -67,7 +69,7 @@ SCOPE = ("gamma_ratio", "working_precision")
 CERTIFIED_NUMERICS = {"mpmath", "ball_ratio", "eval_ball", "BallValue", "working_precision"}
 GAMMA_SITE = ("gamma_ratio", "_GammaMemo", "gamma")
 SOLVER_IMPORTS = {"exact_algebra", "gamma_ratio"}
-INTEGER_KERNEL = {"_mixed_rows", "_echelon", "_eliminate"}
+INTEGER_KERNEL = {"_mixed_rows", "_echelon"}
 TEST_SIDE = {"parse_rational_function", "parse_rational", "_ExprParser", "_power",
              "weight_from_jsonable", "op_equal", "EqualityVerdict"}
 
@@ -250,24 +252,28 @@ def test_build_system_is_called_by_no_package_module():
     assert bad == []
 
 
+def test_match_root_power_is_called_by_no_package_module():
+    bad = [f"{mod}:{node.lineno}"
+           for mod, tree in _modules()
+           for node in ast.walk(tree) if _calls(node, "match_root_power")]
+    assert bad == []
+
+
 def _makes_rationals(node) -> bool:
     """A Fraction constructed, or a true division."""
     return _calls(node, "Fraction") or (
         isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
 
 
-def test_commutant_kernel_is_integer_until_the_basis():
+def test_commutant_kernel_is_integer():
     tree = dict(_modules())["solver"]
     defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     required = INTEGER_KERNEL | {"_floor_basis"}
     assert required <= set(defs), sorted(required - set(defs))
-    basis = defs["_eliminate"].body[-1]
-    assert isinstance(basis, ast.Return)
-    assert any(_calls(node, "Fraction") for node in ast.walk(basis))
-    allowed = {id(node) for node in ast.walk(basis)}
+    assert "_eliminate" not in defs
     bad = [f"solver.{name}:{node.lineno}"
            for name in sorted(INTEGER_KERNEL)
-           for node in ast.walk(defs[name]) if _makes_rationals(node) and id(node) not in allowed]
+           for node in ast.walk(defs[name]) if _makes_rationals(node)]
     assert bad == []
 
 
